@@ -14,7 +14,7 @@ import io
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -104,25 +104,40 @@ class ExperimentConfig:
 
     @staticmethod
     def from_yaml(path) -> "ExperimentConfig":
+        """Read a config file.  An unknown key, at the top level or inside
+        ``eus:`` or ``pso:``, is a ValueError naming the key."""
         import yaml
 
         with open(path) as fh:
             raw = yaml.safe_load(fh) or {}
         kwargs = {}
-        for key in ("repetitions", "master_seed", "jobs", "out_dir",
-                    "record_timing", "ensemble_size_bag", "ensemble_size_boost",
-                    "re_cardinality", "re_trials"):
-            if key in raw:
-                kwargs[key] = raw[key]
-        if "datasets" in raw:
-            kwargs["datasets"] = tuple(raw["datasets"])
-        if "methods" in raw:
-            kwargs["methods"] = tuple(raw["methods"])
-        if "eus" in raw:
-            kwargs["eus_params"] = sel.EusParams(**raw["eus"])
-        if "pso" in raw:
-            kwargs["pso_params"] = sel.PsoParams(**raw["pso"])
+        for key, value in _known_keys(raw, "", _TOP_LEVEL_KEYS).items():
+            if key in _PARAM_KEYS:
+                name, params_cls = _PARAM_KEYS[key]
+                known = {f.name for f in fields(params_cls)}
+                kwargs[name] = params_cls(**_known_keys(value, f"{key}.", known))
+            elif key in ("datasets", "methods"):
+                kwargs[key] = tuple(value)
+            else:
+                kwargs[key] = value
         return ExperimentConfig(**kwargs)
+
+
+# config-file sections holding the parameters of one search
+_PARAM_KEYS = {"eus": ("eus_params", sel.EusParams),
+               "pso": ("pso_params", sel.PsoParams)}
+_TOP_LEVEL_KEYS = (({f.name for f in fields(ExperimentConfig)}
+                    - {name for name, _ in _PARAM_KEYS.values()}) | set(_PARAM_KEYS))
+
+
+def _known_keys(section, prefix, known) -> dict:
+    if not isinstance(section, dict):
+        raise ValueError(f"config section {prefix.rstrip('.') or 'top level'} "
+                         "must be a mapping")
+    for key in section:
+        if key not in known:
+            raise ValueError(f"unknown config key {prefix + str(key)!r}")
+    return section
 
 
 def make_synthetic_dataset(name, n_pos, imbalance_ratio, seed, d=2,

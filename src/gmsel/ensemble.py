@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knn import ReferenceSet, classify_1nn
+from .knn import NeighbourIndex, ReferenceSet, classify_1nn
 from .selection import EusParams, eus, rus
 
 logger = logging.getLogger(__name__)
@@ -82,23 +82,28 @@ def erus(X, y, size=100, seed=0) -> EnsembleModel:
     return EnsembleModel(members, np.ones(size), method="erus", seed=seed)
 
 
-def _boost(X, y, size, seed, build_member, nominal_mask=None, method=""):
+def _boost(X, y, size, seed, build_member, nominal_mask=None, method="",
+           index=None):
     """Shared AdaBoost.M2-style harness.
 
     With two classes and hard votes the pseudo-loss reduces to the weighted
-    error on the full training set, which is what is computed here.
+    error on the full training set, which is what is computed here, by rank
+    lookups in ``index`` (a :class:`~gmsel.knn.NeighbourIndex` over ``X``,
+    built here unless given).
     ``build_member(member_seed, weights)`` returns the iteration's reference
     set.  Iterations with weighted error >= 0.5 are retried with a fresh
     member seed (up to 10 times), then the ensemble stops early.
     """
     n = len(y)
     w = np.full(n, 1.0 / n)
+    if index is None:
+        index = NeighbourIndex(X, nominal_mask)
     members, alphas = [], []
     seeds = iter(_member_seeds(seed, size * (_MAX_RETRIES + 1)))
     for _ in range(size):
         for _retry in range(_MAX_RETRIES + 1):
             member = build_member(next(seeds), w)
-            pred = classify_1nn(X, y, member, X, nominal_mask)
+            pred = classify_1nn(X, y, member, X, index=index)
             correct = pred == y
             eps = float(np.sum(w[~correct]))
             if eps < 0.5:
@@ -133,21 +138,27 @@ def eusboost(X, y, size=10, seed=0, params: EusParams | None = None,
 
     Each iteration runs the evolutionary search with the current boosting
     weights driving its LOO GM fitness, so hard instances steer the selection;
-    the beta/weight arithmetic is shared with rusboost.
+    the beta/weight arithmetic is shared with rusboost.  One neighbour index
+    serves every member search and the boosting error.
     """
+    index = NeighbourIndex(X, nominal_mask)
 
     def build(member_seed, weights):
         return eus(X, y, member_seed, params=params, nominal_mask=nominal_mask,
-                   sample_weight=weights)
+                   sample_weight=weights, index=index)
 
-    return _boost(X, y, size, seed, build, nominal_mask, method="eusboost")
+    return _boost(X, y, size, seed, build, method="eusboost", index=index)
 
 
 def predict_ensemble(model: EnsembleModel, X, y, queries, nominal_mask=None) -> np.ndarray:
-    """Weighted vote over member 1-NN predictions; ties go to the positive class."""
+    """Weighted vote over member 1-NN predictions; ties go to the positive class.
+
+    The query-to-training distances are computed once for all members.
+    """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    index = NeighbourIndex(X, nominal_mask, queries=queries)
     score = np.zeros(queries.shape[0])
     for member, weight in zip(model.members, model.weights):
-        pred = classify_1nn(X, y, member, queries, nominal_mask)
+        pred = classify_1nn(X, y, member, queries, index=index)
         score += weight * np.where(pred == 1, 1.0, -1.0)
     return (score >= 0).astype(np.asarray(y).dtype)

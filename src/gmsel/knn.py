@@ -4,6 +4,11 @@ Distances are Euclidean over numeric attributes with nominal attributes
 contributing overlap distance (0 if equal, 1 otherwise) in quadrature.
 Nearest-neighbour distance ties are broken toward the lowest retained index;
 k-NN vote ties are broken toward the positive class.
+
+Callers that look up nearest retained neighbours many times over one training
+matrix (subset searches, condensing, boosting, ensemble voting) build a
+:class:`NeighbourIndex` once and pass it as ``index``; one-shot calls compute
+only the distance columns of the retained instances.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "ReferenceSet",
+    "NeighbourIndex",
     "distance",
     "pairwise_distances",
     "classify_1nn",
@@ -21,6 +27,10 @@ __all__ = [
     "loo_predict",
     "loo_gm",
 ]
+
+# Neighbours ranked per query row by a NeighbourIndex.  Lookups that find no
+# retained instance this deep fall back to an exact argmin.
+RANK_DEPTH = 32
 
 
 @dataclass(frozen=True)
@@ -78,60 +88,175 @@ def distance(a, b, nominal_mask=None) -> float:
     return float(pairwise_distances(a[None, :], b[None, :], nominal_mask)[0, 0])
 
 
-def _ref_arrays(X, y, ref):
+def _stable_top_k(D, k) -> np.ndarray:
+    """The first ``k`` columns of ``np.argsort(D, axis=1, kind="stable")``.
+
+    Only the ``k`` smallest entries of each row are sorted: all entries below
+    the row's k-th smallest value, then the lowest-index entries equal to it.
+    """
+    n_rows, n_cols = D.shape
+    if k >= n_cols:
+        return np.argsort(D, axis=1, kind="stable")
+    kth = np.partition(D, k - 1, axis=1)[:, k - 1:k].copy()
+    take = D < kth
+    room = k - take.sum(axis=1)
+    tie = D == kth
+    # rows with more ties at the k-th value than room keep the lowest-index ones
+    over = np.flatnonzero(tie.sum(axis=1) > room)
+    tie[over] &= np.cumsum(tie[over], axis=1) <= room[over, None]
+    take |= tie
+    cols = np.nonzero(take)[1].reshape(n_rows, k)  # row-major: index order
+    order = np.argsort(np.take_along_axis(D, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
+
+
+def _nearest_retained(D, retained, rows=None) -> np.ndarray:
+    """``retained[argmin]`` of each row of ``D``, whose columns are ``retained``
+    (sorted), so ties go to the lowest retained index.  With ``rows`` (the
+    training index of each row of ``D``) a row never picks itself."""
+    if rows is not None:
+        col = np.minimum(np.searchsorted(retained, rows), retained.size - 1)
+        own = np.flatnonzero(retained[col] == rows)
+        D[own, col[own]] = np.inf
+    return retained[np.argmin(D, axis=1)]
+
+
+class NeighbourIndex:
+    """Nearest-retained-neighbour lookups over one training matrix ``X``.
+
+    The distances from every query row to every row of ``X`` are computed
+    once.  On the first lookup over all queries, each query's ``RANK_DEPTH``
+    nearest rows of ``X`` are ranked by a stable sort, so equal distances keep
+    index order; :meth:`nearest` is then a rank lookup: the first ranked row
+    that is retained, which is the argmin over the retained columns with ties
+    to the lowest retained index.  Queries with no retained row ranked, and
+    lookups for a few given ``rows``, take that argmin over the stored
+    distances instead.
+
+    Without ``queries`` the queries are the rows of ``X`` themselves, and
+    ``nearest(..., exclude_self=True)`` gives leave-one-out lookups.  Memory is
+    8 bytes per query per row of ``X`` (8 MB at 1,000 x 1,000) plus the ranks.
+    """
+
+    def __init__(self, X, nominal_mask=None, queries=None):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        self.distances = pairwise_distances(X if queries is None else queries, X,
+                                            nominal_mask)
+        self._square = queries is None
+        self._ranks = None
+
+    @property
+    def n_queries(self) -> int:
+        return self.distances.shape[0]
+
+    def _ranked(self, exclude_self):
+        if self._ranks is None:
+            n = self.distances.shape[1]
+            # one extra rank, so that dropping the query itself leaves RANK_DEPTH
+            ranks = _stable_top_k(self.distances, min(RANK_DEPTH + 1, n))
+            self._ranks = {False: ranks[:, :RANK_DEPTH]}
+            if self._square:
+                own = ranks == np.arange(n)[:, None]
+                own[~own.any(axis=1), -1] = True
+                self._ranks[True] = ranks[~own].reshape(n, -1)
+        return self._ranks[exclude_self]
+
+    def nearest(self, retained, exclude_self=False, rows=None) -> np.ndarray:
+        """Index into ``X`` of the nearest retained row, for every query, or
+        for the queries numbered in ``rows``.  With ``exclude_self`` a row of
+        ``X`` is never its own neighbour."""
+        if exclude_self and not self._square:
+            raise ValueError("exclude_self needs an index whose queries are X")
+        retained = np.sort(np.asarray(retained, dtype=np.intp))
+        if retained.size == 0:
+            raise ValueError("empty reference set")
+        if rows is not None:
+            # ranking every query would cost more than these few argmins
+            return self._argmin(np.asarray(rows, dtype=np.intp), retained, exclude_self)
+        member = np.zeros(self.distances.shape[1], dtype=bool)
+        member[retained] = True
+        ranked = self._ranked(exclude_self)
+        hit = member[ranked]
+        first = np.argmax(hit, axis=1)
+        at = np.arange(ranked.shape[0])
+        nn = ranked[at, first]
+        miss = np.flatnonzero(~hit[at, first])
+        if miss.size:
+            nn[miss] = self._argmin(miss, retained, exclude_self)
+        return nn
+
+    def _argmin(self, rows, retained, exclude_self):
+        D = self.distances[np.ix_(rows, retained)]
+        return _nearest_retained(D, retained, rows if exclude_self else None)
+
+
+def _retained(ref):
     retained = ref.retained if isinstance(ref, ReferenceSet) else np.sort(
         np.asarray(ref, dtype=np.intp)
     )
     if retained.size == 0:
         raise ValueError("empty reference set")
-    return retained, X[retained], y[retained]
+    return retained
 
 
-def classify_1nn(X, y, ref, queries, nominal_mask=None) -> np.ndarray:
+def classify_1nn(X, y, ref, queries, nominal_mask=None, index=None) -> np.ndarray:
     """Label each query row by its nearest retained instance.
 
     ``ref`` is a :class:`ReferenceSet` or an index array into ``X``/``y``.
-    Ties go to the lowest retained index.
+    Ties go to the lowest retained index.  ``index``, a
+    :class:`NeighbourIndex` from ``queries`` to ``X``, turns the lookup into
+    a rank lookup instead of a distance computation.
     """
-    retained, Xr, yr = _ref_arrays(X, y, ref)
-    D = pairwise_distances(queries, Xr, nominal_mask)
-    return yr[np.argmin(D, axis=1)]
+    retained = _retained(ref)
+    if index is not None:
+        if index.n_queries != len(queries):
+            raise ValueError("index was built for other queries")
+        return y[index.nearest(retained)]
+    D = pairwise_distances(queries, X[retained], nominal_mask)
+    return y[retained][np.argmin(D, axis=1)]
 
 
 def classify_knn(X, y, ref, queries, k, nominal_mask=None) -> np.ndarray:
     """Majority label among the k nearest retained instances; vote ties -> positive."""
-    retained, Xr, yr = _ref_arrays(X, y, ref)
+    retained = _retained(ref)
     if k < 1 or k > retained.size:
         raise ValueError(f"k={k} out of range for reference set of size {retained.size}")
-    D = pairwise_distances(queries, Xr, nominal_mask)
+    D = pairwise_distances(queries, X[retained], nominal_mask)
     # argsort is stable, so equidistant neighbours are taken in index order
     nn = np.argsort(D, kind="stable", axis=1)[:, :k]
-    votes = yr[nn].sum(axis=1)
+    votes = y[retained][nn].sum(axis=1)
     return (2 * votes >= k).astype(y.dtype)
 
 
-def loo_predict(X, y, retained, nominal_mask=None, exclude_self=True) -> np.ndarray:
-    """1-NN prediction for every row of ``X`` over ``retained`` minus itself."""
+def loo_predict(X, y, retained, nominal_mask=None, exclude_self=True,
+                index=None) -> np.ndarray:
+    """1-NN prediction for every row of ``X`` over ``retained`` minus itself.
+
+    ``index``, a :class:`NeighbourIndex` over ``X``, answers from its ranks;
+    without it only the retained columns of the distance matrix are computed.
+    """
     retained = np.sort(np.asarray(retained, dtype=np.intp))
+    if index is not None:
+        return y[index.nearest(retained, exclude_self)]
     D = pairwise_distances(X, X[retained], nominal_mask)
-    if exclude_self:
-        # retained instance r is row r of X and column j of D
-        D[retained, np.arange(retained.size)] = np.inf
-    return y[retained][np.argmin(D, axis=1)]
+    rows = np.arange(D.shape[0]) if exclude_self else None
+    return y[_nearest_retained(D, retained, rows)]
 
 
-def loo_gm(X, y, retained, nominal_mask=None, sample_weight=None) -> float:
+def loo_gm(X, y, retained, nominal_mask=None, sample_weight=None,
+           index=None) -> float:
     """Leave-one-out GM of 1-NN over ``retained``, evaluated on all of ``X``.
 
     Returns 0.0 (not an error) when ``retained`` misses a class, so subset
     optimisers can penalise degenerate selections naturally.  With
     ``sample_weight`` the confusion cells are weight sums instead of counts.
+    ``index`` is passed on to :func:`loo_predict`.
     """
     retained = np.asarray(retained, dtype=np.intp)
     yr = y[retained]
     if not (np.any(yr == 1) and np.any(yr == 0)):
         return 0.0
-    pred = loo_predict(X, y, retained, nominal_mask)
+    pred = loo_predict(X, y, retained, nominal_mask, index=index)
     if sample_weight is None:
         sample_weight = np.ones(len(y))
     pos = y == 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .knn import ReferenceSet, classify_1nn, loo_gm, loo_predict, pairwise_distances
+from .knn import NeighbourIndex, ReferenceSet, loo_gm, loo_predict, pairwise_distances
 from .metrics import balanced_auc, confusion, f_measure
 from .metrics import gm as gm_of
 
@@ -103,9 +103,9 @@ def cnn_mod(X, y, seed, nominal_mask=None, subset=None) -> ReferenceSet:
         return ReferenceSet(pos, method="cnn", seed=seed)
     order = rng.permutation(neg)
     store = list(pos) + [order[0]]
+    index = NeighbourIndex(X, nominal_mask)
     for i in order[1:]:
-        pred = classify_1nn(X, y, np.array(store), X[i][None, :], nominal_mask)[0]
-        if pred != y[i]:
+        if y[index.nearest(store, rows=[i])[0]] != y[i]:
             store.append(i)
     return ReferenceSet(np.array(store), method="cnn", seed=seed)
 
@@ -166,22 +166,32 @@ class EusParams:
     balance_penalty: float = 0.2  # lambda in fitness - lambda*|1 - n_sel/n_pos|
 
 
-def eus_fitness(X, y, mask, nominal_mask=None, lam=0.2, sample_weight=None) -> float:
+def eus_fitness(X, y, mask, nominal_mask=None, lam=0.2, sample_weight=None,
+                index=None) -> float:
     """GM of the LOO 1-NN over positives plus masked negatives, minus the
-    balance penalty lambda * |1 - n_selected/n_pos|."""
+    balance penalty lambda * |1 - n_selected/n_pos|.  ``index`` is a
+    :class:`~gmsel.knn.NeighbourIndex` over ``X``, shared across evaluations."""
     pos_idx = np.flatnonzero(y == 1)
     neg_idx = np.flatnonzero(y == 0)
     retained = np.concatenate([pos_idx, neg_idx[mask]])
-    g = loo_gm(X, y, retained, nominal_mask, sample_weight)
+    g = loo_gm(X, y, retained, nominal_mask, sample_weight, index=index)
     return g - lam * abs(1.0 - mask.sum() / pos_idx.size)
 
 
+def _with_both_classes(pos_idx, neg_idx, mask):
+    """Positives plus the masked negatives; an all-false mask would leave one
+    class, so it retains the lowest-index negative instead."""
+    return np.concatenate([pos_idx, neg_idx[mask] if mask.any() else neg_idx[:1]])
+
+
 def eus(X, y, seed, params: EusParams | None = None, nominal_mask=None,
-        sample_weight=None) -> ReferenceSet:
+        sample_weight=None, index=None) -> ReferenceSet:
     """Evolutionary undersampling: a generational GA over the majority mask.
 
     Tournament selection, uniform crossover and bit-flip mutation; the single
-    best-ever chromosome survives each generation and is returned.
+    best-ever chromosome survives each generation and is returned.  Every
+    fitness evaluation looks neighbours up in ``index``, a
+    :class:`~gmsel.knn.NeighbourIndex` over ``X`` built here unless given.
     """
     X, y = _check_xy(X, y)
     params = params or EusParams()
@@ -190,10 +200,12 @@ def eus(X, y, seed, params: EusParams | None = None, nominal_mask=None,
     neg_idx = np.flatnonzero(y == 0)
     n_neg = neg_idx.size
     mut = params.mutation_rate if params.mutation_rate is not None else 1.0 / n_neg
+    if index is None:
+        index = NeighbourIndex(X, nominal_mask)
 
     def fitness(mask):
         return eus_fitness(X, y, mask, nominal_mask, params.balance_penalty,
-                           sample_weight)
+                           sample_weight, index)
 
     pop = rng.random((params.population, n_neg)) < 0.5
     fits = np.array([fitness(m) for m in pop])
@@ -218,11 +230,8 @@ def eus(X, y, seed, params: EusParams | None = None, nominal_mask=None,
             best_fit = float(fits[gen_best])
             best_mask = pop[gen_best].copy()
 
-    retained = np.concatenate([pos_idx, neg_idx[best_mask]])
-    if not best_mask.any():
-        # degenerate chromosome: force the single best negative back in
-        retained = np.concatenate([pos_idx, neg_idx[:1]])
-    return ReferenceSet(retained, method="eus", seed=seed)
+    return ReferenceSet(_with_both_classes(pos_idx, neg_idx, best_mask),
+                        method="eus", seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +247,15 @@ class PsoParams:
     v_max: float = 4.0
 
 
-def _pso_fitness(X, y, mask, nominal_mask=None):
-    """Mean of balanced AUC, F-measure and GM of the LOO 1-NN predictions."""
+def _pso_fitness(X, y, mask, nominal_mask=None, index=None):
+    """Mean of balanced AUC, F-measure and GM of the LOO 1-NN predictions;
+    ``index`` as in :func:`eus_fitness`."""
     pos_idx = np.flatnonzero(y == 1)
     neg_idx = np.flatnonzero(y == 0)
     retained = np.concatenate([pos_idx, neg_idx[mask]]) if mask.any() else pos_idx
     if not (np.any(y[retained] == 1) and np.any(y[retained] == 0)):
         return 0.0
-    pred = loo_predict(X, y, retained, nominal_mask)
+    pred = loo_predict(X, y, retained, nominal_mask, index=index)
     c = confusion(y, pred)
     return (balanced_auc(c) + f_measure(c) + gm_of(c)) / 3.0
 
@@ -264,11 +274,12 @@ def pso_select(X, y, seed, params: PsoParams | None = None,
     pos_idx = np.flatnonzero(y == 1)
     neg_idx = np.flatnonzero(y == 0)
     n_neg = neg_idx.size
+    index = NeighbourIndex(X, nominal_mask)
 
     pos_mask = rng.random((params.swarm, n_neg)) < 0.5
     vel = rng.uniform(-1, 1, size=(params.swarm, n_neg))
     x = pos_mask.copy()
-    fits = np.array([_pso_fitness(X, y, m, nominal_mask) for m in x])
+    fits = np.array([_pso_fitness(X, y, m, nominal_mask, index) for m in x])
     pbest, pbest_fit = x.copy(), fits.copy()
     g = int(np.argmax(pbest_fit))
     gbest, gbest_fit = pbest[g].copy(), float(pbest_fit[g])
@@ -283,7 +294,7 @@ def pso_select(X, y, seed, params: PsoParams | None = None,
         )
         np.clip(vel, -params.v_max, params.v_max, out=vel)
         x = rng.random((params.swarm, n_neg)) < 1.0 / (1.0 + np.exp(-vel))
-        fits = np.array([_pso_fitness(X, y, m, nominal_mask) for m in x])
+        fits = np.array([_pso_fitness(X, y, m, nominal_mask, index) for m in x])
         improved = fits > pbest_fit
         pbest[improved] = x[improved]
         pbest_fit[improved] = fits[improved]
@@ -291,9 +302,8 @@ def pso_select(X, y, seed, params: PsoParams | None = None,
         if pbest_fit[g] > gbest_fit:
             gbest, gbest_fit = pbest[g].copy(), float(pbest_fit[g])
 
-    retained = np.concatenate([pos_idx, neg_idx[gbest]]) if gbest.any() else \
-        np.concatenate([pos_idx, neg_idx[:1]])
-    return ReferenceSet(retained, method="pso", seed=seed)
+    return ReferenceSet(_with_both_classes(pos_idx, neg_idx, gbest),
+                        method="pso", seed=seed)
 
 
 def random_edit(X, y, M, T, seed, nominal_mask=None) -> ReferenceSet:

@@ -498,8 +498,8 @@ def search_nonmonotone_pointset(seed, n_pos=5, n_neg=10, sample_count=2000,
     raise RuntimeError("no qualifying point set found; increase max_tries")
 
 
-# Pinned by running search_nonmonotone_pointset(seed=7); regenerate with
-# demos/exhaustive_demo.py --research.
+# Pinned by running search_nonmonotone_pointset(seed=7), which returns this
+# draw seed as its third value; call it again to regenerate it.
 _NONMONOTONE_DRAW_SEED = 1763574599
 
 

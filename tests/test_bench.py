@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from gmsel.bench import (
     CSV_COLUMNS,
+    METHOD_PROPERTIES,
     ExperimentConfig,
     derive_seed,
     make_synthetic_dataset,
@@ -11,6 +14,8 @@ from gmsel.bench import (
     run_experiment,
     write_records,
 )
+from gmsel.data import parse_keel
+from gmsel.selection import EusParams, PsoParams
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +147,63 @@ class TestConfigYaml:
         assert cfg.repetitions == 3
         assert cfg.master_seed == 42
         assert cfg.eus_params.population == 10
+
+    @pytest.mark.parametrize("text, key", [
+        ("repetition: 2\n", "'repetition'"),
+        ("master-seed: 3\n", "'master-seed'"),
+        ("eus_params: {population: 4}\n", "'eus_params'"),
+        ("eus:\n  population: 10\n  generation: 4\n", "'eus.generation'"),
+        ("pso:\n  swarms: 5\n", "'pso.swarms'"),
+    ])
+    def test_unknown_key_rejected_by_name(self, tmp_path, text, key):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("methods: [1nn]\n" + text)
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_yaml(path)
+
+    def test_section_must_be_a_mapping(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("eus: [10, 4]\n")
+        with pytest.raises(ValueError, match="eus"):
+            ExperimentConfig.from_yaml(path)
+
+
+def _mixed_keel(n_pos=10, n_neg=40, seed=2):
+    """KEEL text with two numeric attributes and one nominal attribute."""
+    rng = np.random.default_rng(seed)
+    X = np.round(np.vstack([rng.normal(1.0, 1.0, (n_pos, 2)),
+                            rng.normal(0.0, 1.0, (n_neg, 2))]), 4)
+    colour = rng.choice(["red", "blue", "green"], n_pos + n_neg)
+    lines = ["@relation mixed",
+             f"@attribute a real [{X[:, 0].min()}, {X[:, 0].max()}]",
+             f"@attribute b real [{X[:, 1].min()}, {X[:, 1].max()}]",
+             "@attribute colour {red, blue, green}",
+             "@attribute class {positive, negative}",
+             "@inputs a, b, colour", "@outputs class", "@data"]
+    lines += [f"{a}, {b}, {c}, {'positive' if i < n_pos else 'negative'}"
+              for i, ((a, b), c) in enumerate(zip(X, colour))]
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of records.csv for the config below, as first computed; a change
+# that moves any record has to update it here, openly
+PINNED_RECORDS_SHA256 = (
+    "f9191730b90d33bfd4f4e3cfe232d3e564227de3e0ae26ededfd972158be98c4")
+
+
+def test_records_digest_pinned(tmp_path):
+    datasets = [make_synthetic_dataset("pin-a", 8, 5, seed=0),
+                make_synthetic_dataset("pin-b", 6, 9, seed=1, d=3),
+                parse_keel(_mixed_keel())]
+    cfg = ExperimentConfig(methods=tuple(METHOD_PROPERTIES), repetitions=1,
+                           ensemble_size_bag=7, ensemble_size_boost=3,
+                           eus_params=EusParams(population=6, generations=4),
+                           pso_params=PsoParams(swarm=6, iterations=4),
+                           re_cardinality=6, re_trials=20, out_dir=str(tmp_path))
+    records = run_experiment(cfg, datasets=datasets)
+    assert len(records) == 3 * 2 * 13 and not any(r.failed for r in records)
+    digest = hashlib.sha256((tmp_path / "records.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_RECORDS_SHA256
 
 
 class TestReport:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmsel.ensemble import (
     EnsembleModel,
@@ -52,6 +54,26 @@ class TestPredictEnsemble:
         q = np.random.default_rng(1).normal(0, 1.5, (20, 2))
         assert np.array_equal(predict_ensemble(m1, X, y, q),
                               predict_ensemble(m2, X, y, q))
+
+    @given(seed=st.integers(0, 2**32 - 1), nominal=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_weighted_vote_of_member_classify_1nn(self, seed, nominal):
+        # integer-grid data: exact ties and duplicate rows are common
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 4, (40, 3)).astype(float)
+        y = np.array([1] * 8 + [0] * 32)
+        q = rng.integers(0, 4, (25, 3)).astype(float)
+        mask = np.array([False, True, False]) if nominal else None
+        members = tuple(
+            ReferenceSet(np.concatenate([rng.choice(8, rng.integers(1, 9), replace=False),
+                                         8 + rng.choice(32, rng.integers(1, 33), replace=False)]))
+            for _ in range(rng.integers(1, 8)))
+        weights = rng.uniform(0.1, 2.0, len(members))
+        model = EnsembleModel(members, weights)
+        score = sum(w * np.where(classify_1nn(X, y, m, q, mask) == 1, 1.0, -1.0)
+                    for m, w in zip(members, weights))
+        assert np.array_equal(predict_ensemble(model, X, y, q, mask),
+                              (score >= 0).astype(y.dtype))
 
 
 class TestBagging:

@@ -1,15 +1,21 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gmsel import knn
 from gmsel.knn import (
+    NeighbourIndex,
     ReferenceSet,
+    _stable_top_k,
     classify_1nn,
     classify_knn,
     distance,
     loo_gm,
+    loo_predict,
     pairwise_distances,
 )
 
@@ -147,3 +153,83 @@ class TestPairwise:
         for i in range(5):
             for j in range(6):
                 assert D[i, j] == pytest.approx(distance(A[i], B[j], mask))
+
+
+@st.composite
+def grid_problems(draw):
+    """Small integer-grid data, where exact distance ties and duplicate rows
+    are common and every distance is computed exactly, plus a random retained
+    set with both classes: anything from most of the data down to a single
+    negative, and a rank depth small enough to force the exact fallback."""
+    n = draw(st.integers(3, 30))
+    d = draw(st.integers(1, 3))
+    X = draw(arrays(np.float64, (n, d), elements=st.integers(0, 3).map(float)))
+    nominal = draw(arrays(np.bool_, d)) if draw(st.booleans()) else None
+    y = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    y[0], y[1] = 1, 0
+    pos, neg = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
+    if draw(st.booleans()):
+        keep = np.array([draw(st.sampled_from(neg.tolist()))])
+    else:
+        keep = neg[draw(arrays(np.bool_, neg.size))]
+        keep = keep if keep.size else neg[:1]
+    retained = np.concatenate([pos, keep])
+    depth = draw(st.integers(1, 6))
+    return X, y, nominal, retained, depth
+
+
+def _argmin_nearest(X, retained, nominal, exclude_self):
+    """Reference answer: argmin over the retained columns, computed per call."""
+    retained = np.sort(retained)
+    D = pairwise_distances(X, X[retained], nominal)
+    if exclude_self:
+        D[retained, np.arange(retained.size)] = np.inf
+    return retained[np.argmin(D, axis=1)]
+
+
+class TestNeighbourIndex:
+    @given(problem=grid_problems(), exclude_self=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_call_argmin(self, problem, exclude_self):
+        X, y, nominal, retained, depth = problem
+        with mock.patch.object(knn, "RANK_DEPTH", depth):
+            index = NeighbourIndex(X, nominal)
+        want = _argmin_nearest(X, retained, nominal, exclude_self)
+        assert np.array_equal(index.nearest(retained, exclude_self), want)
+        assert np.array_equal(
+            loo_predict(X, y, retained, nominal, exclude_self, index=index),
+            loo_predict(X, y, retained, nominal, exclude_self))
+        rows = np.arange(X.shape[0])[::2]
+        assert np.array_equal(index.nearest(retained, exclude_self, rows), want[rows])
+
+    @given(problem=grid_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_queries_match_classify_1nn(self, problem):
+        X, y, nominal, retained, depth = problem
+        Q = X[::-1] + 1.0
+        with mock.patch.object(knn, "RANK_DEPTH", depth):
+            index = NeighbourIndex(X, nominal, queries=Q)
+        assert np.array_equal(classify_1nn(X, y, retained, Q, index=index),
+                              classify_1nn(X, y, retained, Q, nominal))
+
+    @given(D=arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 12)),
+                    elements=st.integers(0, 4).map(float)),
+           k=st.integers(1, 12))
+    def test_stable_top_k_is_a_stable_argsort_prefix(self, D, k):
+        want = np.argsort(D, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(_stable_top_k(D, k), want)
+
+    def test_lone_retained_self_is_its_own_leave_one_out_neighbour(self):
+        # nothing else retained: the per-call argmin picks the only column
+        X = np.array([[0.0], [1.0], [2.0]])
+        with mock.patch.object(knn, "RANK_DEPTH", 1):
+            index = NeighbourIndex(X)
+        assert index.nearest([1], exclude_self=True).tolist() == [1, 1, 1]
+
+    def test_leave_one_out_needs_square_index(self):
+        X = np.array([[0.0], [1.0]])
+        index = NeighbourIndex(X, queries=np.array([[0.5]]))
+        with pytest.raises(ValueError):
+            index.nearest([0, 1], exclude_self=True)
+        with pytest.raises(ValueError):
+            classify_1nn(X, np.array([1, 0]), [0, 1], X, index=index)

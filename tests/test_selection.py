@@ -171,6 +171,32 @@ class TestEus:
         assert np.array_equal(eus(X, y, 4, p).retained, eus(X, y, 4, p).retained)
 
 
+def _all_false_seed(n_neg):
+    """A seed whose first draw of ``n_neg`` coin flips (the initial
+    population of a one-chromosome EUS or a one-particle PSO) is all false."""
+    return next(s for s in range(1000)
+                if not (np.random.default_rng(s).random((1, n_neg)) < 0.5).any())
+
+
+class TestDegenerateBestMask:
+    """With no search steps a one-member population's random start is the
+    result; an all-false start must still return both classes, by retaining
+    the lowest-index negative."""
+
+    X, y = clusters(5, 3, gap=2.0)
+    want = [0, 1, 2, 3, 4, 5]
+
+    def test_eus(self):
+        params = EusParams(population=1, generations=0)
+        ref = eus(self.X, self.y, _all_false_seed(3), params)
+        assert ref.retained.tolist() == self.want
+
+    def test_pso(self):
+        params = PsoParams(swarm=1, iterations=0)
+        ref = pso_select(self.X, self.y, _all_false_seed(3), params)
+        assert ref.retained.tolist() == self.want
+
+
 class TestPso:
     def test_fitness_bounded(self):
         from gmsel.selection import _pso_fitness
