@@ -44,22 +44,36 @@ __all__ = [
 CSV_COLUMNS = ["dataset", "rep", "fold", "method", "gm", "tpr", "tnr",
                "retained", "millis", "failed"]
 
-# Per-method properties: does it use random selection, balance the class
-# distribution (fully or partially), explicitly evaluate GM, ensemble?
-METHOD_PROPERTIES = {
-    "1nn":      set(),
-    "bag1nn":   {"random", "ensemble"},
-    "rus":      {"random", "balance"},
-    "erus":     {"random", "balance", "ensemble"},
-    "rusboost": {"random", "balance", "ensemble"},
-    "eusboost": {"random", "balance", "explicit-gm", "ensemble"},
-    "eus":      {"random", "balance", "explicit-gm"},
-    "pso":      {"random", "explicit-gm"},
-    "tl":       {"balance"},
-    "oss":      {"balance"},
-    "tlcnn":    {"balance"},
-    "ncl":      {"balance"},
-    "re":       {"random", "explicit-gm"},
+# Method table: name -> (properties, trainer).  The properties say whether a
+# method uses random selection, balances the class distribution (fully or
+# partially), explicitly evaluates GM, or is an ensemble.  A trainer maps
+# (X, y, seed, cfg, nominal_mask) to a ReferenceSet or an EnsembleModel.
+METHODS = {
+    "1nn": (set(), lambda X, y, seed, cfg, nom: ReferenceSet(np.arange(len(y)),
+                                                             method="1nn")),
+    "bag1nn": ({"random", "ensemble"},
+               lambda X, y, seed, cfg, nom: ens.bag_1nn(X, y, cfg.ensemble_size_bag,
+                                                        seed)),
+    "rus": ({"random", "balance"}, lambda X, y, seed, cfg, nom: sel.rus(X, y, seed)),
+    "erus": ({"random", "balance", "ensemble"},
+             lambda X, y, seed, cfg, nom: ens.erus(X, y, cfg.ensemble_size_bag, seed)),
+    "rusboost": ({"random", "balance", "ensemble"},
+                 lambda X, y, seed, cfg, nom: ens.rusboost(X, y, cfg.ensemble_size_boost,
+                                                           seed, nom)),
+    "eusboost": ({"random", "balance", "explicit-gm", "ensemble"},
+                 lambda X, y, seed, cfg, nom: ens.eusboost(X, y, cfg.ensemble_size_boost,
+                                                           seed, cfg.eus_params, nom)),
+    "eus": ({"random", "balance", "explicit-gm"},
+            lambda X, y, seed, cfg, nom: sel.eus(X, y, seed, cfg.eus_params, nom)),
+    "pso": ({"random", "explicit-gm"},
+            lambda X, y, seed, cfg, nom: sel.pso_select(X, y, seed, cfg.pso_params, nom)),
+    "tl": ({"balance"}, lambda X, y, seed, cfg, nom: sel.tomek_links(X, y, nom)),
+    "oss": ({"balance"}, lambda X, y, seed, cfg, nom: sel.oss(X, y, seed, nom)),
+    "tlcnn": ({"balance"}, lambda X, y, seed, cfg, nom: sel.tl_cnn(X, y, seed, nom)),
+    "ncl": ({"balance"}, lambda X, y, seed, cfg, nom: sel.ncl(X, y, nom)),
+    "re": ({"random", "explicit-gm"},
+           lambda X, y, seed, cfg, nom: sel.random_edit(X, y, cfg.re_cardinality,
+                                                        cfg.re_trials, seed, nom)),
 }
 
 
@@ -98,7 +112,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.methods:
             raise ValueError("method roster must be nonempty")
-        unknown = [m for m in self.methods if m not in METHOD_PROPERTIES]
+        unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods: {unknown}")
 
@@ -176,41 +190,13 @@ def derive_seed(master_seed, dataset_name, rep, fold, method) -> int:
 
 def _run_method(method, X, y, seed, cfg: ExperimentConfig, nominal_mask):
     """Train one method; returns (predict(queries), retained count)."""
-    if method == "1nn":
-        ref = ReferenceSet(np.arange(len(y)), method="1nn")
-        return lambda Q: classify_1nn(X, y, ref, Q, nominal_mask), len(ref)
-    if method == "rus":
-        ref = sel.rus(X, y, seed)
-    elif method == "tl":
-        ref = sel.tomek_links(X, y, nominal_mask)
-    elif method == "oss":
-        ref = sel.oss(X, y, seed, nominal_mask)
-    elif method == "tlcnn":
-        ref = sel.tl_cnn(X, y, seed, nominal_mask)
-    elif method == "ncl":
-        ref = sel.ncl(X, y, nominal_mask)
-    elif method == "eus":
-        ref = sel.eus(X, y, seed, cfg.eus_params, nominal_mask)
-    elif method == "pso":
-        ref = sel.pso_select(X, y, seed, cfg.pso_params, nominal_mask)
-    elif method == "re":
-        ref = sel.random_edit(X, y, cfg.re_cardinality, cfg.re_trials, seed,
-                              nominal_mask)
-    elif method in ("bag1nn", "erus", "rusboost", "eusboost"):
-        if method == "bag1nn":
-            model = ens.bag_1nn(X, y, cfg.ensemble_size_bag, seed)
-        elif method == "erus":
-            model = ens.erus(X, y, cfg.ensemble_size_bag, seed)
-        elif method == "rusboost":
-            model = ens.rusboost(X, y, cfg.ensemble_size_boost, seed, nominal_mask)
-        else:
-            model = ens.eusboost(X, y, cfg.ensemble_size_boost, seed,
-                                 cfg.eus_params, nominal_mask)
-        retained = len(set().union(*(set(m.retained.tolist()) for m in model.members)))
-        return (lambda Q: ens.predict_ensemble(model, X, y, Q, nominal_mask)), retained
-    else:
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    return lambda Q: classify_1nn(X, y, ref, Q, nominal_mask), len(ref)
+    model = METHODS[method][1](X, y, seed, cfg, nominal_mask)
+    if isinstance(model, ReferenceSet):
+        return lambda Q: classify_1nn(X, y, model, Q, nominal_mask), len(model)
+    retained = len(set().union(*(set(m.retained.tolist()) for m in model.members)))
+    return (lambda Q: ens.predict_ensemble(model, X, y, Q, nominal_mask)), retained
 
 
 def _run_trial(args):
@@ -341,7 +327,7 @@ def report(records, alpha=0.05, bonferroni_m=None):
 
     categories = {}
     for prop in ("random", "balance", "explicit-gm", "ensemble"):
-        members = [m for m in methods if prop in METHOD_PROPERTIES[m]]
+        members = [m for m in methods if prop in METHODS[m][0]]
         if members:
             idx = [methods.index(m) for m in members]
             categories[prop] = {

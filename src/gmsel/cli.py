@@ -123,33 +123,7 @@ def _cmd_theory_lemma(args):
 
 
 def _cmd_theory_prop1(args):
-    model = theory.example_mixture_model()
-    rng = np.random.default_rng(args.seed)
-    checked = confirmed = 0
-    while checked < args.cases:
-        n_pos = int(rng.integers(2, 6))
-        n_neg = int(rng.integers(3, 10))
-        draw = np.random.default_rng(int(rng.integers(0, 2**31)))
-        pts = np.vstack([model.positive.sample(n_pos, draw),
-                         model.negative.sample(n_neg, draw)])
-        labels = np.array([1] * n_pos + [0] * n_neg)
-        i = int(rng.integers(0, len(labels)))
-        if np.sum(labels == labels[i]) < 2:
-            continue
-        ra = theory.removal_analysis(pts, labels, i, model,
-                                     sample_count=args.samples,
-                                     seed=int(rng.integers(0, 2**31)))
-        if ra.margin <= 5 * ra.margin_se:
-            continue
-        checked += 1
-        g_before, _ = theory.asymptotic_gm(pts, labels, model,
-                                           sample_count=args.samples,
-                                           seed=int(rng.integers(0, 2**31)))
-        kept = np.delete(np.arange(len(labels)), i)
-        g_after, _ = theory.asymptotic_gm(pts[kept], labels[kept], model,
-                                          sample_count=args.samples,
-                                          seed=int(rng.integers(0, 2**31)))
-        confirmed += g_after > g_before
+    confirmed, checked = theory.prop1_check(args.cases, args.samples, args.seed)
     print(f"{confirmed}/{checked} predicted improvements confirmed")
     return 0
 

@@ -6,9 +6,10 @@ Nearest-neighbour distance ties are broken toward the lowest retained index;
 k-NN vote ties are broken toward the positive class.
 
 Callers that look up nearest retained neighbours many times over one training
-matrix (subset searches, condensing, boosting, ensemble voting) build a
-:class:`NeighbourIndex` once and pass it as ``index``; one-shot calls compute
-only the distance columns of the retained instances.
+matrix (subset searches, condensing, boosting, ensemble voting) or one probe
+set (the theory lab) build a :class:`NeighbourIndex` once and pass it as
+``index``; one-shot calls compute only the distance columns of the retained
+instances.  Every ordering of distances happens in this module.
 """
 
 from __future__ import annotations
@@ -129,9 +130,10 @@ class NeighbourIndex:
     nearest rows of ``X`` are ranked by a stable sort, so equal distances keep
     index order; :meth:`nearest` is then a rank lookup: the first ranked row
     that is retained, which is the argmin over the retained columns with ties
-    to the lowest retained index.  Queries with no retained row ranked, and
-    lookups for a few given ``rows``, take that argmin over the stored
-    distances instead.
+    to the lowest retained index.  Queries with no retained row ranked,
+    lookups for a few given ``rows``, and every lookup in an index over at
+    most ``RANK_DEPTH`` rows of ``X`` (whose ranks would be whole rows), take
+    that argmin over the stored distances instead.
 
     Without ``queries`` the queries are the rows of ``X`` themselves, and
     ``nearest(..., exclude_self=True)`` gives leave-one-out lookups.  Memory is
@@ -144,6 +146,7 @@ class NeighbourIndex:
                                             nominal_mask)
         self._square = queries is None
         self._ranks = None
+        self._depth = RANK_DEPTH  # fixed when the index is built
 
     @property
     def n_queries(self) -> int:
@@ -152,9 +155,9 @@ class NeighbourIndex:
     def _ranked(self, exclude_self):
         if self._ranks is None:
             n = self.distances.shape[1]
-            # one extra rank, so that dropping the query itself leaves RANK_DEPTH
-            ranks = _stable_top_k(self.distances, min(RANK_DEPTH + 1, n))
-            self._ranks = {False: ranks[:, :RANK_DEPTH]}
+            # one extra rank, so that dropping the query itself leaves the depth
+            ranks = _stable_top_k(self.distances, min(self._depth + 1, n))
+            self._ranks = {False: ranks[:, :self._depth]}
             if self._square:
                 own = ranks == np.arange(n)[:, None]
                 own[~own.any(axis=1), -1] = True
@@ -173,6 +176,8 @@ class NeighbourIndex:
         if rows is not None:
             # ranking every query would cost more than these few argmins
             return self._argmin(np.asarray(rows, dtype=np.intp), retained, exclude_self)
+        if self.distances.shape[1] <= self._depth:
+            return self._argmin(None, retained, exclude_self)
         member = np.zeros(self.distances.shape[1], dtype=bool)
         member[retained] = True
         ranked = self._ranked(exclude_self)
@@ -186,7 +191,18 @@ class NeighbourIndex:
         return nn
 
     def _argmin(self, rows, retained, exclude_self):
-        D = self.distances[np.ix_(rows, retained)]
+        """Argmin over the stored distances for the queries in ``rows``, or
+        for every query when ``rows`` is None.  A lookup of every query over
+        every row of ``X`` reads the stored matrix without copying it."""
+        D, n = self.distances, self.distances.shape[1]
+        if rows is not None:
+            D = D[np.ix_(rows, retained)]
+        elif retained.size != n or not np.array_equal(retained, np.arange(n)):
+            D = D[:, retained]
+        elif exclude_self:
+            D = D.copy()  # _nearest_retained overwrites each row's own distance
+        if exclude_self and rows is None:
+            rows = np.arange(D.shape[0])
         return _nearest_retained(D, retained, rows if exclude_self else None)
 
 
@@ -213,7 +229,7 @@ def classify_1nn(X, y, ref, queries, nominal_mask=None, index=None) -> np.ndarra
             raise ValueError("index was built for other queries")
         return y[index.nearest(retained)]
     D = pairwise_distances(queries, X[retained], nominal_mask)
-    return y[retained][np.argmin(D, axis=1)]
+    return y[_nearest_retained(D, retained)]
 
 
 def classify_knn(X, y, ref, queries, k, nominal_mask=None) -> np.ndarray:
@@ -222,8 +238,7 @@ def classify_knn(X, y, ref, queries, k, nominal_mask=None) -> np.ndarray:
     if k < 1 or k > retained.size:
         raise ValueError(f"k={k} out of range for reference set of size {retained.size}")
     D = pairwise_distances(queries, X[retained], nominal_mask)
-    # argsort is stable, so equidistant neighbours are taken in index order
-    nn = np.argsort(D, kind="stable", axis=1)[:, :k]
+    nn = _stable_top_k(D, k)  # equidistant neighbours are taken in index order
     votes = y[retained][nn].sum(axis=1)
     return (2 * votes >= k).astype(y.dtype)
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .knn import NeighbourIndex, ReferenceSet, loo_gm, loo_predict, pairwise_distances
+from .knn import (NeighbourIndex, ReferenceSet, _stable_top_k, loo_gm, loo_predict,
+                  pairwise_distances)
 from .metrics import balanced_auc, confusion, f_measure
 from .metrics import gm as gm_of
 
@@ -69,20 +70,12 @@ def rus(X, y, seed, weights=None) -> ReferenceSet:
     return ReferenceSet(np.concatenate([pos_idx, neg_sample]), method="rus", seed=seed)
 
 
-def _nearest_neighbour(X, nominal_mask=None, subset=None):
-    """Index (into ``subset``) of each subset instance's NN within the subset."""
-    idx = np.arange(X.shape[0]) if subset is None else np.asarray(subset)
-    D = pairwise_distances(X[idx], X[idx], nominal_mask)
-    np.fill_diagonal(D, np.inf)
-    return np.argmin(D, axis=1)
-
-
 def tomek_links(X, y, nominal_mask=None, subset=None) -> ReferenceSet:
     """Remove majority members of Tomek links (mutual cross-class NN pairs)."""
     X, y = _check_xy(X, y)
     idx = np.arange(len(y)) if subset is None else np.sort(np.asarray(subset))
-    nn = _nearest_neighbour(X, nominal_mask, idx)
     local = np.arange(idx.size)
+    nn = NeighbourIndex(X[idx], nominal_mask).nearest(local, exclude_self=True)
     mutual = nn[nn[local]] == local
     cross = y[idx] != y[idx[nn]]
     in_link = mutual & cross
@@ -138,7 +131,7 @@ def ncl(X, y, nominal_mask=None) -> ReferenceSet:
         return ReferenceSet(np.arange(n), method="ncl")
     D = pairwise_distances(X, X, nominal_mask)
     np.fill_diagonal(D, np.inf)
-    nn3 = np.argsort(D, kind="stable", axis=1)[:, :3]
+    nn3 = _stable_top_k(D, 3)
     votes = y[nn3].sum(axis=1)
     pred = (2 * votes >= 3).astype(y.dtype)  # vote ties toward positive (k=3: no tie)
     marked = np.zeros(n, dtype=bool)

@@ -23,7 +23,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .knn import pairwise_distances
+from .knn import NeighbourIndex, classify_1nn
+# perfbench/test_perfbench.py checks that its tracer rebinds
+# theory.pairwise_distances, so the name stays importable from here.
+from .knn import pairwise_distances  # noqa: F401
 from .selection import random_edit
 
 __all__ = [
@@ -39,6 +42,7 @@ __all__ = [
     "asymptotic_gm",
     "voronoi_neighbors",
     "removal_analysis",
+    "prop1_check",
     "lemma_check",
     "exhaustive_search",
     "nonmonotone_example",
@@ -238,24 +242,6 @@ def _class_probes(model, n, seed):
     return model.positive.sample(n, rng), model.negative.sample(n, rng)
 
 
-def _rates_for_refset(points, labels, Xp, Xn, drop=None):
-    """(TPR, TNR) of the 1-NN over ``points`` on per-class probe samples.
-
-    ``drop`` removes one reference point (column) from consideration.
-    """
-    Dp = pairwise_distances(Xp, points)
-    Dn = pairwise_distances(Xn, points)
-    if drop is not None:
-        Dp = Dp.copy()
-        Dn = Dn.copy()
-        Dp[:, drop] = np.inf
-        Dn[:, drop] = np.inf
-    labels = np.asarray(labels)
-    pred_p = labels[np.argmin(Dp, axis=1)]
-    pred_n = labels[np.argmin(Dn, axis=1)]
-    return np.mean(pred_p == 1), np.mean(pred_n == 0)
-
-
 def asymptotic_gm(points, labels, model: DensityModel, sample_count=10_000,
                   seed=0, probes=None):
     """Monte Carlo estimate of the asymptotic GM of a 1-NN reference set.
@@ -273,7 +259,9 @@ def asymptotic_gm(points, labels, model: DensityModel, sample_count=10_000,
             raise ValueError("sample_count must be at least 1000")
         probes = _class_probes(model, sample_count, seed)
     Xp, Xn = probes
-    p, q = _rates_for_refset(points, labels, Xp, Xn)
+    every = np.arange(len(labels))
+    p = np.mean(labels[NeighbourIndex(points, queries=Xp).nearest(every)] == 1)
+    q = np.mean(labels[NeighbourIndex(points, queries=Xn).nearest(every)] == 0)
     g = math.sqrt(p * q)
     se_p = math.sqrt(p * (1 - p) / Xp.shape[0])
     se_n = math.sqrt(q * (1 - q) / Xn.shape[0])
@@ -300,13 +288,10 @@ def voronoi_neighbors(points, i, probe_count=10_000, seed=0):
     if points.shape[0] < 2:
         raise ValueError("need at least 2 points")
     rng = np.random.default_rng(seed)
-    probes = _probe_box(points, rng, probe_count)
-    D = pairwise_distances(probes, points)
-    nearest = np.argmin(D, axis=1)
-    in_cell = nearest == i
-    D2 = D[in_cell].copy()
-    D2[:, i] = np.inf
-    return set(np.unique(np.argmin(D2, axis=1)).tolist()) if in_cell.any() else set()
+    index = NeighbourIndex(points, queries=_probe_box(points, rng, probe_count))
+    every = np.arange(points.shape[0])
+    in_cell = np.flatnonzero(index.nearest(every) == i)
+    return set(np.unique(index.nearest(np.delete(every, i), rows=in_cell)).tolist())
 
 
 @dataclass(frozen=True)
@@ -323,26 +308,27 @@ def lemma_check(points, i, probe_count=10_000, seed=0) -> LemmaReport:
 
     Inclusion: a probe whose nearest point is j != i must still have nearest
     j once i is removed (violations must always be 0).  Expansion: every
-    detected facet neighbour must capture at least one probe from the old
-    cell of i; misses indicate insufficient probes, not a failure.
+    facet neighbour that :func:`voronoi_neighbors` detects on an independent
+    probe stream must capture at least one probe from the old cell of i;
+    misses indicate insufficient probes, not a failure.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 2:
         raise ValueError("need at least 2 points")
     rng = np.random.default_rng(seed)
-    probes = _probe_box(points, rng, probe_count)
-    D = pairwise_distances(probes, points)
-    nearest = np.argmin(D, axis=1)
-    D2 = D.copy()
-    D2[:, i] = np.inf
-    nearest_wo = np.argmin(D2, axis=1)
+    index = NeighbourIndex(points, queries=_probe_box(points, rng, probe_count))
+    every = np.arange(points.shape[0])
+    nearest = index.nearest(every)
+    # every probe is looked up again: that no outside probe moves is the check
+    nearest_wo = index.nearest(np.delete(every, i))
 
     outside = nearest != i
     inclusion_violations = int(np.sum(nearest_wo[outside] != nearest[outside]))
 
     in_cell = ~outside
     absorbed = set(np.unique(nearest_wo[in_cell]).tolist())
-    neighbors = set(np.unique(np.argmin(D2[in_cell], axis=1)).tolist()) if in_cell.any() else set()
+    neighbors = voronoi_neighbors(points, i, probe_count,
+                                  seed=int(rng.integers(0, 2**31)))
     expansion_misses = len(neighbors - absorbed)
     return LemmaReport(
         inclusion_violations=inclusion_violations,
@@ -380,15 +366,21 @@ def removal_analysis(points, labels, i, model: DensityModel, sample_count=10_000
     if not (np.any(keep == 1) and np.any(keep == 0)):
         raise ValueError("removal would leave a class unrepresented")
 
+    every = np.arange(len(labels))
+
+    def predictions(probes):
+        """Labels of each probe's nearest point, before and after removing i."""
+        index = NeighbourIndex(points, queries=probes)
+        before = index.nearest(every)
+        # cell inclusion: only the probes of i's cell change their nearest point
+        cell = np.flatnonzero(before == i)
+        after = before.copy()
+        after[cell] = index.nearest(np.delete(every, i), rows=cell)
+        return labels[before], labels[after]
+
     Xp, Xn = _class_probes(model, sample_count, seed)
-    Dp = pairwise_distances(Xp, points)
-    Dn = pairwise_distances(Xn, points)
-    pred_p_before = labels[np.argmin(Dp, axis=1)]
-    pred_n_before = labels[np.argmin(Dn, axis=1)]
-    Dp[:, i] = np.inf
-    Dn[:, i] = np.inf
-    pred_p_after = labels[np.argmin(Dp, axis=1)]
-    pred_n_after = labels[np.argmin(Dn, axis=1)]
+    pred_p_before, pred_p_after = predictions(Xp)
+    pred_n_before, pred_n_after = predictions(Xn)
 
     a_before = (pred_p_before == 1).astype(float)
     a_after = (pred_p_after == 1).astype(float)
@@ -423,6 +415,44 @@ def removal_analysis(points, labels, i, model: DensityModel, sample_count=10_000
     )
 
 
+def prop1_check(cases, sample_count, seed):
+    """Check the single-removal improvement condition on random point sets.
+
+    Each case draws 2-5 positives and 3-9 negatives from
+    :func:`example_mixture_model` and a point to remove whose class keeps
+    another member.  A removal whose predicted margin exceeds five standard
+    errors is checked by estimating GM with and without the point on fresh
+    probes, and confirmed when GM rises.  Returns ``(confirmed, checked)``
+    once ``cases`` removals have been checked.
+    """
+    model = example_mixture_model()
+    rng = np.random.default_rng(seed)
+    checked = confirmed = 0
+    while checked < cases:
+        n_pos = int(rng.integers(2, 6))
+        n_neg = int(rng.integers(3, 10))
+        draw = np.random.default_rng(int(rng.integers(0, 2**31)))
+        pts = np.vstack([model.positive.sample(n_pos, draw),
+                         model.negative.sample(n_neg, draw)])
+        labels = np.array([1] * n_pos + [0] * n_neg)
+        i = int(rng.integers(0, len(labels)))
+        if np.sum(labels == labels[i]) < 2:
+            continue
+        ra = removal_analysis(pts, labels, i, model, sample_count=sample_count,
+                              seed=int(rng.integers(0, 2**31)))
+        if ra.margin <= 5 * ra.margin_se:
+            continue
+        checked += 1
+        g_before, _ = asymptotic_gm(pts, labels, model, sample_count=sample_count,
+                                    seed=int(rng.integers(0, 2**31)))
+        kept = np.delete(np.arange(len(labels)), i)
+        g_after, _ = asymptotic_gm(pts[kept], labels[kept], model,
+                                   sample_count=sample_count,
+                                   seed=int(rng.integers(0, 2**31)))
+        confirmed += int(g_after > g_before)
+    return confirmed, checked
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive subset search
 
@@ -442,8 +472,8 @@ def exhaustive_search(points, labels, model: DensityModel, sample_count=2000,
             f"{n} points means 2^{n} subsets; use random_edit for sets this large"
         )
     Xp, Xn = _class_probes(model, sample_count, seed)
-    Dp = pairwise_distances(Xp, points)
-    Dn = pairwise_distances(Xn, points)
+    index_p = NeighbourIndex(points, queries=Xp)
+    index_n = NeighbourIndex(points, queries=Xn)
 
     per_cardinality = {}
     best_subset, best_gm = None, -1.0
@@ -454,8 +484,8 @@ def exhaustive_search(points, labels, model: DensityModel, sample_count=2000,
             lab = labels[cols]
             if not (np.any(lab == 1) and np.any(lab == 0)):
                 continue
-            pred_p = lab[np.argmin(Dp[:, cols], axis=1)]
-            pred_n = lab[np.argmin(Dn[:, cols], axis=1)]
+            pred_p = labels[index_p.nearest(cols)]
+            pred_n = labels[index_n.nearest(cols)]
             g = math.sqrt(np.mean(pred_p == 1) * np.mean(pred_n == 0))
             if g > k_gm:
                 k_gm, k_best = g, cols
@@ -577,8 +607,6 @@ def cb_bb_demo(model: DensityModel | None = None, n_neg_train=4000,
         y_train = np.array([1] * X_pos.shape[0] + [0] * X_neg.shape[0])
         ref = random_edit(X_train, y_train, M=re_cardinality, T=re_trials,
                           seed=int(rng.integers(0, 2**31)))
-        from .knn import classify_1nn
-
         pred = classify_1nn(X_train, y_train, ref, X_test)
         out["re"] = _gm_of_predictions(y_test, pred)
         out["re_refset"] = ref

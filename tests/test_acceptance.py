@@ -97,32 +97,7 @@ def test_criterion_3_cell_inclusion():
 
 def test_criterion_4_removal_improvement():
     t0 = time.perf_counter()
-    model = theory.example_mixture_model()
-    rng = np.random.default_rng(0)
-    checked = confirmed = 0
-    while checked < 200:
-        n_pos = int(rng.integers(2, 6))
-        n_neg = int(rng.integers(3, 10))
-        draw = np.random.default_rng(int(rng.integers(0, 2**31)))
-        pts = np.vstack([model.positive.sample(n_pos, draw),
-                         model.negative.sample(n_neg, draw)])
-        labels = np.array([1] * n_pos + [0] * n_neg)
-        i = int(rng.integers(0, len(labels)))
-        if np.sum(labels == labels[i]) < 2:
-            continue
-        ra = theory.removal_analysis(pts, labels, i, model, sample_count=10_000,
-                                     seed=int(rng.integers(0, 2**31)))
-        if ra.margin <= 5 * ra.margin_se:
-            continue
-        checked += 1
-        g_before, _ = theory.asymptotic_gm(pts, labels, model,
-                                           sample_count=10_000,
-                                           seed=int(rng.integers(0, 2**31)))
-        kept = np.delete(np.arange(len(labels)), i)
-        g_after, _ = theory.asymptotic_gm(pts[kept], labels[kept], model,
-                                          sample_count=10_000,
-                                          seed=int(rng.integers(0, 2**31)))
-        confirmed += g_after > g_before
+    confirmed, checked = theory.prop1_check(200, 10_000, 0)
     elapsed = time.perf_counter() - t0
     rate = confirmed / checked
     ok = rate >= 0.99 and elapsed < 300

@@ -5,7 +5,7 @@ import pytest
 
 from gmsel.bench import (
     CSV_COLUMNS,
-    METHOD_PROPERTIES,
+    METHODS,
     ExperimentConfig,
     derive_seed,
     make_synthetic_dataset,
@@ -195,7 +195,7 @@ def test_records_digest_pinned(tmp_path):
     datasets = [make_synthetic_dataset("pin-a", 8, 5, seed=0),
                 make_synthetic_dataset("pin-b", 6, 9, seed=1, d=3),
                 parse_keel(_mixed_keel())]
-    cfg = ExperimentConfig(methods=tuple(METHOD_PROPERTIES), repetitions=1,
+    cfg = ExperimentConfig(methods=tuple(METHODS), repetitions=1,
                            ensemble_size_bag=7, ensemble_size_boost=3,
                            eus_params=EusParams(population=6, generations=4),
                            pso_params=PsoParams(swarm=6, iterations=4),

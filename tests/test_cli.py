@@ -3,6 +3,7 @@ import csv
 import pytest
 
 from gmsel.cli import main
+from gmsel.theory import prop1_check
 
 KEEL = """\
 @relation toy
@@ -64,6 +65,13 @@ class TestTheoryCommands:
         assert main(["theory", "lemma-check", "--configs", "5",
                      "--probes", "2000"]) == 0
         assert "0 inclusion violations" in capsys.readouterr().out
+
+    def test_prop1_prints_prop1_check_counts(self, capsys):
+        confirmed, checked = prop1_check(3, 2000, 0)
+        assert checked == 3
+        assert main(["theory", "prop1", "--cases", "3", "--samples", "2000"]) == 0
+        assert (f"{confirmed}/{checked} predicted improvements confirmed"
+                in capsys.readouterr().out)
 
 
 class TestRunAndReport:

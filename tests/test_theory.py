@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -193,6 +194,18 @@ class TestLemmaCheck:
         assert rep.neighbors == frozenset({1})
         assert rep.expansion_misses == 0
 
+    def test_expansion_misses_seen_at_low_probe_counts(self):
+        # the centre of a 3x3 grid has four facet neighbours; 100 probes put
+        # about 6 in its cell, too few for every neighbour to absorb one
+        pts = [[x, y] for x in (0.0, 1.0, 2.0) for y in (0.0, 1.0, 2.0)]
+        centre = pts.index([1.0, 1.0])
+        misses = [lemma_check(pts, centre, probe_count=100, seed=s).expansion_misses
+                  for s in range(8)]
+        assert max(misses) > 0
+        rep = lemma_check(pts, centre, probe_count=20_000)
+        assert rep.neighbors == frozenset({1, 3, 5, 7})
+        assert rep.expansion_misses == 0
+
 
 class TestRemovalAnalysis:
     def test_duplicate_removal_is_neutral(self):
@@ -322,3 +335,45 @@ class TestModelFromConfig:
                 "positive": {"type": "cauchy"},
                 "negative": {"type": "cauchy"},
             })
+
+
+def _theory_outputs():
+    """Exact outputs of the probe functions on small fixed inputs: a 2D
+    mixture draw, and a 1D set with a duplicated point, where ties decide."""
+    mixture = example_mixture_model()
+    rng = np.random.default_rng(11)
+    pts2d = np.vstack([mixture.positive.sample(4, rng), mixture.negative.sample(5, rng)])
+    cases = [
+        (pts2d, np.array([1] * 4 + [0] * 5), mixture),
+        (np.array([[0.5], [0.5], [2.5], [7.5], [9.5]]), np.array([1, 1, 1, 0, 0]),
+         example_uniform_model()),
+    ]
+    out = []
+    for pts, labels, model in cases:
+        g, se = asymptotic_gm(pts, labels, model, sample_count=2000, seed=1)
+        out.append(("gm", float(g), float(se)))
+        for i in range(len(labels)):
+            if np.sum(labels == labels[i]) > 1:
+                ra = removal_analysis(pts, labels, i, model, sample_count=2000, seed=2)
+                out.append(("removal", i, ra.gain, ra.loss, ra.tpr_before, ra.tnr_before,
+                            ra.tpr_after, ra.tnr_after, ra.margin, ra.margin_se,
+                            ra.predicted_improvement))
+            out.append(("voronoi", i, sorted(voronoi_neighbors(pts, i, 2000, seed=3))))
+            rep = lemma_check(pts, i, probe_count=2000, seed=4)
+            out.append(("lemma", i, rep.inclusion_violations, rep.probes_in_cell))
+        per_card, (best, best_gm) = exhaustive_search(pts, labels, model,
+                                                      sample_count=2000, seed=5)
+        curve = [(k, s.tolist(), float(g)) for k, (s, g) in per_card.items()]
+        out.append(("curve", curve, best.tolist(), float(best_gm)))
+    return out
+
+
+# sha256 of repr(_theory_outputs()), as first computed; a change that moves
+# any of these numbers has to update it here, openly
+PINNED_THEORY_SHA256 = (
+    "314c8a0d3c4ccbb4a1db2a3be38b41954c44ccf759d5961ee74cf5a810c99702")
+
+
+def test_theory_outputs_digest_pinned():
+    digest = hashlib.sha256(repr(_theory_outputs()).encode()).hexdigest()
+    assert digest == PINNED_THEORY_SHA256
