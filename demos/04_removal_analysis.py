@@ -20,7 +20,7 @@ import numpy as np
 from gmsel.theory import (
     asymptotic_gm,
     example_uniform_model,
-    lemma_check,
+    lemma_sweep,
     removal_analysis,
     voronoi_neighbors,
 )
@@ -53,13 +53,7 @@ def main():
           f"after removal")
 
     print("\ncell-inclusion spot check on 20 random configurations:")
-    rng = np.random.default_rng(0)
-    total = 0
-    for _ in range(20):
-        pts = rng.standard_normal((int(rng.integers(5, 20)), int(rng.integers(1, 4))))
-        rep = lemma_check(pts, int(rng.integers(0, len(pts))), probe_count=5000,
-                          seed=int(rng.integers(0, 2**31)))
-        total += rep.inclusion_violations
+    total = lemma_sweep(20, 5000, 0)
     print(f"  {total} violations across 20 x 5,000 probes")
 
 

@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, theory
-from .data import parse_csv, parse_keel
 
 
 def _cmd_run(args):
@@ -41,12 +40,8 @@ def _cmd_report(args):
 
 
 def _cmd_parse(args):
-    text = Path(args.file).read_text()
     try:
-        if args.file.endswith(".csv"):
-            ds = parse_csv(text, name=Path(args.file).stem)
-        else:
-            ds = parse_keel(text)
+        ds = bench.load_dataset(args.file)
     except ValueError as exc:
         print(f"INVALID: {exc}", file=sys.stderr)
         return 1
@@ -107,16 +102,7 @@ def _cmd_theory_exhaustive(args):
 
 
 def _cmd_theory_lemma(args):
-    rng = np.random.default_rng(args.seed)
-    total_violations = 0
-    for c in range(args.configs):
-        n = int(rng.integers(5, 31))
-        d = int(rng.integers(1, 5))
-        points = rng.standard_normal((n, d))
-        i = int(rng.integers(0, n))
-        rep = theory.lemma_check(points, i, probe_count=args.probes,
-                                 seed=int(rng.integers(0, 2**31)))
-        total_violations += rep.inclusion_violations
+    total_violations = theory.lemma_sweep(args.configs, args.probes, args.seed)
     print(f"{args.configs} configurations x {args.probes} probes: "
           f"{total_violations} inclusion violations")
     return 0 if total_violations == 0 else 1

@@ -131,9 +131,10 @@ class NeighbourIndex:
     index order; :meth:`nearest` is then a rank lookup: the first ranked row
     that is retained, which is the argmin over the retained columns with ties
     to the lowest retained index.  Queries with no retained row ranked,
-    lookups for a few given ``rows``, and every lookup in an index over at
-    most ``RANK_DEPTH`` rows of ``X`` (whose ranks would be whole rows), take
-    that argmin over the stored distances instead.
+    lookups for a few given ``rows``, lookups over every row of ``X`` (where
+    no rank can beat one argmin), and every lookup in an index over at most
+    ``RANK_DEPTH`` rows of ``X`` (whose ranks would be whole rows), take that
+    argmin over the stored distances instead.
 
     Without ``queries`` the queries are the rows of ``X`` themselves, and
     ``nearest(..., exclude_self=True)`` gives leave-one-out lookups.  Memory is
@@ -176,9 +177,11 @@ class NeighbourIndex:
         if rows is not None:
             # ranking every query would cost more than these few argmins
             return self._argmin(np.asarray(rows, dtype=np.intp), retained, exclude_self)
-        if self.distances.shape[1] <= self._depth:
+        n = self.distances.shape[1]
+        # with every row retained, the first ranked row is the argmin
+        if n <= self._depth or np.array_equal(retained, np.arange(n)):
             return self._argmin(None, retained, exclude_self)
-        member = np.zeros(self.distances.shape[1], dtype=bool)
+        member = np.zeros(n, dtype=bool)
         member[retained] = True
         ranked = self._ranked(exclude_self)
         hit = member[ranked]
@@ -197,7 +200,7 @@ class NeighbourIndex:
         D, n = self.distances, self.distances.shape[1]
         if rows is not None:
             D = D[np.ix_(rows, retained)]
-        elif retained.size != n or not np.array_equal(retained, np.arange(n)):
+        elif not np.array_equal(retained, np.arange(n)):
             D = D[:, retained]
         elif exclude_self:
             D = D.copy()  # _nearest_retained overwrites each row's own distance
@@ -243,8 +246,7 @@ def classify_knn(X, y, ref, queries, k, nominal_mask=None) -> np.ndarray:
     return (2 * votes >= k).astype(y.dtype)
 
 
-def loo_predict(X, y, retained, nominal_mask=None, exclude_self=True,
-                index=None) -> np.ndarray:
+def loo_predict(X, y, retained, nominal_mask=None, index=None) -> np.ndarray:
     """1-NN prediction for every row of ``X`` over ``retained`` minus itself.
 
     ``index``, a :class:`NeighbourIndex` over ``X``, answers from its ranks;
@@ -252,10 +254,9 @@ def loo_predict(X, y, retained, nominal_mask=None, exclude_self=True,
     """
     retained = np.sort(np.asarray(retained, dtype=np.intp))
     if index is not None:
-        return y[index.nearest(retained, exclude_self)]
+        return y[index.nearest(retained, exclude_self=True)]
     D = pairwise_distances(X, X[retained], nominal_mask)
-    rows = np.arange(D.shape[0]) if exclude_self else None
-    return y[_nearest_retained(D, retained, rows)]
+    return y[_nearest_retained(D, retained, np.arange(D.shape[0]))]
 
 
 def loo_gm(X, y, retained, nominal_mask=None, sample_weight=None,

@@ -46,7 +46,6 @@ class SignTestResult:
     losses: int
     ties: int
     p_value: float
-    p_bonferroni: float
 
 
 def confusion(y_true, y_pred, positive=1) -> ConfusionCounts:
@@ -109,7 +108,7 @@ def win_counts(gm_matrix) -> np.ndarray:
     return (winners / winners.sum(axis=1, keepdims=True)).sum(axis=0)
 
 
-def sign_test(a, b, bonferroni_m: int = 1) -> SignTestResult:
+def sign_test(a, b) -> SignTestResult:
     """One-sided sign test for "a beats b" over paired values.
 
     Ties are discarded; p is the binomial tail P(X >= wins | n, 1/2) over the
@@ -130,7 +129,6 @@ def sign_test(a, b, bonferroni_m: int = 1) -> SignTestResult:
         losses=losses,
         ties=ties,
         p_value=p,
-        p_bonferroni=bonferroni(p, bonferroni_m),
     )
 
 

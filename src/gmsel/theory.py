@@ -27,6 +27,7 @@ from .knn import NeighbourIndex, classify_1nn
 # perfbench/test_perfbench.py checks that its tracer rebinds
 # theory.pairwise_distances, so the name stays importable from here.
 from .knn import pairwise_distances  # noqa: F401
+from .metrics import confusion, gm
 from .selection import random_edit
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "removal_analysis",
     "prop1_check",
     "lemma_check",
+    "lemma_sweep",
     "exhaustive_search",
     "nonmonotone_example",
     "search_nonmonotone_pointset",
@@ -242,23 +244,19 @@ def _class_probes(model, n, seed):
     return model.positive.sample(n, rng), model.negative.sample(n, rng)
 
 
-def asymptotic_gm(points, labels, model: DensityModel, sample_count=10_000,
-                  seed=0, probes=None):
+def asymptotic_gm(points, labels, model: DensityModel, sample_count=10_000, seed=0):
     """Monte Carlo estimate of the asymptotic GM of a 1-NN reference set.
 
     Returns ``(gm, standard_error)``.  Per-class samples are drawn from the
-    ground-truth densities (or passed in via ``probes`` for common random
-    numbers).  A reference set missing a class has GM exactly 0.
+    ground-truth densities.  A reference set missing a class has GM exactly 0.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     labels = np.asarray(labels)
     if not (np.any(labels == 1) and np.any(labels == 0)):
         return 0.0, 0.0
-    if probes is None:
-        if sample_count < 1000:
-            raise ValueError("sample_count must be at least 1000")
-        probes = _class_probes(model, sample_count, seed)
-    Xp, Xn = probes
+    if sample_count < 1000:
+        raise ValueError("sample_count must be at least 1000")
+    Xp, Xn = _class_probes(model, sample_count, seed)
     every = np.arange(len(labels))
     p = np.mean(labels[NeighbourIndex(points, queries=Xp).nearest(every)] == 1)
     q = np.mean(labels[NeighbourIndex(points, queries=Xn).nearest(every)] == 0)
@@ -338,6 +336,23 @@ def lemma_check(points, i, probe_count=10_000, seed=0) -> LemmaReport:
     )
 
 
+def lemma_sweep(configs, probe_count, seed) -> int:
+    """Total inclusion violations of :func:`lemma_check` over ``configs``
+    random configurations: 5-30 standard-normal points in 1-4 dimensions,
+    with a random point removed."""
+    rng = np.random.default_rng(seed)
+    violations = 0
+    for _ in range(configs):
+        n = int(rng.integers(5, 31))
+        d = int(rng.integers(1, 5))
+        points = rng.standard_normal((n, d))
+        i = int(rng.integers(0, n))
+        rep = lemma_check(points, i, probe_count=probe_count,
+                          seed=int(rng.integers(0, 2**31)))
+        violations += rep.inclusion_violations
+    return violations
+
+
 @dataclass(frozen=True)
 class RemovalAnalysis:
     """Predicted GM effect of removing one prototype from a reference set."""
@@ -415,6 +430,15 @@ def removal_analysis(points, labels, i, model: DensityModel, sample_count=10_000
     )
 
 
+def _labelled_sample(model, n_pos, n_neg, seed):
+    """``n_pos`` positives then ``n_neg`` negatives drawn from ``model``,
+    with their labels."""
+    rng = np.random.default_rng(seed)
+    points = np.vstack([model.positive.sample(n_pos, rng),
+                        model.negative.sample(n_neg, rng)])
+    return points, np.array([1] * n_pos + [0] * n_neg)
+
+
 def prop1_check(cases, sample_count, seed):
     """Check the single-removal improvement condition on random point sets.
 
@@ -431,10 +455,8 @@ def prop1_check(cases, sample_count, seed):
     while checked < cases:
         n_pos = int(rng.integers(2, 6))
         n_neg = int(rng.integers(3, 10))
-        draw = np.random.default_rng(int(rng.integers(0, 2**31)))
-        pts = np.vstack([model.positive.sample(n_pos, draw),
-                         model.negative.sample(n_neg, draw)])
-        labels = np.array([1] * n_pos + [0] * n_neg)
+        pts, labels = _labelled_sample(model, n_pos, n_neg,
+                                       int(rng.integers(0, 2**31)))
         i = int(rng.integers(0, len(labels)))
         if np.sum(labels == labels[i]) < 2:
             continue
@@ -456,8 +478,11 @@ def prop1_check(cases, sample_count, seed):
 # ---------------------------------------------------------------------------
 # Exhaustive subset search
 
-def exhaustive_search(points, labels, model: DensityModel, sample_count=2000,
-                      seed=0, max_points=20):
+# 2^n subsets: beyond this many points the search takes hours
+_EXHAUSTIVE_MAX_POINTS = 20
+
+
+def exhaustive_search(points, labels, model: DensityModel, sample_count=2000, seed=0):
     """Evaluate every reference subset (both classes present, size >= 2) by
     asymptotic GM under one shared probe sample (common random numbers).
 
@@ -467,7 +492,7 @@ def exhaustive_search(points, labels, model: DensityModel, sample_count=2000,
     points = np.atleast_2d(np.asarray(points, dtype=float))
     labels = np.asarray(labels)
     n = points.shape[0]
-    if n > max_points:
+    if n > _EXHAUSTIVE_MAX_POINTS:
         raise ValueError(
             f"{n} points means 2^{n} subsets; use random_edit for sets this large"
         )
@@ -496,11 +521,11 @@ def exhaustive_search(points, labels, model: DensityModel, sample_count=2000,
     return per_cardinality, (best_subset, best_gm)
 
 
-def search_nonmonotone_pointset(seed, n_pos=5, n_neg=10, sample_count=2000,
-                                max_tries=200):
-    """Rejection-sample 15-point labelled sets from :func:`nonmonotone_example`'s
-    model until the exhaustive per-cardinality best-GM curve both beats the
-    full set and wiggles (>= 2 sign changes in its difference sequence).
+def search_nonmonotone_pointset(seed, sample_count=2000, max_tries=200):
+    """Rejection-sample 5+10-point labelled sets from
+    :func:`nonmonotone_example`'s model until the exhaustive per-cardinality
+    best-GM curve both beats the full set and wiggles (>= 2 sign changes in
+    its difference sequence).
 
     Returns ``(points, labels, draw_seed)``; the recorded example pins the
     draw seed this search produced.
@@ -509,12 +534,8 @@ def search_nonmonotone_pointset(seed, n_pos=5, n_neg=10, sample_count=2000,
     rng_outer = np.random.default_rng(seed)
     for _ in range(max_tries):
         draw_seed = int(rng_outer.integers(0, 2**31))
-        rng = np.random.default_rng(draw_seed)
-        pts = np.vstack([
-            model.positive.sample(n_pos, rng),
-            model.negative.sample(n_neg, rng),
-        ])
-        labels = np.array([1] * n_pos + [0] * n_neg)
+        pts, labels = _labelled_sample(model, _NONMONOTONE_POSITIVES,
+                                       _NONMONOTONE_NEGATIVES, draw_seed)
         per_card, (best, best_gm) = exhaustive_search(
             pts, labels, model, sample_count=sample_count, seed=0
         )
@@ -529,17 +550,18 @@ def search_nonmonotone_pointset(seed, n_pos=5, n_neg=10, sample_count=2000,
 
 
 # Pinned by running search_nonmonotone_pointset(seed=7), which returns this
-# draw seed as its third value; call it again to regenerate it.
+# draw seed as its third value; call it again to regenerate it.  The search
+# draws the same class counts as the example.
 _NONMONOTONE_DRAW_SEED = 1763574599
+_NONMONOTONE_POSITIVES, _NONMONOTONE_NEGATIVES = 5, 10
 
 
 def nonmonotone_example():
     """The recorded 15-point 2D set whose best-GM-per-cardinality curve is
     non-monotonic and beats the full set.  Returns ``(points, labels, model)``."""
     model = example_mixture_model()
-    rng = np.random.default_rng(_NONMONOTONE_DRAW_SEED)
-    pts = np.vstack([model.positive.sample(5, rng), model.negative.sample(10, rng)])
-    labels = np.array([1] * 5 + [0] * 10)
+    pts, labels = _labelled_sample(model, _NONMONOTONE_POSITIVES,
+                                   _NONMONOTONE_NEGATIVES, _NONMONOTONE_DRAW_SEED)
     return pts, labels, model
 
 
@@ -568,12 +590,6 @@ def _sample_joint(model, n, rng):
     return X[perm], y[perm]
 
 
-def _gm_of_predictions(y, pred) -> float:
-    p = np.mean(pred[y == 1] == 1)
-    q = np.mean(pred[y == 0] == 0)
-    return math.sqrt(p * q)
-
-
 def cb_bb_demo(model: DensityModel | None = None, n_neg_train=4000,
                n_pos_train=(300, 200), test_size=9000, seed=0,
                re_cardinality=25, re_trials=10_000, include_re=True):
@@ -581,34 +597,31 @@ def cb_bb_demo(model: DensityModel | None = None, n_neg_train=4000,
     on the imbalanced Gaussian-mixture example.
 
     Training data is used only by random editing; CB and BB classify straight
-    from the densities.  GM is estimated on a fresh test sample drawn from the
-    joint distribution.  Returns a dict with keys ``cb``, ``bb`` and, when
-    requested, ``re``.
+    from the densities.  ``n_pos_train`` gives the positive training count of
+    each positive mixture component.  GM is estimated on a fresh test sample
+    drawn from the joint distribution.  Returns a dict with keys ``cb``,
+    ``bb`` and, when requested, ``re``.
     """
     model = model or example_mixture_model()
     rng = np.random.default_rng(seed)
     X_test, y_test = _sample_joint(model, test_size, rng)
     out = {
-        "cb": _gm_of_predictions(y_test, bayes_classify(model, X_test)),
-        "bb": _gm_of_predictions(y_test, bayes_classify(model, X_test, balanced=True)),
+        "cb": gm(confusion(y_test, bayes_classify(model, X_test))),
+        "bb": gm(confusion(y_test, bayes_classify(model, X_test, balanced=True))),
     }
     if include_re:
         # draw the positive training sample component by component so the
         # stated per-component counts are honoured exactly
-        if isinstance(n_pos_train, (tuple, list)):
-            parts = []
-            for (w, mean, var), c in zip(model.positive.components, n_pos_train):
-                parts.append(mean + rng.standard_normal((c, 2)) * np.sqrt(var))
-            X_pos = np.vstack(parts)
-        else:
-            X_pos = model.positive.sample(n_pos_train, rng)
+        X_pos = np.vstack([mean + rng.standard_normal((c, 2)) * np.sqrt(var)
+                           for (_, mean, var), c in zip(model.positive.components,
+                                                        n_pos_train)])
         X_neg = model.negative.sample(n_neg_train, rng)
         X_train = np.vstack([X_pos, X_neg])
         y_train = np.array([1] * X_pos.shape[0] + [0] * X_neg.shape[0])
         ref = random_edit(X_train, y_train, M=re_cardinality, T=re_trials,
                           seed=int(rng.integers(0, 2**31)))
         pred = classify_1nn(X_train, y_train, ref, X_test)
-        out["re"] = _gm_of_predictions(y_test, pred)
+        out["re"] = gm(confusion(y_test, pred))
         out["re_refset"] = ref
     return out
 

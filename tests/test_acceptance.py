@@ -77,16 +77,7 @@ def test_criterion_2_gaussian_mixture_demo():
 
 def test_criterion_3_cell_inclusion():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(0)
-    violations = 0
-    for _ in range(100):
-        n = int(rng.integers(5, 31))
-        d = int(rng.integers(1, 5))
-        points = rng.standard_normal((n, d))
-        i = int(rng.integers(0, n))
-        rep = theory.lemma_check(points, i, probe_count=10_000,
-                                 seed=int(rng.integers(0, 2**31)))
-        violations += rep.inclusion_violations
+    violations = theory.lemma_sweep(100, 10_000, 0)
     elapsed = time.perf_counter() - t0
     ok = violations == 0 and elapsed < 60
     _line(3, ok, f"100 configurations x 10,000 probes: {violations} inclusion "

@@ -3,7 +3,7 @@ import csv
 import pytest
 
 from gmsel.cli import main
-from gmsel.theory import prop1_check
+from gmsel.theory import lemma_sweep, prop1_check
 
 KEEL = """\
 @relation toy
@@ -35,6 +35,13 @@ class TestParseCommand:
         assert "positive class 'yes'" in out
         assert "IR 2.00" in out
 
+    def test_upper_case_csv_suffix(self, tmp_path, capsys):
+        # the same suffix rule as `gmsel run`
+        path = tmp_path / "toy.CSV"
+        path.write_text("x,label\n1.0,yes\n2.0,no\n3.0,no\n4.0,no\n")
+        assert main(["parse", str(path)]) == 0
+        assert "toy: 4 instances" in capsys.readouterr().out
+
     def test_invalid_file(self, tmp_path, capsys):
         path = tmp_path / "bad.dat"
         path.write_text("@relation t\n@attribute broken\n@data\n")
@@ -65,6 +72,12 @@ class TestTheoryCommands:
         assert main(["theory", "lemma-check", "--configs", "5",
                      "--probes", "2000"]) == 0
         assert "0 inclusion violations" in capsys.readouterr().out
+
+    def test_lemma_check_prints_lemma_sweep_count(self, capsys):
+        violations = lemma_sweep(3, 2000, 0)
+        main(["theory", "lemma-check", "--configs", "3", "--probes", "2000"])
+        assert (f"3 configurations x 2000 probes: {violations} inclusion violations"
+                in capsys.readouterr().out)
 
     def test_prop1_prints_prop1_check_counts(self, capsys):
         confirmed, checked = prop1_check(3, 2000, 0)

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from gmsel import knn
 from gmsel.knn import loo_gm
 from gmsel.selection import (
     EusParams,
@@ -69,6 +72,13 @@ class TestTomekLinks:
         X = np.array([[0.0], [0.2], [9.0], [9.1], [9.2]])
         y = np.array([1, 1, 0, 0, 0])
         assert len(tomek_links(X, y)) == 5
+
+    def test_lookup_over_every_row_never_ranks(self):
+        # one lookup with every row retained: the stored argmin, no ranking
+        X, y = clusters(10, 2 * knn.RANK_DEPTH)
+        want = tomek_links(X, y).retained
+        with mock.patch.object(knn, "_stable_top_k", side_effect=AssertionError):
+            assert np.array_equal(tomek_links(X, y).retained, want)
 
 
 class TestCnnMod:
