@@ -17,9 +17,8 @@ Run:  python3 demos/03_exhaustive_curve.py          (about 10 s)
 import argparse
 import csv
 
-import numpy as np
-
 from gmsel.theory import (
+    example_mixture_model,
     exhaustive_search,
     nonmonotone_example,
     search_nonmonotone_pointset,
@@ -37,9 +36,9 @@ def main():
         pts, labels, draw_seed = search_nonmonotone_pointset(args.seed)
         print(f"qualifying draw seed: {draw_seed}")
     else:
-        pts, labels, model = nonmonotone_example()
+        pts, labels, _ = nonmonotone_example()
 
-    model = nonmonotone_example()[2]
+    model = example_mixture_model()
     per_card, (best, best_gm) = exhaustive_search(pts, labels, model,
                                                   sample_count=2000, seed=0)
     curve = [(k, per_card[k][1]) for k in sorted(per_card)]

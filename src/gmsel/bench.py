@@ -12,7 +12,6 @@ import csv
 import hashlib
 import io
 import logging
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -87,7 +86,7 @@ class TrialRecord:
     tpr: float
     tnr: float
     retained: int
-    millis: int
+    millis: int  # always 0: wall time would break byte-identical records
     failed: bool = False
 
 
@@ -101,7 +100,6 @@ class ExperimentConfig:
     master_seed: int = 0
     jobs: int = 1
     out_dir: str | None = None
-    record_timing: bool = False     # wall time breaks byte-identical output
     ensemble_size_bag: int = 100
     ensemble_size_boost: int = 10
     eus_params: sel.EusParams = field(default_factory=sel.EusParams)
@@ -115,6 +113,11 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods: {unknown}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods names a method twice: {list(self.methods)}")
+        sel._check_minimums(self, {"repetitions": 1, "jobs": 1, "ensemble_size_bag": 1,
+                                   "ensemble_size_boost": 1, "re_cardinality": 2,
+                                   "re_trials": 1})
 
     @staticmethod
     def from_yaml(path) -> "ExperimentConfig":
@@ -154,14 +157,13 @@ def _known_keys(section, prefix, known) -> dict:
     return section
 
 
-def make_synthetic_dataset(name, n_pos, imbalance_ratio, seed, d=2,
-                           separation=1.5) -> Dataset:
-    """Overlapping-Gaussian two-class dataset with a given imbalance ratio."""
+def make_synthetic_dataset(name, n_pos, imbalance_ratio, seed, d=2) -> Dataset:
+    """Two unit-variance Gaussian classes, the positive one shifted by 1.5 per axis."""
     from .data import Attribute, _build_dataset
 
     rng = np.random.default_rng(seed)
     n_neg = int(round(n_pos * imbalance_ratio))
-    Xp = rng.standard_normal((n_pos, d)) + separation
+    Xp = rng.standard_normal((n_pos, d)) + 1.5
     Xn = rng.standard_normal((n_neg, d))
     X = np.vstack([Xp, Xn])
     labels = ["pos"] * n_pos + ["neg"] * n_neg
@@ -190,8 +192,6 @@ def derive_seed(master_seed, dataset_name, rep, fold, method) -> int:
 
 def _run_method(method, X, y, seed, cfg: ExperimentConfig, nominal_mask):
     """Train one method; returns (predict(queries), retained count)."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
     model = METHODS[method][1](X, y, seed, cfg, nominal_mask)
     if isinstance(model, ReferenceSet):
         return lambda Q: classify_1nn(X, y, model, Q, nominal_mask), len(model)
@@ -202,7 +202,6 @@ def _run_method(method, X, y, seed, cfg: ExperimentConfig, nominal_mask):
 def _run_trial(args):
     ds, rep, fold, train_idx, test_idx, method, cfg = args
     seed = derive_seed(cfg.master_seed, ds.name, rep, fold, method)
-    t0 = time.perf_counter()
     try:
         scaler = fit_scaler(ds, train_idx)
         X_train = apply_scaler(scaler, ds.X[train_idx])
@@ -212,15 +211,12 @@ def _run_trial(args):
         predict, retained = _run_method(method, X_train, y_train, seed, cfg, nominal)
         pred = predict(X_test)
         c = confusion(ds.y[test_idx], pred)
-        millis = int((time.perf_counter() - t0) * 1000) if cfg.record_timing else 0
-        return TrialRecord(ds.name, rep, fold, method, gm(c), tpr(c), tnr(c),
-                           retained, millis, failed=False)
+        scores, failed = (gm(c), tpr(c), tnr(c), retained), False
     except Exception:
         logger.exception("trial failed: %s rep=%d fold=%d method=%s",
                          ds.name, rep, fold, method)
-        millis = int((time.perf_counter() - t0) * 1000) if cfg.record_timing else 0
-        return TrialRecord(ds.name, rep, fold, method, 0.0, 0.0, 0.0, 0, millis,
-                           failed=True)
+        scores, failed = (0.0, 0.0, 0.0, 0), True
+    return TrialRecord(ds.name, rep, fold, method, *scores, 0, failed)
 
 
 def run_experiment(cfg: ExperimentConfig, datasets=None) -> list[TrialRecord]:
@@ -300,19 +296,18 @@ def _gm_matrix(records):
     return complete, methods, M
 
 
-def report(records, alpha=0.05, bonferroni_m=None):
+def report(records, alpha=0.05):
     """Win table, pairwise one-sided sign-test matrix and category summary.
 
-    ``bonferroni_m`` defaults to the full ordered-matrix count m*(m-1) for m
-    methods.  Returns a dict with keys ``methods``, ``wins``, ``p_matrix``,
-    ``significant`` (Bonferroni at ``alpha``), ``categories`` and ``markdown``.
+    Returns a dict with keys ``methods``, ``wins``, ``p_matrix``,
+    ``significant`` (Bonferroni at ``alpha`` over the m*(m-1) ordered pairs of
+    m methods), ``categories`` and ``markdown``.
     """
     keys, methods, M = _gm_matrix(records)
     if M.size == 0:
         raise ValueError("no complete trials to report on")
     n_methods = len(methods)
-    if bonferroni_m is None:
-        bonferroni_m = max(1, n_methods * (n_methods - 1))
+    n_comparisons = max(1, n_methods * (n_methods - 1))
     wins = win_counts(M)
 
     P = np.ones((n_methods, n_methods))
@@ -323,7 +318,7 @@ def report(records, alpha=0.05, bonferroni_m=None):
                 continue
             res = sign_test(M[:, i], M[:, j])
             P[i, j] = res.p_value
-            sig[i, j] = bonferroni(res.p_value, bonferroni_m) < alpha
+            sig[i, j] = bonferroni(res.p_value, n_comparisons) < alpha
 
     categories = {}
     for prop in ("random", "balance", "explicit-gm", "ensemble"):
@@ -342,7 +337,7 @@ def report(records, alpha=0.05, bonferroni_m=None):
         md.write(f"| {m} | {w:.2f} |\n")
     md.write("\n## One-sided sign-test p-values (row beats column)\n\n")
     md.write("Significant at level "
-             f"{alpha} after Bonferroni (m={bonferroni_m}) marked with *.\n\n")
+             f"{alpha} after Bonferroni (m={n_comparisons}) marked with *.\n\n")
     md.write("| |" + "|".join(methods) + "|\n")
     md.write("|---" * (n_methods + 1) + "|\n")
     for i, m in enumerate(methods):

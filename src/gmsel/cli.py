@@ -34,7 +34,7 @@ def _cmd_run(args):
 
 def _cmd_report(args):
     records = bench.read_records(args.records)
-    rep = bench.report(records, alpha=args.alpha, bonferroni_m=args.bonferroni_m)
+    rep = bench.report(records, alpha=args.alpha)
     print(rep["markdown"])
     return 0
 
@@ -130,7 +130,6 @@ def main(argv=None) -> int:
     p_rep = sub.add_parser("report", help="summarise a records CSV")
     p_rep.add_argument("--records", required=True)
     p_rep.add_argument("--alpha", type=float, default=0.05)
-    p_rep.add_argument("--bonferroni-m", type=int, default=None)
     p_rep.set_defaults(func=_cmd_report)
 
     p_parse = sub.add_parser("parse", help="validate a KEEL .dat or CSV file")

@@ -48,13 +48,13 @@ class SignTestResult:
     p_value: float
 
 
-def confusion(y_true, y_pred, positive=1) -> ConfusionCounts:
+def confusion(y_true, y_pred) -> ConfusionCounts:
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     if y_true.shape != y_pred.shape:
         raise ValueError("label sequences must have equal length")
-    tpos = y_true == positive
-    ppos = y_pred == positive
+    tpos = y_true == 1
+    ppos = y_pred == 1
     return ConfusionCounts(
         a=int(np.sum(tpos & ppos)),
         b=int(np.sum(tpos & ~ppos)),

@@ -10,7 +10,7 @@ Stochastic methods are pure functions of (inputs, seed).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +44,15 @@ def _check_xy(X, y):
     if not (np.any(y == 1) and np.any(y == 0)):
         raise ValueError("both classes must be present")
     return X, y
+
+
+def _check_minimums(params, minimums):
+    """ValueError naming the first field of ``params`` not an integer >= its minimum."""
+    for name, low in minimums.items():
+        value = getattr(params, name)
+        if not isinstance(value, (int, np.integer)) or value < low:
+            raise ValueError(f"{type(params).__name__}.{name} must be an integer "
+                             f">= {low}, got {value!r}")
 
 
 def _weighted_neg_sample(rng, y, n, weights=None):
@@ -154,9 +163,10 @@ def ncl(X, y, nominal_mask=None) -> ReferenceSet:
 class EusParams:
     population: int = 50
     generations: int = 100
-    mutation_rate: float | None = None  # default 1/n_neg
-    tournament: int = 2
     balance_penalty: float = 0.2  # lambda in fitness - lambda*|1 - n_sel/n_pos|
+
+    def __post_init__(self):
+        _check_minimums(self, {"population": 1, "generations": 0})
 
 
 def eus_fitness(X, y, mask, nominal_mask=None, lam=0.2, sample_weight=None,
@@ -181,9 +191,9 @@ def eus(X, y, seed, params: EusParams | None = None, nominal_mask=None,
         sample_weight=None, index=None) -> ReferenceSet:
     """Evolutionary undersampling: a generational GA over the majority mask.
 
-    Tournament selection, uniform crossover and bit-flip mutation; the single
-    best-ever chromosome survives each generation and is returned.  Every
-    fitness evaluation looks neighbours up in ``index``, a
+    Binary tournaments, uniform crossover and bit-flip mutation at rate
+    1/n_neg; the best-ever chromosome survives each generation and is
+    returned.  Every fitness evaluation looks neighbours up in ``index``, a
     :class:`~gmsel.knn.NeighbourIndex` over ``X`` built here unless given.
     """
     X, y = _check_xy(X, y)
@@ -192,7 +202,6 @@ def eus(X, y, seed, params: EusParams | None = None, nominal_mask=None,
     pos_idx = np.flatnonzero(y == 1)
     neg_idx = np.flatnonzero(y == 0)
     n_neg = neg_idx.size
-    mut = params.mutation_rate if params.mutation_rate is not None else 1.0 / n_neg
     if index is None:
         index = NeighbourIndex(X, nominal_mask)
 
@@ -207,13 +216,13 @@ def eus(X, y, seed, params: EusParams | None = None, nominal_mask=None,
     for _ in range(params.generations):
         children = np.empty_like(pop)
         for c in range(params.population):
-            contenders = rng.integers(0, params.population, size=params.tournament)
+            contenders = rng.integers(0, params.population, size=2)
             p1 = pop[contenders[np.argmax(fits[contenders])]]
-            contenders = rng.integers(0, params.population, size=params.tournament)
+            contenders = rng.integers(0, params.population, size=2)
             p2 = pop[contenders[np.argmax(fits[contenders])]]
             take = rng.random(n_neg) < 0.5
             child = np.where(take, p1, p2)
-            child ^= rng.random(n_neg) < mut
+            child ^= rng.random(n_neg) < 1.0 / n_neg
             children[c] = child
         pop = children
         pop[0] = best_mask  # elitism
@@ -234,10 +243,9 @@ def eus(X, y, seed, params: EusParams | None = None, nominal_mask=None,
 class PsoParams:
     swarm: int = 40
     iterations: int = 100
-    inertia: float = 0.72
-    cognitive: float = 1.49
-    social: float = 1.49
-    v_max: float = 4.0
+
+    def __post_init__(self):
+        _check_minimums(self, {"swarm": 1, "iterations": 0})
 
 
 def _pso_fitness(X, y, mask, nominal_mask=None, index=None):
@@ -280,12 +288,12 @@ def pso_select(X, y, seed, params: PsoParams | None = None,
     for _ in range(params.iterations):
         r1 = rng.random((params.swarm, n_neg))
         r2 = rng.random((params.swarm, n_neg))
-        vel = (
-            params.inertia * vel
-            + params.cognitive * r1 * (pbest.astype(float) - x.astype(float))
-            + params.social * r2 * (gbest.astype(float) - x.astype(float))
+        vel = (  # Clerc-Kennedy constriction coefficients, rounded
+            0.72 * vel
+            + 1.49 * r1 * (pbest.astype(float) - x.astype(float))
+            + 1.49 * r2 * (gbest.astype(float) - x.astype(float))
         )
-        np.clip(vel, -params.v_max, params.v_max, out=vel)
+        np.clip(vel, -4.0, 4.0, out=vel)
         x = rng.random((params.swarm, n_neg)) < 1.0 / (1.0 + np.exp(-vel))
         fits = np.array([_pso_fitness(X, y, m, nominal_mask, index) for m in x])
         improved = fits > pbest_fit

@@ -270,11 +270,11 @@ def asymptotic_gm(points, labels, model: DensityModel, sample_count=10_000, seed
     return g, se
 
 
-def _probe_box(points, rng, probe_count, pad_factor=0.5):
+def _probe_box(points, rng, probe_count):
     points = np.atleast_2d(points)
     lo = points.min(axis=0)
     hi = points.max(axis=0)
-    pad = pad_factor * np.maximum(hi - lo, 1.0)
+    pad = 0.5 * np.maximum(hi - lo, 1.0)
     return rng.uniform(lo - pad, hi + pad, size=(probe_count, points.shape[1]))
 
 
@@ -521,24 +521,23 @@ def exhaustive_search(points, labels, model: DensityModel, sample_count=2000, se
     return per_cardinality, (best_subset, best_gm)
 
 
-def search_nonmonotone_pointset(seed, sample_count=2000, max_tries=200):
-    """Rejection-sample 5+10-point labelled sets from
+def search_nonmonotone_pointset(seed):
+    """Rejection-sample up to 200 5+10-point labelled sets from
     :func:`nonmonotone_example`'s model until the exhaustive per-cardinality
-    best-GM curve both beats the full set and wiggles (>= 2 sign changes in
-    its difference sequence).
+    best-GM curve (2000 probes per class) both beats the full set and wiggles
+    (>= 2 sign changes in its difference sequence).
 
     Returns ``(points, labels, draw_seed)``; the recorded example pins the
     draw seed this search produced.
     """
     model = example_mixture_model()
     rng_outer = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(200):
         draw_seed = int(rng_outer.integers(0, 2**31))
         pts, labels = _labelled_sample(model, _NONMONOTONE_POSITIVES,
                                        _NONMONOTONE_NEGATIVES, draw_seed)
-        per_card, (best, best_gm) = exhaustive_search(
-            pts, labels, model, sample_count=sample_count, seed=0
-        )
+        per_card, (_, best_gm) = exhaustive_search(pts, labels, model,
+                                                   sample_count=2000, seed=0)
         curve = [per_card[k][1] for k in sorted(per_card)]
         full_gm = per_card[len(labels)][1]
         diffs = np.diff(curve)
@@ -546,7 +545,7 @@ def search_nonmonotone_pointset(seed, sample_count=2000, max_tries=200):
         changes = int(np.sum(signs[1:] != signs[:-1]))
         if best_gm > full_gm + 0.01 and changes >= 2:
             return pts, labels, draw_seed
-    raise RuntimeError("no qualifying point set found; increase max_tries")
+    raise RuntimeError("no qualifying point set in 200 draws; try another seed")
 
 
 # Pinned by running search_nonmonotone_pointset(seed=7), which returns this
@@ -590,19 +589,17 @@ def _sample_joint(model, n, rng):
     return X[perm], y[perm]
 
 
-def cb_bb_demo(model: DensityModel | None = None, n_neg_train=4000,
-               n_pos_train=(300, 200), test_size=9000, seed=0,
-               re_cardinality=25, re_trials=10_000, include_re=True):
+def cb_bb_demo(test_size=9000, seed=0, re_trials=10_000, include_re=True):
     """Compare classical Bayes, balanced Bayes and (optionally) random editing
     on the imbalanced Gaussian-mixture example.
 
-    Training data is used only by random editing; CB and BB classify straight
-    from the densities.  ``n_pos_train`` gives the positive training count of
-    each positive mixture component.  GM is estimated on a fresh test sample
-    drawn from the joint distribution.  Returns a dict with keys ``cb``,
-    ``bb`` and, when requested, ``re``.
+    Training data is used only by random editing, which picks 25 of 300 + 200
+    positives (one count per positive mixture component) and 4000 negatives;
+    CB and BB classify straight from the densities.  GM is estimated on a
+    fresh test sample drawn from the joint distribution.  Returns a dict with
+    keys ``cb``, ``bb`` and, when requested, ``re``.
     """
-    model = model or example_mixture_model()
+    model = example_mixture_model()
     rng = np.random.default_rng(seed)
     X_test, y_test = _sample_joint(model, test_size, rng)
     out = {
@@ -610,15 +607,14 @@ def cb_bb_demo(model: DensityModel | None = None, n_neg_train=4000,
         "bb": gm(confusion(y_test, bayes_classify(model, X_test, balanced=True))),
     }
     if include_re:
-        # draw the positive training sample component by component so the
-        # stated per-component counts are honoured exactly
+        # one positive count per mixture component, honoured exactly
         X_pos = np.vstack([mean + rng.standard_normal((c, 2)) * np.sqrt(var)
                            for (_, mean, var), c in zip(model.positive.components,
-                                                        n_pos_train)])
-        X_neg = model.negative.sample(n_neg_train, rng)
+                                                        (300, 200))])
+        X_neg = model.negative.sample(4000, rng)
         X_train = np.vstack([X_pos, X_neg])
         y_train = np.array([1] * X_pos.shape[0] + [0] * X_neg.shape[0])
-        ref = random_edit(X_train, y_train, M=re_cardinality, T=re_trials,
+        ref = random_edit(X_train, y_train, M=25, T=re_trials,
                           seed=int(rng.integers(0, 2**31)))
         pred = classify_1nn(X_train, y_train, ref, X_test)
         out["re"] = gm(confusion(y_test, pred))

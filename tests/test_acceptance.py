@@ -6,7 +6,6 @@ quantities before asserting, so a failing criterion still reports its numbers.
 
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest

@@ -1,4 +1,7 @@
 import hashlib
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +157,12 @@ class TestConfigYaml:
         ("eus_params: {population: 4}\n", "'eus_params'"),
         ("eus:\n  population: 10\n  generation: 4\n", "'eus.generation'"),
         ("pso:\n  swarms: 5\n", "'pso.swarms'"),
+        # fixed settings, not config keys
+        ("record_timing: true\n", "'record_timing'"),
+        ("eus:\n  mutation_rate: 0.1\n", "'eus.mutation_rate'"),
+        ("eus:\n  tournament: 3\n", "'eus.tournament'"),
+        ("pso:\n  inertia: 0.5\n", "'pso.inertia'"),
+        ("pso:\n  v_max: 2.0\n", "'pso.v_max'"),
     ])
     def test_unknown_key_rejected_by_name(self, tmp_path, text, key):
         path = tmp_path / "cfg.yaml"
@@ -166,6 +175,41 @@ class TestConfigYaml:
         path.write_text("eus: [10, 4]\n")
         with pytest.raises(ValueError, match="eus"):
             ExperimentConfig.from_yaml(path)
+
+    @pytest.mark.parametrize("text, key", [
+        ("jobs: 0\n", r"\.jobs "),
+        ("repetitions: 0\n", r"\.repetitions "),
+        ("ensemble_size_bag: 0\n", r"\.ensemble_size_bag "),
+        ("ensemble_size_boost: 0\n", r"\.ensemble_size_boost "),
+        ("re_cardinality: 1\n", r"\.re_cardinality "),
+        ("re_trials: 0\n", r"\.re_trials "),
+        ("repetitions: 2.5\n", r"\.repetitions "),
+        ("eus: {population: 0}\n", r"EusParams\.population "),
+        ("eus: {generations: -1}\n", r"EusParams\.generations "),
+        ("pso: {swarm: 0}\n", r"PsoParams\.swarm "),
+        ("pso: {iterations: -1}\n", r"PsoParams\.iterations "),
+        ("methods: [1nn, rus, rus]\n", "methods .*twice"),
+    ])
+    def test_bad_value_rejected_by_name(self, tmp_path, text, key):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_yaml(path)
+
+    def test_override_is_checked(self):
+        # `gmsel run --jobs` overrides the file's value through replace()
+        with pytest.raises(ValueError, match=r"\.jobs "):
+            replace(ExperimentConfig(), jobs=0)
+
+    def test_readme_config_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block, = [b for b in re.findall(r"```yaml\n(.*?)```", readme, re.S)
+                  if b.startswith("datasets:")]
+        path = tmp_path / "cfg.yaml"
+        path.write_text(block)
+        cfg = ExperimentConfig.from_yaml(path)
+        assert set(cfg.methods) == set(METHODS)
+        assert cfg.eus_params.population == 50 and cfg.pso_params.swarm == 40
 
 
 def _mixed_keel(n_pos=10, n_neg=40, seed=2):

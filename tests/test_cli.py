@@ -1,7 +1,5 @@
 import csv
 
-import pytest
-
 from gmsel.cli import main
 from gmsel.theory import lemma_sweep, prop1_check
 
