@@ -134,6 +134,8 @@ class ExperimentConfig:
                 known = {f.name for f in fields(params_cls)}
                 kwargs[name] = params_cls(**_known_keys(value, f"{key}.", known))
             elif key in ("datasets", "methods"):
+                if not isinstance(value, list):
+                    raise ValueError(f"config key {key!r} must be a list, got {value!r}")
                 kwargs[key] = tuple(value)
             else:
                 kwargs[key] = value
@@ -282,16 +284,11 @@ def _gm_matrix(records):
     by_key = {}
     for r in records:
         by_key.setdefault((r.dataset, r.rep, r.fold), {})[r.method] = r
-    keys = sorted(by_key)
-    complete, dropped = [], 0
-    for k in keys:
-        row = by_key[k]
-        if all(m in row and not row[m].failed for m in methods):
-            complete.append(k)
-        else:
-            dropped += 1
-    if dropped:
-        logger.warning("report: %d incomplete trials excluded", dropped)
+    complete = [k for k, row in sorted(by_key.items())
+                if all(m in row and not row[m].failed for m in methods)]
+    if len(complete) < len(by_key):
+        logger.warning("report: %d incomplete trials excluded",
+                       len(by_key) - len(complete))
     M = np.array([[by_key[k][m].gm for m in methods] for k in complete])
     return complete, methods, M
 

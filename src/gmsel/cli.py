@@ -15,15 +15,8 @@ from . import bench, theory
 
 def _cmd_run(args):
     cfg = bench.ExperimentConfig.from_yaml(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    overrides = {"master_seed": args.seed, "jobs": args.jobs, "out_dir": args.out}
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     records = bench.run_experiment(cfg)
     failed = sum(r.failed for r in records)
     print(f"{len(records)} trials completed, {failed} failed")
@@ -64,11 +57,8 @@ def _write_curve(path, header, rows):
 def _cmd_theory_boundary1d(args):
     model = theory.model_from_config(args.model) if args.model else \
         theory.example_uniform_model()
-    bs = np.linspace(args.lo, args.hi, args.steps)
-    rows = []
-    for b in bs:
-        tpr_b, tnr_b, gm_b = theory.gm_boundary_1d(model, float(b))
-        rows.append([float(b), tpr_b, tnr_b, gm_b])
+    rows = [[float(b), *theory.gm_boundary_1d(model, float(b))]
+            for b in np.linspace(args.lo, args.hi, args.steps)]
     b_star, gm_star = theory.best_boundary_1d(model)
     print(f"best boundary b* = {b_star}, GM* = {gm_star:.6f}")
     if args.out:

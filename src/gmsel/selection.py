@@ -143,12 +143,10 @@ def ncl(X, y, nominal_mask=None) -> ReferenceSet:
     nn3 = _stable_top_k(D, 3)
     votes = y[nn3].sum(axis=1)
     pred = (2 * votes >= 3).astype(y.dtype)  # vote ties toward positive (k=3: no tie)
-    marked = np.zeros(n, dtype=bool)
     mis = pred != y
-    marked[(y == 0) & mis] = True
-    for i in np.flatnonzero((y == 1) & mis):
-        voters = nn3[i]
-        marked[voters[y[voters] == 0]] = True
+    marked = (y == 0) & mis
+    voters = nn3[(y == 1) & mis].ravel()  # of the misclassified positives
+    marked[voters[y[voters] == 0]] = True
     retained = np.flatnonzero(~marked)
     if not (np.any(y[retained] == 1) and np.any(y[retained] == 0)):
         logger.warning("ncl: cleaning would drop a class; identity selection")

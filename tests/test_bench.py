@@ -189,6 +189,8 @@ class TestConfigYaml:
         ("pso: {swarm: 0}\n", r"PsoParams\.swarm "),
         ("pso: {iterations: -1}\n", r"PsoParams\.iterations "),
         ("methods: [1nn, rus, rus]\n", "methods .*twice"),
+        ("datasets: a.dat\n", "'datasets' must be a list"),
+        ("methods: rus\n", "'methods' must be a list"),
     ])
     def test_bad_value_rejected_by_name(self, tmp_path, text, key):
         path = tmp_path / "cfg.yaml"

@@ -22,6 +22,24 @@ KEEL = """\
 6.5, no
 """
 
+EXHAUSTIVE_STDOUT = (
+    'cardinality  2: best GM = 0.6140\n'
+    'cardinality  3: best GM = 0.7892\n'
+    'cardinality  4: best GM = 0.8089\n'
+    'cardinality  5: best GM = 0.8049\n'
+    'cardinality  6: best GM = 0.8070\n'
+    'cardinality  7: best GM = 0.8082\n'
+    'cardinality  8: best GM = 0.8064\n'
+    'cardinality  9: best GM = 0.8036\n'
+    'cardinality 10: best GM = 0.7996\n'
+    'cardinality 11: best GM = 0.7939\n'
+    'cardinality 12: best GM = 0.7881\n'
+    'cardinality 13: best GM = 0.7812\n'
+    'cardinality 14: best GM = 0.7737\n'
+    'cardinality 15: best GM = 0.7461\n'
+    'full set GM = 0.7461; global best GM = 0.8089 at cardinality 4\n'
+)
+
 
 class TestParseCommand:
     def test_valid_file(self, tmp_path, capsys):
@@ -65,6 +83,12 @@ class TestTheoryCommands:
         out = capsys.readouterr().out
         assert "classical Bayes" in out and "balanced Bayes" in out
         assert "random editing" not in out
+
+    def test_exhaustive_prints_pinned_curve(self, capsys):
+        # the full stdout at the defaults, as the one-subset-at-a-time search
+        # printed it
+        assert main(["theory", "exhaustive"]) == 0
+        assert capsys.readouterr().out == EXHAUSTIVE_STDOUT
 
     def test_lemma_check_small(self, capsys):
         assert main(["theory", "lemma-check", "--configs", "5",

@@ -1,10 +1,15 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gmsel import theory
+from gmsel.knn import NeighbourIndex
 from gmsel.theory import (
     DensityModel,
     GaussianMixture2D,
@@ -21,6 +26,7 @@ from gmsel.theory import (
     model_from_config,
     nonmonotone_example,
     removal_analysis,
+    search_nonmonotone_pointset,
     voronoi_neighbors,
 )
 
@@ -241,7 +247,75 @@ class TestRemovalAnalysis:
             removal_analysis([[0.0], [5.0]], [1, 0], 0, gap_model())
 
 
+def exhaustive_by_subset(points, labels, model, sample_count, seed):
+    """Reference search: every combination in lexicographic order, scored by
+    one nearest-point lookup per probe class; a tie keeps the first subset,
+    and across sizes the first size."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    labels = np.asarray(labels)
+    n = points.shape[0]
+    Xp, Xn = theory._class_probes(model, sample_count, seed)
+    index_p = NeighbourIndex(points, queries=Xp)
+    index_n = NeighbourIndex(points, queries=Xn)
+    per_cardinality = {}
+    best_subset, best_gm = None, -1.0
+    for k in range(2, n + 1):
+        k_best, k_gm = None, -1.0
+        for comb in itertools.combinations(range(n), k):
+            cols = np.array(comb)
+            lab = labels[cols]
+            if not (np.any(lab == 1) and np.any(lab == 0)):
+                continue
+            pred_p = labels[index_p.nearest(cols)]
+            pred_n = labels[index_n.nearest(cols)]
+            g = math.sqrt(np.mean(pred_p == 1) * np.mean(pred_n == 0))
+            if g > k_gm:
+                k_gm, k_best = g, cols
+        if k_best is not None:
+            per_cardinality[k] = (k_best, k_gm)
+            if k_gm > best_gm:
+                best_gm, best_subset = k_gm, k_best
+    return per_cardinality, (best_subset, best_gm)
+
+
+@st.composite
+def labelled_sets(draw):
+    """4-10 labelled points: 2D mixture draws, or 1D integer-grid points
+    (where equal GMs are common); either may repeat a point, an exact
+    distance tie for every probe."""
+    n = draw(st.integers(4, 10))
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        model = example_uniform_model()
+        points = np.array(draw(st.lists(st.integers(0, 10), min_size=n, max_size=n)),
+                          dtype=float)[:, None]
+    else:
+        model = example_mixture_model()
+        points = np.random.default_rng(draw(st.integers(0, 2**31))).standard_normal((n, 2))
+    if draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        points[j] = points[i]
+    return points, labels, model
+
+
 class TestExhaustiveSearch:
+    @given(case=labelled_sets(), sample_count=st.sampled_from([50, 400]),
+           seed=st.integers(0, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_one_subset_at_a_time(self, case, sample_count, seed):
+        points, labels, model = case
+        per_card, (best, best_gm) = exhaustive_search(points, labels, model,
+                                                      sample_count, seed)
+        ref_card, (ref_best, ref_gm) = exhaustive_by_subset(points, labels, model,
+                                                            sample_count, seed)
+        assert list(per_card) == list(ref_card)
+        for k, (subset, g) in per_card.items():
+            assert subset.tolist() == ref_card[k][0].tolist()
+            assert g == ref_card[k][1]
+        assert (None if best is None else best.tolist()) == \
+            (None if ref_best is None else ref_best.tolist())
+        assert best_gm == ref_gm
+
     def test_best_at_least_full_set(self):
         pts, labels, model = nonmonotone_example()
         per_card, (best, best_gm) = exhaustive_search(
@@ -279,6 +353,9 @@ class TestNonmonotoneExample:
         assert labels.sum() == 5
         pts2, _, _ = nonmonotone_example()
         assert np.array_equal(pts, pts2)
+
+    def test_pinned_draw_seed_is_what_the_search_returns(self):
+        assert search_nonmonotone_pointset(7)[2] == theory._NONMONOTONE_DRAW_SEED
 
 
 class TestBayesDemo:
