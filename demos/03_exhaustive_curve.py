@@ -9,10 +9,10 @@ Carlo asymptotic GM under common random numbers.  Two things show up:
   pruning of the reference set can get stuck.
 
 Pass --research to re-run the rejection-sampling search that found the
-recorded draw seed (about 2 s; prints the seed so it can be pinned).
+recorded draw seed (about 0.6 s; prints the seed so it can be pinned).
 
-Run:  python3 demos/03_exhaustive_curve.py          (about 1.5 s, most of it
-      spent importing numpy and scipy; the search itself takes about 0.02 s)
+Run:  python3 demos/03_exhaustive_curve.py          (about 0.3 s on 2 cores
+      with OPENBLAS_NUM_THREADS=1; the search itself takes about 0.02 s)
 """
 
 import argparse

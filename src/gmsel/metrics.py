@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "ConfusionCounts",
@@ -111,8 +111,8 @@ def win_counts(gm_matrix) -> np.ndarray:
 def sign_test(a, b) -> SignTestResult:
     """One-sided sign test for "a beats b" over paired values.
 
-    Ties are discarded; p is the binomial tail P(X >= wins | n, 1/2) over the
-    non-tied pairs, and 1.0 when every pair is tied.
+    Ties are discarded; p is the binomial tail P(X >= wins | n, 1/2) over the n
+    non-tied pairs, summed in exact integers and rounded once (1.0 if n = 0).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -120,16 +120,11 @@ def sign_test(a, b) -> SignTestResult:
         raise ValueError("paired value sequences must be equal-length, nonempty")
     wins = int(np.sum(a > b))
     losses = int(np.sum(a < b))
-    ties = int(a.size - wins - losses)
     n = wins + losses
-    p = 1.0 if n == 0 else float(stats.binom.sf(wins - 1, n, 0.5))
-    p = min(1.0, p)
-    return SignTestResult(
-        wins=wins,
-        losses=losses,
-        ties=ties,
-        p_value=p,
-    )
+    term, tail = math.comb(n, wins), 0
+    for k in range(wins, n + 1):  # C(n, k + 1) = C(n, k) (n - k) / (k + 1), exactly
+        tail, term = tail + term, term * (n - k) // (k + 1)
+    return SignTestResult(wins, losses, a.size - n, tail / 2**n)
 
 
 def bonferroni(p: float, m: int) -> float:

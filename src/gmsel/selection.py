@@ -50,7 +50,7 @@ def _check_minimums(params, minimums):
     """ValueError naming the first field of ``params`` not an integer >= its minimum."""
     for name, low in minimums.items():
         value = getattr(params, name)
-        if not isinstance(value, (int, np.integer)) or value < low:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
             raise ValueError(f"{type(params).__name__}.{name} must be an integer "
                              f">= {low}, got {value!r}")
 
@@ -165,6 +165,11 @@ class EusParams:
 
     def __post_init__(self):
         _check_minimums(self, {"population": 1, "generations": 0})
+        lam = self.balance_penalty
+        if (isinstance(lam, bool) or not isinstance(lam, (int, float, np.integer, np.floating))
+                or not 0 <= lam < np.inf):
+            raise ValueError("EusParams.balance_penalty must be a finite real number >= 0, "
+                             f"got {lam!r}")
 
 
 def eus_fitness(X, y, mask, nominal_mask=None, lam=0.2, sample_weight=None,

@@ -184,6 +184,11 @@ class TestConfigYaml:
         ("re_cardinality: 1\n", r"\.re_cardinality "),
         ("re_trials: 0\n", r"\.re_trials "),
         ("repetitions: 2.5\n", r"\.repetitions "),
+        ("jobs: true\n", r"\.jobs "),
+        ("eus: {population: true}\n", r"EusParams\.population "),
+        ("eus: {balance_penalty: abc}\n", r"EusParams\.balance_penalty "),
+        ("eus: {balance_penalty: .nan}\n", r"EusParams\.balance_penalty "),
+        ("eus: {balance_penalty: -0.5}\n", r"EusParams\.balance_penalty "),
         ("eus: {population: 0}\n", r"EusParams\.population "),
         ("eus: {generations: -1}\n", r"EusParams\.generations "),
         ("pso: {swarm: 0}\n", r"PsoParams\.swarm "),

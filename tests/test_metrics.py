@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -130,6 +133,19 @@ class TestSignTest:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             sign_test([1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("ties", [0, 3])
+    def test_p_is_the_exact_tail_rounded_once(self, ties):
+        for n in range(61):
+            for wins in range(n + 1):
+                a = [1.0] * wins + [0.0] * (n - wins) + [0.5] * ties
+                b = [0.0] * wins + [1.0] * (n - wins) + [0.5] * ties
+                if not a:
+                    continue
+                tail = sum(math.comb(n, k) for k in range(wins, n + 1))
+                res = sign_test(a, b)
+                assert (res.wins, res.losses, res.ties) == (wins, n - wins, ties)
+                assert res.p_value == float(Fraction(tail, 2**n)), (wins, n)
 
 
 class TestBonferroni:

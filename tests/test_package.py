@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,3 +15,27 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"gmsel.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_no_third_party_import_beyond_numpy_and_yaml():
+    # gmsel depends on numpy and PyYAML only.  A fresh interpreter shows which
+    # top-level packages the package, the CLI, the theory lab and a report
+    # (its sign test) load beyond those present at start-up.  __mp_main__ is
+    # multiprocessing's alias of __main__.
+    code = """
+import sys
+before = set(sys.modules)
+import gmsel, gmsel.cli, gmsel.theory
+from gmsel.bench import TrialRecord, report
+records = [TrialRecord("d", rep, 0, m, g, g, g, 1, 0)
+           for rep in range(4) for m, g in (("1nn", rep / 4), ("rus", 0.6))]
+report(records)
+loaded = {m.partition(".")[0] for m in set(sys.modules) - before}
+print(sorted(loaded - set(sys.stdlib_module_names) - {"gmsel", "numpy", "yaml", "__mp_main__"}))
+"""
+    src = str(Path(gmsel.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
