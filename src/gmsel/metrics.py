@@ -121,9 +121,7 @@ def sign_test(a, b) -> SignTestResult:
     wins = int(np.sum(a > b))
     losses = int(np.sum(a < b))
     n = wins + losses
-    term, tail = math.comb(n, wins), 0
-    for k in range(wins, n + 1):  # C(n, k + 1) = C(n, k) (n - k) / (k + 1), exactly
-        tail, term = tail + term, term * (n - k) // (k + 1)
+    tail = sum(math.comb(n, k) for k in range(wins, n + 1))
     return SignTestResult(wins, losses, a.size - n, tail / 2**n)
 
 
