@@ -115,9 +115,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods: {unknown}")
         if len(set(self.methods)) < len(self.methods):
             raise ValueError(f"methods names a method twice: {list(self.methods)}")
-        sel._check_minimums(self, {"repetitions": 1, "jobs": 1, "ensemble_size_bag": 1,
-                                   "ensemble_size_boost": 1, "re_cardinality": 2,
-                                   "re_trials": 1})
+        sel._check_minimums(self, {"repetitions": 1, "master_seed": 0, "jobs": 1,
+                                   "ensemble_size_bag": 1, "ensemble_size_boost": 1,
+                                   "re_cardinality": 2, "re_trials": 1})
 
     @staticmethod
     def from_yaml(path) -> "ExperimentConfig":

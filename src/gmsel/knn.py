@@ -9,7 +9,8 @@ Callers that look up nearest retained neighbours many times over one training
 matrix (subset searches, condensing, boosting, ensemble voting) or one probe
 set (the theory lab) build a :class:`NeighbourIndex` once and pass it as
 ``index``; one-shot calls compute only the distance columns of the retained
-instances.  Every ordering of distances happens in this module.
+instances; EUS and PSO score a generation in one ``nearest_batch`` lookup.
+Every ordering of distances happens in this module.
 """
 
 from __future__ import annotations
@@ -128,13 +129,13 @@ class NeighbourIndex:
     The distances from every query row to every row of ``X`` are computed
     once.  On the first lookup over all queries, each query's ``RANK_DEPTH``
     nearest rows of ``X`` are ranked by a stable sort, so equal distances keep
-    index order; :meth:`nearest` is then a rank lookup: the first ranked row
-    that is retained, which is the argmin over the retained columns with ties
-    to the lowest retained index.  Queries with no retained row ranked,
-    lookups for a few given ``rows``, lookups over every row of ``X`` (where
-    no rank can beat one argmin), and every lookup in an index over at most
-    ``RANK_DEPTH`` rows of ``X`` (whose ranks would be whole rows), take that
-    argmin over the stored distances instead.
+    index order; a lookup (:meth:`nearest`, or :meth:`nearest_batch` for many
+    reference sets at once) is then the first ranked row that is retained,
+    which is the argmin over the retained columns with ties to the lowest
+    retained index.  Queries with no retained row ranked, and ``nearest`` for
+    a few given ``rows``, over every row of ``X`` (where no rank can beat one
+    argmin) or in an index over at most ``RANK_DEPTH`` rows of ``X`` (whose
+    ranks would be whole rows), take that argmin over the stored distances.
 
     Without ``queries`` the queries are the rows of ``X`` themselves, and
     ``nearest(..., exclude_self=True)`` gives leave-one-out lookups.  Memory is
@@ -181,16 +182,25 @@ class NeighbourIndex:
         # with every row retained, the first ranked row is the argmin
         if n <= self._depth or np.array_equal(retained, np.arange(n)):
             return self._argmin(None, retained, exclude_self)
-        member = np.zeros(n, dtype=bool)
-        member[retained] = True
+        return self.nearest_batch(np.bincount(retained, minlength=n)[None] > 0,
+                                  exclude_self)[0]
+
+    def nearest_batch(self, member, exclude_self=False) -> np.ndarray:
+        """Row ``p`` is ``nearest(np.flatnonzero(member[p]), exclude_self)``
+        for the ``(P, n)`` boolean matrix ``member``, all by rank lookup: over
+        at most ``RANK_DEPTH`` rows of ``X`` the ranks are whole rows."""
+        if exclude_self and not self._square:
+            raise ValueError("exclude_self needs an index whose queries are X")
+        if not member.any(axis=1).all():
+            raise ValueError("empty reference set")
         ranked = self._ranked(exclude_self)
-        hit = member[ranked]
-        first = np.argmax(hit, axis=1)
-        at = np.arange(ranked.shape[0])
-        nn = ranked[at, first]
-        miss = np.flatnonzero(~hit[at, first])
-        if miss.size:
-            nn[miss] = self._argmin(miss, retained, exclude_self)
+        first = np.take(member, ranked, axis=1).argmax(axis=2)  # first True, or 0
+        # flat takes: ranked[q, first[p, q]], then member[p, nn[p, q]]
+        nn = np.take(ranked, first + np.arange(0, ranked.size, ranked.shape[1]))
+        miss = ~np.take(member, nn + np.arange(0, member.size, member.shape[1])[:, None])
+        for p in np.flatnonzero(miss.any(axis=1)):
+            rows = np.flatnonzero(miss[p])
+            nn[p, rows] = self._argmin(rows, np.flatnonzero(member[p]), exclude_self)
         return nn
 
     def _argmin(self, rows, retained, exclude_self):

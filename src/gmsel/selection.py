@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knn import (NeighbourIndex, ReferenceSet, _stable_top_k, loo_gm, loo_predict,
-                  pairwise_distances)
-from .metrics import balanced_auc, confusion, f_measure
+from .knn import NeighbourIndex, ReferenceSet, _stable_top_k, loo_gm, pairwise_distances
+from .metrics import ConfusionCounts, balanced_auc, f_measure
 from .metrics import gm as gm_of
 
 logger = logging.getLogger(__name__)
@@ -172,16 +171,31 @@ class EusParams:
                              f"got {lam!r}")
 
 
-def eus_fitness(X, y, mask, nominal_mask=None, lam=0.2, sample_weight=None,
-                index=None) -> float:
-    """GM of the LOO 1-NN over positives plus masked negatives, minus the
-    balance penalty lambda * |1 - n_selected/n_pos|.  ``index`` is a
-    :class:`~gmsel.knn.NeighbourIndex` over ``X``, shared across evaluations."""
-    pos_idx = np.flatnonzero(y == 1)
-    neg_idx = np.flatnonzero(y == 0)
-    retained = np.concatenate([pos_idx, neg_idx[mask]])
-    g = loo_gm(X, y, retained, nominal_mask, sample_weight, index=index)
-    return g - lam * abs(1.0 - mask.sum() / pos_idx.size)
+def _loo_predictions(index, y, pos, masks):
+    """The ``(P, n)`` LOO 1-NN labels over the positives ``pos`` plus each
+    row of the ``(P, n_neg)`` majority masks, by one lookup in ``index``."""
+    member = np.repeat(pos[None], len(masks), axis=0)
+    member[:, ~pos] = masks
+    return y[index.nearest_batch(member, exclude_self=True)]
+
+
+def eus_fitness(y, index, lam=0.2, sample_weight=None):
+    """A function giving the EUS fitness of each row of a ``(P, n_neg)``
+    population of majority masks: its LOO 1-NN GM by lookups in ``index``, with
+    ``sample_weight`` sums (each one ``np.sum`` in index order, as in ``loo_gm``)
+    as confusion cells, minus the balance penalty lambda * |1 - n_sel/n_pos|."""
+    pos, n_pos = y == 1, np.count_nonzero(y == 1)
+    w = np.ones(len(y)) if sample_weight is None else np.asarray(sample_weight, float)
+    wp, wn = np.sum(w[pos]), np.sum(w[~pos])
+
+    def fitness(masks):
+        pred = _loo_predictions(index, y, pos, masks)  # no negatives: no TN, GM 0
+        tp = np.array([np.sum(w[m]) for m in pos & (pred == 1)])
+        tn = np.array([np.sum(w[m]) for m in ~pos & (pred == 0)])
+        g = np.sqrt((tp / wp) * (tn / wn)) if wp and wn else np.zeros(len(masks))
+        return g - lam * np.abs(1.0 - masks.sum(axis=1) / n_pos)
+
+    return fitness
 
 
 def _with_both_classes(pos_idx, neg_idx, mask):
@@ -196,44 +210,36 @@ def eus(X, y, seed, params: EusParams | None = None, nominal_mask=None,
 
     Binary tournaments, uniform crossover and bit-flip mutation at rate
     1/n_neg; the best-ever chromosome survives each generation and is
-    returned.  Every fitness evaluation looks neighbours up in ``index``, a
-    :class:`~gmsel.knn.NeighbourIndex` over ``X`` built here unless given.
+    returned.  Each generation is one :func:`eus_fitness` call, whose lookups
+    go to ``index``, a :class:`~gmsel.knn.NeighbourIndex` over ``X``.
     """
     X, y = _check_xy(X, y)
     params = params or EusParams()
     rng = np.random.default_rng(seed)
-    pos_idx = np.flatnonzero(y == 1)
-    neg_idx = np.flatnonzero(y == 0)
-    n_neg = neg_idx.size
+    pos_idx, neg_idx = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
+    n_neg, size = neg_idx.size, params.population
     if index is None:
         index = NeighbourIndex(X, nominal_mask)
+    fitness = eus_fitness(y, index, params.balance_penalty, sample_weight)
 
-    def fitness(mask):
-        return eus_fitness(X, y, mask, nominal_mask, params.balance_penalty,
-                           sample_weight, index)
-
-    pop = rng.random((params.population, n_neg)) < 0.5
-    fits = np.array([fitness(m) for m in pop])
+    pop = rng.random((size, n_neg)) < 0.5
+    fits = fitness(pop)
     best_mask, best_fit = pop[np.argmax(fits)].copy(), float(np.max(fits))
 
     for _ in range(params.generations):
-        children = np.empty_like(pop)
-        for c in range(params.population):
-            contenders = rng.integers(0, params.population, size=2)
-            p1 = pop[contenders[np.argmax(fits[contenders])]]
-            contenders = rng.integers(0, params.population, size=2)
-            p2 = pop[contenders[np.argmax(fits[contenders])]]
-            take = rng.random(n_neg) < 0.5
-            child = np.where(take, p1, p2)
-            child ^= rng.random(n_neg) < 1.0 / n_neg
-            children[c] = child
-        pop = children
+        # per child, in this order: two tournaments, a crossover and a mutation draw
+        draws = [(rng.integers(0, size, size=2), rng.integers(0, size, size=2),
+                  rng.random(n_neg), rng.random(n_neg)) for _ in range(size)]
+        t1, t2, take, flip = (np.array(d) for d in zip(*draws))
+        # a tournament goes to the fitter contender, the first one on a tie
+        p1, p2 = (pop[t[np.arange(size), np.argmax(fits[t], axis=1)]] for t in (t1, t2))
+        pop = np.where(take < 0.5, p1, p2)
+        pop ^= flip < 1.0 / n_neg
         pop[0] = best_mask  # elitism
-        fits = np.array([fitness(m) for m in pop])
+        fits = fitness(pop)
         gen_best = int(np.argmax(fits))
         if fits[gen_best] > best_fit:
-            best_fit = float(fits[gen_best])
-            best_mask = pop[gen_best].copy()
+            best_fit, best_mask = float(fits[gen_best]), pop[gen_best].copy()
 
     return ReferenceSet(_with_both_classes(pos_idx, neg_idx, best_mask),
                         method="eus", seed=seed)
@@ -251,39 +257,41 @@ class PsoParams:
         _check_minimums(self, {"swarm": 1, "iterations": 0})
 
 
-def _pso_fitness(X, y, mask, nominal_mask=None, index=None):
-    """Mean of balanced AUC, F-measure and GM of the LOO 1-NN predictions;
-    ``index`` as in :func:`eus_fitness`."""
-    pos_idx = np.flatnonzero(y == 1)
-    neg_idx = np.flatnonzero(y == 0)
-    retained = np.concatenate([pos_idx, neg_idx[mask]]) if mask.any() else pos_idx
-    if not (np.any(y[retained] == 1) and np.any(y[retained] == 0)):
-        return 0.0
-    pred = loo_predict(X, y, retained, nominal_mask, index=index)
-    c = confusion(y, pred)
-    return (balanced_auc(c) + f_measure(c) + gm_of(c)) / 3.0
+def _pso_fitness(y, index):
+    """The PSO fitness of a swarm, as a function like :func:`eus_fitness`: the mean
+    of balanced AUC, F-measure and GM of the LOO 1-NN, or 0 without negatives."""
+    pos = y == 1
+
+    def fitness(masks):
+        ppos = _loo_predictions(index, y, pos, masks) == 1
+        cells = (np.count_nonzero(c, axis=1).tolist()
+                 for c in (pos & ppos, pos & ~ppos, ~pos & ppos, ~pos & ~ppos))
+        fits = [(balanced_auc(c) + f_measure(c) + gm_of(c)) / 3.0
+                for c in map(ConfusionCounts, *cells)]
+        return np.where(masks.any(axis=1), fits, 0.0)
+
+    return fitness
 
 
 def pso_select(X, y, seed, params: PsoParams | None = None,
                nominal_mask=None) -> ReferenceSet:
     """Binary PSO over the majority mask with sigmoid-velocity bit sampling.
 
-    Fitness is the equal-weight mean of balanced AUC, F-measure and GM; the
-    best-ever particle is returned (the best of the random initial swarm when
-    ``iterations`` is 0).
+    Fitness is the equal-weight mean of balanced AUC, F-measure and GM, one
+    :func:`_pso_fitness` call per iteration; the best-ever particle is
+    returned (the best of the random initial swarm when ``iterations`` is 0).
     """
     X, y = _check_xy(X, y)
     params = params or PsoParams()
     rng = np.random.default_rng(seed)
-    pos_idx = np.flatnonzero(y == 1)
-    neg_idx = np.flatnonzero(y == 0)
+    pos_idx, neg_idx = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
     n_neg = neg_idx.size
-    index = NeighbourIndex(X, nominal_mask)
+    fitness = _pso_fitness(y, NeighbourIndex(X, nominal_mask))
 
     pos_mask = rng.random((params.swarm, n_neg)) < 0.5
     vel = rng.uniform(-1, 1, size=(params.swarm, n_neg))
     x = pos_mask.copy()
-    fits = np.array([_pso_fitness(X, y, m, nominal_mask, index) for m in x])
+    fits = fitness(x)
     pbest, pbest_fit = x.copy(), fits.copy()
     g = int(np.argmax(pbest_fit))
     gbest, gbest_fit = pbest[g].copy(), float(pbest_fit[g])
@@ -298,7 +306,7 @@ def pso_select(X, y, seed, params: PsoParams | None = None,
         )
         np.clip(vel, -4.0, 4.0, out=vel)
         x = rng.random((params.swarm, n_neg)) < 1.0 / (1.0 + np.exp(-vel))
-        fits = np.array([_pso_fitness(X, y, m, nominal_mask, index) for m in x])
+        fits = fitness(x)
         improved = fits > pbest_fit
         pbest[improved] = x[improved]
         pbest_fit[improved] = fits[improved]

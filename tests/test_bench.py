@@ -185,6 +185,9 @@ class TestConfigYaml:
         ("re_trials: 0\n", r"\.re_trials "),
         ("repetitions: 2.5\n", r"\.repetitions "),
         ("jobs: true\n", r"\.jobs "),
+        ("master_seed: abc\n", r"\.master_seed "),
+        ("master_seed: -3.5\n", r"\.master_seed "),
+        ("master_seed: true\n", r"\.master_seed "),
         ("eus: {population: true}\n", r"EusParams\.population "),
         ("eus: {balance_penalty: abc}\n", r"EusParams\.balance_penalty "),
         ("eus: {balance_penalty: .nan}\n", r"EusParams\.balance_penalty "),

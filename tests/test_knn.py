@@ -187,6 +187,21 @@ def _argmin_nearest(X, retained, nominal, exclude_self):
     return retained[np.argmin(D, axis=1)]
 
 
+@st.composite
+def batch_problems(draw):
+    """Integer-grid data (exact ties, duplicate rows) of up to twice the rank
+    depth, and a few nonempty retained sets, some so sparse that a query's
+    ranked rows hold none of them and the lookup has to fall back."""
+    n = draw(st.integers(2, 2 * knn.RANK_DEPTH + 8))
+    d = draw(st.integers(1, 3))
+    X = draw(arrays(np.float64, (n, d), elements=st.integers(0, 3).map(float)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    member = rng.random((draw(st.integers(1, 5)), n)) < density
+    member[np.arange(member.shape[0]), rng.integers(0, n, member.shape[0])] = True
+    return X, member
+
+
 class TestNeighbourIndex:
     @given(problem=grid_problems(), exclude_self=st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -201,6 +216,38 @@ class TestNeighbourIndex:
                                   loo_predict(X, y, retained, nominal))
         rows = np.arange(X.shape[0])[::2]
         assert np.array_equal(index.nearest(retained, exclude_self, rows), want[rows])
+
+    @given(problem=batch_problems(), exclude_self=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_batch_rows_match_nearest(self, problem, exclude_self):
+        X, member = problem
+        index = NeighbourIndex(X)
+        got = index.nearest_batch(member, exclude_self)
+        assert got.shape == member.shape
+        for p, row in enumerate(member):
+            retained = np.flatnonzero(row)
+            assert np.array_equal(got[p], index.nearest(retained, exclude_self))
+            assert np.array_equal(got[p], _argmin_nearest(X, retained, None, exclude_self))
+
+    def test_batch_falls_back_past_the_ranks(self):
+        # only the far end of a line is retained: the queries near the other
+        # end rank RANK_DEPTH closer rows first and take the stored argmin
+        n = 2 * knn.RANK_DEPTH
+        X = np.arange(n, dtype=float)[:, None]
+        member = np.zeros((2, n), dtype=bool)
+        member[0, n - 1] = True
+        member[1, [0, n - 1]] = True
+        with mock.patch.object(NeighbourIndex, "_argmin",
+                               autospec=True, side_effect=NeighbourIndex._argmin) as argmin:
+            got = NeighbourIndex(X).nearest_batch(member, exclude_self=True)
+        assert argmin.called
+        assert got[0].tolist() == [n - 1] * n  # the lone retained row is its own
+        assert got[1].tolist() == [n - 1] + [0] * (n // 2 - 1) + [n - 1] * (n // 2 - 1) + [0]
+
+    def test_batch_rejects_an_empty_reference_set(self):
+        index = NeighbourIndex(np.array([[0.0], [1.0]]))
+        with pytest.raises(ValueError):
+            index.nearest_batch(np.array([[True, False], [False, False]]))
 
     @given(problem=grid_problems())
     @settings(max_examples=100, deadline=None)

@@ -3,11 +3,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from gmsel import knn
-from gmsel.knn import loo_gm
+from gmsel import ensemble, knn, selection
+from gmsel.bench import make_synthetic_dataset
+from gmsel.knn import NeighbourIndex, ReferenceSet, loo_gm, loo_predict
+from gmsel.metrics import balanced_auc, confusion, f_measure, gm
 from gmsel.selection import (
     EusParams,
     PsoParams,
+    _pso_fitness,
     cnn_mod,
     eus,
     eus_fitness,
@@ -160,9 +163,9 @@ class TestEus:
     def test_all_ones_fitness(self):
         X, y = clusters(5, 15, gap=2.0, seed=2)
         lam = 0.2
-        mask = np.ones(15, dtype=bool)
+        masks = np.ones((1, 15), dtype=bool)
         expected = loo_gm(X, y, np.arange(20)) - lam * abs(1 - 15 / 5)
-        assert eus_fitness(X, y, mask, lam=lam) == pytest.approx(expected)
+        assert eus_fitness(y, NeighbourIndex(X), lam=lam)(masks) == pytest.approx([expected])
 
     def test_separable_reaches_perfect_gm(self):
         X, y = clusters(4, 12, gap=50.0, seed=1)
@@ -209,13 +212,10 @@ class TestDegenerateBestMask:
 
 class TestPso:
     def test_fitness_bounded(self):
-        from gmsel.selection import _pso_fitness
-
         X, y = clusters(5, 20, gap=2.0, seed=3)
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            f = _pso_fitness(X, y, rng.random(20) < 0.5)
-            assert 0.0 <= f <= 1.0
+        masks = np.random.default_rng(0).random((10, 20)) < 0.5
+        f = _pso_fitness(y, NeighbourIndex(X))(masks)
+        assert f.shape == (10,) and np.all((0.0 <= f) & (f <= 1.0))
 
     def test_separable_reaches_perfect_gm(self):
         X, y = clusters(4, 12, gap=50.0, seed=1)
@@ -233,6 +233,124 @@ class TestPso:
         p = PsoParams(swarm=10, iterations=5)
         assert np.array_equal(pso_select(X, y, 2, p).retained,
                               pso_select(X, y, 2, p).retained)
+
+
+# ---------------------------------------------------------------------------
+# Per-mask oracle: the searches with one loo_gm / loo_predict call per
+# chromosome, the reference that batched scoring must match bit for bit.
+
+def _oracle_eus_fitness(X, y, mask, lam, sample_weight, index):
+    pos_idx, neg_idx = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
+    retained = np.concatenate([pos_idx, neg_idx[mask]])
+    g = loo_gm(X, y, retained, sample_weight=sample_weight, index=index)
+    return g - lam * abs(1.0 - mask.sum() / pos_idx.size)
+
+
+def _oracle_pso_fitness(X, y, mask, index):
+    pos_idx, neg_idx = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
+    retained = np.concatenate([pos_idx, neg_idx[mask]]) if mask.any() else pos_idx
+    if not (np.any(y[retained] == 1) and np.any(y[retained] == 0)):
+        return 0.0
+    c = confusion(y, loo_predict(X, y, retained, index=index))
+    return (balanced_auc(c) + f_measure(c) + gm(c)) / 3.0
+
+
+def _oracle_eus(X, y, seed, params=None, nominal_mask=None, sample_weight=None,
+                index=None):
+    """The GA with one draw sequence per child and one fitness call per mask."""
+    params = params or EusParams()
+    rng = np.random.default_rng(seed)
+    pos_idx, neg_idx = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
+    n_neg = neg_idx.size
+    if index is None:
+        index = NeighbourIndex(X, nominal_mask)
+
+    def fitness(mask):
+        return _oracle_eus_fitness(X, y, mask, params.balance_penalty, sample_weight,
+                                   index)
+
+    pop = rng.random((params.population, n_neg)) < 0.5
+    fits = np.array([fitness(m) for m in pop])
+    best_mask, best_fit = pop[np.argmax(fits)].copy(), float(np.max(fits))
+    for _ in range(params.generations):
+        children = np.empty_like(pop)
+        for c in range(params.population):
+            contenders = rng.integers(0, params.population, size=2)
+            p1 = pop[contenders[np.argmax(fits[contenders])]]
+            contenders = rng.integers(0, params.population, size=2)
+            p2 = pop[contenders[np.argmax(fits[contenders])]]
+            child = np.where(rng.random(n_neg) < 0.5, p1, p2)
+            child ^= rng.random(n_neg) < 1.0 / n_neg
+            children[c] = child
+        pop = children
+        pop[0] = best_mask
+        fits = np.array([fitness(m) for m in pop])
+        gen_best = int(np.argmax(fits))
+        if fits[gen_best] > best_fit:
+            best_fit, best_mask = float(fits[gen_best]), pop[gen_best].copy()
+    return ReferenceSet(selection._with_both_classes(pos_idx, neg_idx, best_mask),
+                        method="eus", seed=seed)
+
+
+def _oracle_pso_scorer(X, y, index):
+    return lambda masks: np.array([_oracle_pso_fitness(X, y, m, index) for m in masks])
+
+
+class TestRankPathSearches:
+    """On 240 rows, more than RANK_DEPTH, every lookup is a rank lookup, and
+    the sparse masks below leave some queries with no retained row ranked."""
+
+    data = make_synthetic_dataset("rank-path", 24, 9, seed=3)
+    X, y = data.X, data.y
+    n_neg = int(np.sum(y == 0))
+    weights = np.random.default_rng(5).random(len(y))
+
+    def masks(self):
+        rng = np.random.default_rng(11)
+        density = np.repeat([0.0, 0.02, 0.1, 0.5, 1.0], 4)[:, None]
+        return rng.random((density.size, self.n_neg)) < density
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_eus_fitness_bit_equal_to_oracle(self, weighted):
+        w = self.weights if weighted else None
+        index = NeighbourIndex(self.X)
+        masks = self.masks()
+        want = [_oracle_eus_fitness(self.X, self.y, m, 0.2, w, index) for m in masks]
+        got = eus_fitness(self.y, index, sample_weight=w)(masks)
+        assert np.array_equal(got, want)
+
+    def test_pso_fitness_bit_equal_to_oracle(self):
+        masks = self.masks()
+        index = NeighbourIndex(self.X)
+        want = _oracle_pso_scorer(self.X, self.y, index)(masks)
+        assert np.array_equal(_pso_fitness(self.y, index)(masks), want)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_eus_matches_oracle(self, weighted):
+        w = self.weights if weighted else None
+        params = EusParams(population=12, generations=8)
+        for seed in (0, 1):
+            got = eus(self.X, self.y, seed, params, sample_weight=w)
+            want = _oracle_eus(self.X, self.y, seed, params, sample_weight=w)
+            assert np.array_equal(got.retained, want.retained)
+
+    def test_pso_matches_oracle(self):
+        params = PsoParams(swarm=10, iterations=8)
+        for seed in (0, 1):
+            got = pso_select(self.X, self.y, seed, params)
+            with mock.patch.object(selection, "_pso_fitness",
+                                   lambda y, index: _oracle_pso_scorer(self.X, y, index)):
+                want = pso_select(self.X, self.y, seed, params)
+            assert np.array_equal(got.retained, want.retained)
+
+    def test_eusboost_matches_oracle(self):
+        params = EusParams(population=8, generations=5)
+        got = ensemble.eusboost(self.X, self.y, size=3, seed=2, params=params)
+        with mock.patch.object(ensemble, "eus", _oracle_eus):
+            want = ensemble.eusboost(self.X, self.y, size=3, seed=2, params=params)
+        assert np.array_equal(got.weights, want.weights)
+        assert [m.retained.tolist() for m in got.members] == \
+            [m.retained.tolist() for m in want.members]
 
 
 class TestRandomEdit:
