@@ -9,8 +9,8 @@ Callers that look up nearest retained neighbours many times over one training
 matrix (subset searches, condensing, boosting, ensemble voting) or one probe
 set (the theory lab) build a :class:`NeighbourIndex` once and pass it as
 ``index``; one-shot calls compute only the distance columns of the retained
-instances; EUS and PSO score a generation in one ``nearest_batch`` lookup.
-Every ordering of distances happens in this module.
+instances; EUS and PSO look up a whole generation in one ``nearest_batch``
+call.  Every ordering of distances happens in this module.
 """
 
 from __future__ import annotations
@@ -278,18 +278,19 @@ def loo_gm(X, y, retained, nominal_mask=None, sample_weight=None,
     ``sample_weight`` the confusion cells are weight sums instead of counts.
     ``index`` is passed on to :func:`loo_predict`.
     """
+    # count_nonzero, .sum(): no np.any/np.sum dispatch, as EUS calls this per chromosome
     retained = np.asarray(retained, dtype=np.intp)
     yr = y[retained]
-    if not (np.any(yr == 1) and np.any(yr == 0)):
+    if not (np.count_nonzero(yr == 1) and np.count_nonzero(yr == 0)):
         return 0.0
     pred = loo_predict(X, y, retained, nominal_mask, index=index)
     if sample_weight is None:
         sample_weight = np.ones(len(y))
     pos = y == 1
-    tp = np.sum(sample_weight[pos & (pred == 1)])
-    tn = np.sum(sample_weight[~pos & (pred == 0)])
-    wp = np.sum(sample_weight[pos])
-    wn = np.sum(sample_weight[~pos])
+    tp = sample_weight[pos & (pred == 1)].sum()
+    tn = sample_weight[~pos & (pred == 0)].sum()
+    wp = sample_weight[pos].sum()
+    wn = sample_weight[~pos].sum()
     if wp == 0 or wn == 0:
         return 0.0
     return float(np.sqrt((tp / wp) * (tn / wn)))

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knn import NeighbourIndex, ReferenceSet, _stable_top_k, loo_gm, pairwise_distances
-from .metrics import ConfusionCounts, balanced_auc, f_measure
+from .knn import (NeighbourIndex, ReferenceSet, _stable_top_k, loo_gm, loo_predict,
+                  pairwise_distances)
+from .metrics import balanced_auc, confusion, f_measure
 from .metrics import gm as gm_of
 
 logger = logging.getLogger(__name__)
@@ -171,31 +172,34 @@ class EusParams:
                              f"got {lam!r}")
 
 
-def _loo_predictions(index, y, pos, masks):
-    """The ``(P, n)`` LOO 1-NN labels over the positives ``pos`` plus each
-    row of the ``(P, n_neg)`` majority masks, by one lookup in ``index``."""
-    member = np.repeat(pos[None], len(masks), axis=0)
-    member[:, ~pos] = masks
-    return y[index.nearest_batch(member, exclude_self=True)]
+class _Found:
+    """Neighbours already found for one reference set, in a NeighbourIndex's place."""
+
+    def __init__(self, nn):
+        self.nn = nn
+
+    def nearest(self, retained, exclude_self=False):
+        return self.nn
 
 
-def eus_fitness(y, index, lam=0.2, sample_weight=None):
-    """A function giving the EUS fitness of each row of a ``(P, n_neg)``
-    population of majority masks: its LOO 1-NN GM by lookups in ``index``, with
-    ``sample_weight`` sums (each one ``np.sum`` in index order, as in ``loo_gm``)
-    as confusion cells, minus the balance penalty lambda * |1 - n_sel/n_pos|."""
-    pos, n_pos = y == 1, np.count_nonzero(y == 1)
-    w = np.ones(len(y)) if sample_weight is None else np.asarray(sample_weight, float)
-    wp, wn = np.sum(w[pos]), np.sum(w[~pos])
+def _looked_up(y, masks, index):
+    """``(retained, found)`` for each row of the ``(P, n_neg)`` majority masks:
+    the positives plus its negatives, and their LOO nearest retained rows, all
+    found by one :meth:`~gmsel.knn.NeighbourIndex.nearest_batch` call."""
+    member = np.repeat((y == 1)[None], len(masks), axis=0)
+    member[:, y == 0] = masks
+    nn = index.nearest_batch(member, exclude_self=True)
+    return [(m.nonzero()[0], _Found(row)) for m, row in zip(member, nn)]
 
-    def fitness(masks):
-        pred = _loo_predictions(index, y, pos, masks)  # no negatives: no TN, GM 0
-        tp = np.array([np.sum(w[m]) for m in pos & (pred == 1)])
-        tn = np.array([np.sum(w[m]) for m in ~pos & (pred == 0)])
-        g = np.sqrt((tp / wp) * (tn / wn)) if wp and wn else np.zeros(len(masks))
-        return g - lam * np.abs(1.0 - masks.sum(axis=1) / n_pos)
 
-    return fitness
+def eus_fitness(X, y, masks, index, lam=0.2, sample_weight=None) -> np.ndarray:
+    """For each row of the ``(P, n_neg)`` population ``masks``: the LOO 1-NN GM
+    (:func:`~gmsel.knn.loo_gm`) over positives plus masked negatives, minus the
+    balance penalty lambda * |1 - n_selected/n_pos|.  ``index`` is a
+    :class:`~gmsel.knn.NeighbourIndex` over ``X``, shared across generations."""
+    g = [loo_gm(X, y, retained, sample_weight=sample_weight, index=found)
+         for retained, found in _looked_up(y, masks, index)]
+    return np.array(g) - lam * np.abs(1.0 - masks.sum(axis=1) / np.count_nonzero(y == 1))
 
 
 def _with_both_classes(pos_idx, neg_idx, mask):
@@ -220,10 +224,9 @@ def eus(X, y, seed, params: EusParams | None = None, nominal_mask=None,
     n_neg, size = neg_idx.size, params.population
     if index is None:
         index = NeighbourIndex(X, nominal_mask)
-    fitness = eus_fitness(y, index, params.balance_penalty, sample_weight)
 
     pop = rng.random((size, n_neg)) < 0.5
-    fits = fitness(pop)
+    fits = eus_fitness(X, y, pop, index, params.balance_penalty, sample_weight)
     best_mask, best_fit = pop[np.argmax(fits)].copy(), float(np.max(fits))
 
     for _ in range(params.generations):
@@ -236,7 +239,7 @@ def eus(X, y, seed, params: EusParams | None = None, nominal_mask=None,
         pop = np.where(take < 0.5, p1, p2)
         pop ^= flip < 1.0 / n_neg
         pop[0] = best_mask  # elitism
-        fits = fitness(pop)
+        fits = eus_fitness(X, y, pop, index, params.balance_penalty, sample_weight)
         gen_best = int(np.argmax(fits))
         if fits[gen_best] > best_fit:
             best_fit, best_mask = float(fits[gen_best]), pop[gen_best].copy()
@@ -257,20 +260,15 @@ class PsoParams:
         _check_minimums(self, {"swarm": 1, "iterations": 0})
 
 
-def _pso_fitness(y, index):
-    """The PSO fitness of a swarm, as a function like :func:`eus_fitness`: the mean
-    of balanced AUC, F-measure and GM of the LOO 1-NN, or 0 without negatives."""
-    pos = y == 1
-
-    def fitness(masks):
-        ppos = _loo_predictions(index, y, pos, masks) == 1
-        cells = (np.count_nonzero(c, axis=1).tolist()
-                 for c in (pos & ppos, pos & ~ppos, ~pos & ppos, ~pos & ~ppos))
-        fits = [(balanced_auc(c) + f_measure(c) + gm_of(c)) / 3.0
-                for c in map(ConfusionCounts, *cells)]
-        return np.where(masks.any(axis=1), fits, 0.0)
-
-    return fitness
+def _pso_fitness(X, y, masks, index) -> np.ndarray:
+    """Mean of balanced AUC, F-measure and GM of the LOO 1-NN predictions, for
+    each row of ``masks`` as in :func:`eus_fitness`; 0 for a row without negatives."""
+    fits = np.zeros(len(masks))
+    for p, (retained, found) in enumerate(_looked_up(y, masks, index)):
+        if masks[p].any():
+            c = confusion(y, loo_predict(X, y, retained, index=found))
+            fits[p] = (balanced_auc(c) + f_measure(c) + gm_of(c)) / 3.0
+    return fits
 
 
 def pso_select(X, y, seed, params: PsoParams | None = None,
@@ -284,14 +282,15 @@ def pso_select(X, y, seed, params: PsoParams | None = None,
     X, y = _check_xy(X, y)
     params = params or PsoParams()
     rng = np.random.default_rng(seed)
-    pos_idx, neg_idx = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
+    pos_idx = np.flatnonzero(y == 1)
+    neg_idx = np.flatnonzero(y == 0)
     n_neg = neg_idx.size
-    fitness = _pso_fitness(y, NeighbourIndex(X, nominal_mask))
+    index = NeighbourIndex(X, nominal_mask)
 
     pos_mask = rng.random((params.swarm, n_neg)) < 0.5
     vel = rng.uniform(-1, 1, size=(params.swarm, n_neg))
     x = pos_mask.copy()
-    fits = fitness(x)
+    fits = _pso_fitness(X, y, x, index)
     pbest, pbest_fit = x.copy(), fits.copy()
     g = int(np.argmax(pbest_fit))
     gbest, gbest_fit = pbest[g].copy(), float(pbest_fit[g])
@@ -306,7 +305,7 @@ def pso_select(X, y, seed, params: PsoParams | None = None,
         )
         np.clip(vel, -4.0, 4.0, out=vel)
         x = rng.random((params.swarm, n_neg)) < 1.0 / (1.0 + np.exp(-vel))
-        fits = fitness(x)
+        fits = _pso_fitness(X, y, x, index)
         improved = fits > pbest_fit
         pbest[improved] = x[improved]
         pbest_fit[improved] = fits[improved]

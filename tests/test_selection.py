@@ -165,7 +165,7 @@ class TestEus:
         lam = 0.2
         masks = np.ones((1, 15), dtype=bool)
         expected = loo_gm(X, y, np.arange(20)) - lam * abs(1 - 15 / 5)
-        assert eus_fitness(y, NeighbourIndex(X), lam=lam)(masks) == pytest.approx([expected])
+        assert eus_fitness(X, y, masks, NeighbourIndex(X), lam) == pytest.approx([expected])
 
     def test_separable_reaches_perfect_gm(self):
         X, y = clusters(4, 12, gap=50.0, seed=1)
@@ -214,7 +214,7 @@ class TestPso:
     def test_fitness_bounded(self):
         X, y = clusters(5, 20, gap=2.0, seed=3)
         masks = np.random.default_rng(0).random((10, 20)) < 0.5
-        f = _pso_fitness(y, NeighbourIndex(X))(masks)
+        f = _pso_fitness(X, y, masks, NeighbourIndex(X))
         assert f.shape == (10,) and np.all((0.0 <= f) & (f <= 1.0))
 
     def test_separable_reaches_perfect_gm(self):
@@ -316,14 +316,14 @@ class TestRankPathSearches:
         index = NeighbourIndex(self.X)
         masks = self.masks()
         want = [_oracle_eus_fitness(self.X, self.y, m, 0.2, w, index) for m in masks]
-        got = eus_fitness(self.y, index, sample_weight=w)(masks)
+        got = eus_fitness(self.X, self.y, masks, index, sample_weight=w)
         assert np.array_equal(got, want)
 
     def test_pso_fitness_bit_equal_to_oracle(self):
         masks = self.masks()
         index = NeighbourIndex(self.X)
         want = _oracle_pso_scorer(self.X, self.y, index)(masks)
-        assert np.array_equal(_pso_fitness(self.y, index)(masks), want)
+        assert np.array_equal(_pso_fitness(self.X, self.y, masks, index), want)
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_eus_matches_oracle(self, weighted):
@@ -339,7 +339,8 @@ class TestRankPathSearches:
         for seed in (0, 1):
             got = pso_select(self.X, self.y, seed, params)
             with mock.patch.object(selection, "_pso_fitness",
-                                   lambda y, index: _oracle_pso_scorer(self.X, y, index)):
+                                   lambda X, y, masks, index:
+                                   _oracle_pso_scorer(X, y, index)(masks)):
                 want = pso_select(self.X, self.y, seed, params)
             assert np.array_equal(got.retained, want.retained)
 
