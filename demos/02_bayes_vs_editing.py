@@ -7,7 +7,7 @@ gap, and a purely random search over 25-instance 1-NN reference sets —
 scored by leave-one-out GM on the training sample — matches it without ever
 seeing the densities.  Neither Bayes rule is GM-optimal in general.
 
-Run:  python3 demos/02_bayes_vs_editing.py          (about 15 s)
+Run:  python3 demos/02_bayes_vs_editing.py          (about 5 s)
 """
 
 import numpy as np

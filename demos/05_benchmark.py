@@ -6,7 +6,7 @@ win table and pairwise sign-test report.  Every trial seed is derived by
 hashing (master seed, dataset, repetition, fold, method), so the records CSV
 is byte-identical at any parallelism degree.
 
-Run:  python3 demos/05_benchmark.py          (about 30 s)
+Run:  python3 demos/05_benchmark.py          (about 3 s)
 
 For real KEEL .dat or CSV files, use the CLI instead:
     gmsel run --config experiment.yaml --out results/

@@ -10,7 +10,8 @@ matrix (subset searches, condensing, boosting, ensemble voting) or one probe
 set (the theory lab) build a :class:`NeighbourIndex` once and pass it as
 ``index``; one-shot calls compute only the distance columns of the retained
 instances; EUS and PSO look up a whole generation in one ``nearest_batch``
-call.  Every ordering of distances happens in this module.
+call, and random editing scores all its sets in one ``loo_gm_many`` call.
+Every ordering of distances happens in this module.
 """
 
 from __future__ import annotations
@@ -28,11 +29,17 @@ __all__ = [
     "classify_knn",
     "loo_predict",
     "loo_gm",
+    "loo_gm_many",
 ]
 
 # Neighbours ranked per query row by a NeighbourIndex.  Lookups that find no
 # retained instance this deep fall back to an exact argmin.
 RANK_DEPTH = 32
+
+# loo_gm_many's float64 cells per block of distances (2 MB) and per chunk of
+# gathered member rows (512 kB), whatever the data size
+_BLOCK_CELLS = 2**18
+_CHUNK_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -194,6 +201,8 @@ class NeighbourIndex:
         if not member.any(axis=1).all():
             raise ValueError("empty reference set")
         ranked = self._ranked(exclude_self)
+        if not ranked.shape[1]:  # one row of X, which its leave-one-out ranks leave out
+            return np.array([self.nearest(np.flatnonzero(m), exclude_self) for m in member])
         first = np.take(member, ranked, axis=1).argmax(axis=2)  # first True, or 0
         # flat takes: ranked[q, first[p, q]], then member[p, nn[p, q]]
         nn = np.take(ranked, first + np.arange(0, ranked.size, ranked.shape[1]))
@@ -267,6 +276,49 @@ def loo_predict(X, y, retained, nominal_mask=None, index=None) -> np.ndarray:
         return y[index.nearest(retained, exclude_self=True)]
     D = pairwise_distances(X, X[retained], nominal_mask)
     return y[_nearest_retained(D, retained, np.arange(D.shape[0]))]
+
+
+def loo_gm_many(X, y, refsets, nominal_mask=None) -> np.ndarray:
+    """``[loo_gm(X, y, r, nominal_mask) for r in refsets]``, value for value,
+    for the ``(T, M)`` array ``refsets`` of distinct indices.  The distances of
+    each block of rows to all of ``X`` are computed once, own distances inf; a
+    set's nearest positive and negative are minimum reductions over its
+    members' distances.  Where neither is strictly nearer (an exact tie, or
+    NaN), :func:`_nearest_retained` decides, so ties go to the lowest index."""
+    refsets = np.asarray(refsets, dtype=np.intp)
+    n, M, pos = len(y), refsets.shape[1], y == 1
+    is_pos = pos[refsets]
+    n_pos = np.count_nonzero(is_pos, axis=1)
+    # sets by positive count k, positives first: rows first[k]:first[k + 1], columns :k
+    order = np.argsort(n_pos, kind="stable")
+    members = np.take_along_axis(refsets, np.argsort(~is_pos, 1, kind="stable"), 1)[order]
+    first = np.searchsorted(n_pos[order], np.arange(M + 1))
+    if first[1] == first[M]:  # loo_gm gives 0.0 to a one-class set
+        return np.zeros(len(refsets))
+    hits = np.zeros((len(members), 2), dtype=np.intp)  # TP and TN per set
+    block = max(2, _BLOCK_CELLS // n)
+    chunk = max(1, _CHUNK_CELLS // (M * block))
+    # no block of one row, which numpy would multiply by gemv, rounding otherwise
+    bounds = [*range(0, n - 1, block), n]
+    for r0, r1 in zip(bounds, bounds[1:]):
+        DT = np.ascontiguousarray(pairwise_distances(X[r0:r1], X, nominal_mask).T)
+        np.fill_diagonal(DT[r0:r1], np.inf)  # each row's own distance
+        for k in range(1, M):
+            for c0 in range(first[k], first[k + 1], chunk):
+                sets = members[c0:min(c0 + chunk, first[k + 1])]
+                G = DT.take(sets, axis=0)
+                d_pos, d_neg = G[:, :k].min(axis=1), G[:, k:].min(axis=1)
+                pred = d_pos < d_neg
+                undecided = ~(pred | (d_neg < d_pos))
+                for t in np.flatnonzero(undecided.any(axis=1)):
+                    cols, q = np.sort(sets[t]), np.flatnonzero(undecided[t])
+                    pred[t, q] = pos[_nearest_retained(DT[np.ix_(cols, q)].T, cols)]
+                hits[c0:c0 + len(sets), 0] += np.count_nonzero(pred & pos[r0:r1], axis=1)
+                hits[c0:c0 + len(sets), 1] += np.count_nonzero(~(pred | pos[r0:r1]), axis=1)
+        del DT, G  # freed before the next block's distances are computed
+    # a one-class set scores no hit in its missing class, so its GM is 0.0
+    wp = np.count_nonzero(pos)
+    return np.sqrt((hits[:, 0] / wp) * (hits[:, 1] / (n - wp)))[np.argsort(order)]
 
 
 def loo_gm(X, y, retained, nominal_mask=None, sample_weight=None,

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knn import (NeighbourIndex, ReferenceSet, _stable_top_k, loo_gm, loo_predict,
-                  pairwise_distances)
+from .knn import (NeighbourIndex, ReferenceSet, _stable_top_k, loo_gm, loo_gm_many,
+                  loo_predict, pairwise_distances)
 from .metrics import balanced_auc, confusion, f_measure
 from .metrics import gm as gm_of
 
@@ -321,8 +321,9 @@ def random_edit(X, y, M, T, seed, nominal_mask=None) -> ReferenceSet:
     """Best of ``T`` random cardinality-``M`` reference sets by LOO GM.
 
     Every sampled set is forced to contain at least one instance of each class
-    (degenerate draws are resampled from the same stream).  The best-so-far GM
-    is non-decreasing in ``T`` for a fixed seed.
+    (degenerate draws are resampled from the same stream).  All ``T`` sets are
+    drawn, then scored in one :func:`~gmsel.knn.loo_gm_many` call; the first
+    best is kept, so the best GM is non-decreasing in ``T`` for a fixed seed.
     """
     X, y = _check_xy(X, y)
     n = len(y)
@@ -331,14 +332,11 @@ def random_edit(X, y, M, T, seed, nominal_mask=None) -> ReferenceSet:
     if M > n:
         raise ValueError("cardinality M exceeds the training set size")
     rng = np.random.default_rng(seed)
-    best_idx, best_gm = None, -1.0
-    for _ in range(T):
+    cands = np.empty((T, M), dtype=np.intp)
+    for cand in cands:
         while True:
-            cand = rng.choice(n, size=M, replace=False, shuffle=False)
-            yc = y[cand]
-            if np.any(yc == 1) and np.any(yc == 0):
+            cand[:] = rng.choice(n, size=M, replace=False, shuffle=False)
+            if np.any(y[cand] == 1) and np.any(y[cand] == 0):
                 break
-        g = loo_gm(X, y, cand, nominal_mask)
-        if g > best_gm:
-            best_gm, best_idx = g, cand
-    return ReferenceSet(best_idx, method="re", seed=seed)
+    best = np.argmax(loo_gm_many(X, y, cands, nominal_mask))
+    return ReferenceSet(cands[best], method="re", seed=seed)

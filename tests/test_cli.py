@@ -78,6 +78,15 @@ class TestTheoryCommands:
         assert rows[0] == ["b", "tpr", "tnr", "gm"]
         assert len(rows) == 6
 
+    def test_demo_gaussian_random_editing_pinned(self, capsys):
+        # the full stdout at 500 trials, as the one-loo_gm-per-trial loop
+        # printed it
+        assert main(["theory", "demo-gaussian", "--re-trials", "500"]) == 0
+        assert capsys.readouterr().out == (
+            "GM(classical Bayes) = 0.6122\n"
+            "GM(balanced Bayes)  = 0.8127\n"
+            "GM(random editing)  = 0.7609\n")
+
     def test_demo_gaussian_without_editing(self, capsys):
         assert main(["theory", "demo-gaussian", "--no-re"]) == 0
         out = capsys.readouterr().out

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -15,6 +15,7 @@ from gmsel.knn import (
     classify_knn,
     distance,
     loo_gm,
+    loo_gm_many,
     loo_predict,
     pairwise_distances,
 )
@@ -143,6 +144,74 @@ class TestLooGm:
         assert loo_gm(X, y, np.arange(2)) == 0.0
 
 
+@st.composite
+def refset_problems(draw):
+    """Integer-grid data (duplicate rows, exact ties within and across
+    classes) or Gaussian data (where a sum rounded in another order would
+    show), maybe with nominal columns; sets of M distinct rows, some with a
+    lone member of one class or with one class only; and the rows per block
+    and sets per chunk of ``loo_gm_many``, which may leave a last block of one
+    row."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = draw(st.booleans())
+    X = rng.integers(0, 3, (n, d)).astype(float) if grid else rng.standard_normal((n, d))
+    nominal = rng.random(d) < 0.4 if draw(st.booleans()) else None
+    if nominal is not None:
+        X[:, nominal] = rng.integers(0, 3, (n, np.count_nonzero(nominal)))
+    y = (rng.random(n) < draw(st.sampled_from([0.2, 0.5]))).astype(np.int64)
+    y[0], y[1] = 1, 0
+    M = draw(st.integers(2, n))
+    sets = [rng.choice(n, M, replace=False) for _ in range(draw(st.integers(1, 6)))]
+    for lone in (1, 0):
+        one, rest = np.flatnonzero(y == lone), np.flatnonzero(y != lone)
+        if rest.size >= M - 1 and draw(st.booleans()):
+            sets.append(np.r_[rng.choice(one, 1), rng.choice(rest, M - 1, replace=False)])
+    block = draw(st.integers(1, n))
+    return X, y, nominal, np.array(sets), block, draw(st.integers(1, 3))
+
+
+class TestLooGmMany:
+    @given(problem=refset_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_loo_gm_per_set(self, problem):
+        X, y, nominal, refsets, block, chunk = problem
+        n, M = X.shape[0], refsets.shape[1]
+        with mock.patch.object(knn, "_BLOCK_CELLS", block * n), \
+                mock.patch.object(knn, "_CHUNK_CELLS", chunk * M * max(2, block)), \
+                mock.patch.object(knn, "pairwise_distances",
+                                  wraps=knn.pairwise_distances) as distances:
+            got = loo_gm_many(X, y, refsets, nominal)
+        assert got.tolist() == [loo_gm(X, y, r, nominal) for r in refsets]
+        # numpy multiplies a one-row block by gemv, whose sums round otherwise
+        assert all(len(c.args[0]) >= 2 for c in distances.call_args_list)
+
+    @pytest.mark.parametrize("nominal", [None, np.array([False] * 6 + [True] * 2)])
+    def test_last_block_of_one_row(self, nominal):
+        # 886 rows are three blocks of 295 and one row, which the last block
+        # takes on: a one-row block's distances would round otherwise
+        n = 886
+        assert n % (knn._BLOCK_CELLS // n) == 1
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((n, 8))
+        X[:, 6:] = rng.integers(0, 2, (n, 2))
+        y = (rng.random(n) < 0.3).astype(np.int64)
+        refsets = np.array([rng.choice(n, 12, replace=False) for _ in range(20)])
+        with mock.patch.object(knn, "pairwise_distances",
+                               wraps=knn.pairwise_distances) as distances:
+            got = loo_gm_many(X, y, refsets, nominal)
+        assert [len(c.args[0]) for c in distances.call_args_list] == [295, 295, 296]
+        assert got.tolist() == [loo_gm(X, y, r, nominal) for r in refsets]
+
+    def test_one_class_sets_score_zero(self):
+        # {0, 3}: rows 0 and 3 each see only the other class, so TPR = TNR = 1/2
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array([1, 1, 0, 0])
+        assert loo_gm_many(X, y, np.array([[0, 1], [2, 3], [0, 3]])).tolist() == [0.0, 0.0, 0.5]
+        assert loo_gm_many(X, np.zeros(4, dtype=int), np.array([[0, 1]])).tolist() == [0.0]
+
+
 class TestPairwise:
     def test_matches_scalar_distance(self):
         rng = np.random.default_rng(2)
@@ -189,10 +258,11 @@ def _argmin_nearest(X, retained, nominal, exclude_self):
 
 @st.composite
 def batch_problems(draw):
-    """Integer-grid data (exact ties, duplicate rows) of up to twice the rank
-    depth, and a few nonempty retained sets, some so sparse that a query's
-    ranked rows hold none of them and the lookup has to fall back."""
-    n = draw(st.integers(2, 2 * knn.RANK_DEPTH + 8))
+    """Integer-grid data (exact ties, duplicate rows) of one row up to twice
+    the rank depth, and a few nonempty retained sets, some so sparse that a
+    query's ranked rows hold none of them and the lookup has to fall back (as
+    every leave-one-out lookup does in one row)."""
+    n = draw(st.integers(1, 2 * knn.RANK_DEPTH + 8))
     d = draw(st.integers(1, 3))
     X = draw(arrays(np.float64, (n, d), elements=st.integers(0, 3).map(float)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -218,6 +288,7 @@ class TestNeighbourIndex:
         assert np.array_equal(index.nearest(retained, exclude_self, rows), want[rows])
 
     @given(problem=batch_problems(), exclude_self=st.booleans())
+    @example(problem=(np.array([[0.0]]), np.array([[True], [True]])), exclude_self=True)
     @settings(max_examples=300, deadline=None)
     def test_batch_rows_match_nearest(self, problem, exclude_self):
         X, member = problem

@@ -5,6 +5,7 @@ import pytest
 
 from gmsel import ensemble, knn, selection
 from gmsel.bench import make_synthetic_dataset
+from gmsel.data import apply_scaler, fit_scaler, parse_keel
 from gmsel.knn import NeighbourIndex, ReferenceSet, loo_gm, loo_predict
 from gmsel.metrics import balanced_auc, confusion, f_measure, gm
 from gmsel.selection import (
@@ -384,6 +385,66 @@ class TestRandomEdit:
         X, y = clusters()
         with pytest.raises(ValueError):
             random_edit(X, y, M=1, T=5, seed=0)
+
+
+def _oracle_random_edit(X, y, M, T, seed, nominal_mask=None):
+    """The per-trial loop: one loo_gm per drawn set, the first best kept.
+    Also returns every trial's GM."""
+    rng = np.random.default_rng(seed)
+    best_idx, best_gm, gms = None, -1.0, []
+    for _ in range(T):
+        while True:
+            cand = rng.choice(len(y), size=M, replace=False, shuffle=False)
+            if np.any(y[cand] == 1) and np.any(y[cand] == 0):
+                break
+        gms.append(loo_gm(X, y, cand, nominal_mask))
+        if gms[-1] > best_gm:
+            best_gm, best_idx = gms[-1], cand
+    return ReferenceSet(best_idx, method="re", seed=seed), gms
+
+
+def _grid_keel(n_pos=12, n_neg=48, seed=4):
+    """KEEL text with two numeric attributes on a coarse grid (exact distance
+    ties) and one nominal attribute."""
+    rng = np.random.default_rng(seed)
+    X = np.vstack([rng.integers(1, 5, (n_pos, 2)), rng.integers(0, 4, (n_neg, 2))])
+    shape = rng.choice(["round", "square"], n_pos + n_neg)
+    lines = ["@relation grid", "@attribute a real [0, 4]", "@attribute b real [0, 4]",
+             "@attribute shape {round, square}", "@attribute class {positive, negative}",
+             "@data"]
+    lines += [f"{a}, {b}, {s}, {'positive' if i < n_pos else 'negative'}"
+              for i, ((a, b), s) in enumerate(zip(X, shape))]
+    return "\n".join(lines) + "\n"
+
+
+class TestRandomEditMatchesLoop:
+    """One loo_gm_many call over all drawn sets picks what the per-trial loop
+    picked: the same draws, the same GMs, and the first of equal best GMs."""
+
+    def _check(self, X, y, M, T, seed, nominal_mask=None):
+        got = random_edit(X, y, M, T, seed, nominal_mask)
+        want, gms = _oracle_random_edit(X, y, M, T, seed, nominal_mask)
+        assert np.array_equal(got.retained, want.retained)
+        assert (got.method, got.seed) == (want.method, want.seed)
+        return gms
+
+    @pytest.mark.parametrize("M, T, seed", [(2, 50, 0), (6, 80, 3), (15, 40, 7), (25, 30, 11)])
+    def test_gaussian_data(self, M, T, seed):
+        ds = make_synthetic_dataset("re", 10, 6, seed=seed, d=3)
+        self._check(ds.X, ds.y, M, T, seed)
+
+    def test_first_of_equal_best_gms_wins(self):
+        X, y = clusters(5, 20, gap=50.0)
+        gms = self._check(X, y, M=8, T=60, seed=2)
+        assert gms.count(max(gms)) > 1
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_file_with_nominal_attributes(self, seed):
+        ds = parse_keel(_grid_keel())
+        assert ds.nominal_mask.tolist() == [False, False, True]
+        X = apply_scaler(fit_scaler(ds), ds.X)
+        gms = self._check(X, ds.y, M=10, T=50, seed=seed, nominal_mask=ds.nominal_mask)
+        assert len(set(gms)) > 1
 
 
 class TestInvariants:
