@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -94,7 +95,7 @@ class TrialRecord:
 class ExperimentConfig:
     """Declarative description of one benchmark run."""
 
-    datasets: tuple = ()            # paths (str) or Dataset objects
+    datasets: tuple = ()            # KEEL .dat or CSV file paths
     methods: tuple = ("1nn", "rus", "ncl")
     repetitions: int = 5
     master_seed: int = 0
@@ -115,6 +116,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods: {unknown}")
         if len(set(self.methods)) < len(self.methods):
             raise ValueError(f"methods names a method twice: {list(self.methods)}")
+        for path in self.datasets:
+            if not isinstance(path, (str, os.PathLike)):
+                raise ValueError(f"datasets entries must be file paths, got {path!r}")
         sel._check_minimums(self, {"repetitions": 1, "master_seed": 0, "jobs": 1,
                                    "ensemble_size_bag": 1, "ensemble_size_boost": 1,
                                    "re_cardinality": 2, "re_trials": 1})
@@ -224,13 +228,15 @@ def _run_trial(args):
 def run_experiment(cfg: ExperimentConfig, datasets=None) -> list[TrialRecord]:
     """Run the full protocol: per dataset one shared fold plan; for every
     (repetition, fold, method) train on one half and test on the other.
+    ``datasets``, Dataset objects, replaces the files of ``cfg.datasets``.
 
     Returns records sorted by (dataset, rep, fold, method).  When
     ``cfg.out_dir`` is set they are also written to ``records.csv`` there.
     """
     if datasets is None:
-        datasets = [d if isinstance(d, Dataset) else load_dataset(d)
-                    for d in cfg.datasets]
+        datasets = [load_dataset(path) for path in cfg.datasets]
+    if not datasets:
+        raise ValueError("datasets is empty: there is nothing to run")
     tasks = []
     for ds in datasets:
         plan = stratified_two_fold(ds, derive_seed(cfg.master_seed, ds.name, -1, -1,
@@ -293,13 +299,14 @@ def _gm_matrix(records):
     return complete, methods, M
 
 
-def report(records, alpha=0.05):
+def report(records):
     """Win table, pairwise one-sided sign-test matrix and category summary.
 
     Returns a dict with keys ``methods``, ``wins``, ``p_matrix``,
-    ``significant`` (Bonferroni at ``alpha`` over the m*(m-1) ordered pairs of
-    m methods), ``categories`` and ``markdown``.
+    ``categories``, ``n_trials`` and ``markdown``, which stars a p-value below
+    0.05 after Bonferroni over the m*(m-1) ordered pairs of m methods.
     """
+    alpha = 0.05
     keys, methods, M = _gm_matrix(records)
     if M.size == 0:
         raise ValueError("no complete trials to report on")
@@ -308,14 +315,11 @@ def report(records, alpha=0.05):
     wins = win_counts(M)
 
     P = np.ones((n_methods, n_methods))
-    sig = np.zeros((n_methods, n_methods), dtype=bool)
     for i in range(n_methods):
         for j in range(n_methods):
             if i == j:
                 continue
-            res = sign_test(M[:, i], M[:, j])
-            P[i, j] = res.p_value
-            sig[i, j] = bonferroni(res.p_value, n_comparisons) < alpha
+            P[i, j] = sign_test(M[:, i], M[:, j]).p_value
 
     categories = {}
     for prop in ("random", "balance", "explicit-gm", "ensemble"):
@@ -343,7 +347,7 @@ def report(records, alpha=0.05):
             if i == j:
                 cells.append("-")
             else:
-                mark = "*" if sig[i, j] else ""
+                mark = "*" if bonferroni(P[i, j], n_comparisons) < alpha else ""
                 cells.append(f"{P[i, j]:.3f}{mark}")
         md.write(f"| {m} |" + "|".join(cells) + "|\n")
     md.write("\n## Category summary (average wins)\n\n| property | methods | avg wins |\n|---|---|---|\n")
@@ -354,7 +358,6 @@ def report(records, alpha=0.05):
         "methods": methods,
         "wins": wins,
         "p_matrix": P,
-        "significant": sig,
         "categories": categories,
         "markdown": md.getvalue(),
         "n_trials": len(keys),

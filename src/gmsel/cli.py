@@ -8,8 +8,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import bench, theory
 
 
@@ -27,7 +25,7 @@ def _cmd_run(args):
 
 def _cmd_report(args):
     records = bench.read_records(args.records)
-    rep = bench.report(records, alpha=args.alpha)
+    rep = bench.report(records)
     print(rep["markdown"])
     return 0
 
@@ -57,8 +55,7 @@ def _write_curve(path, header, rows):
 def _cmd_theory_boundary1d(args):
     model = theory.model_from_config(args.model) if args.model else \
         theory.example_uniform_model()
-    rows = [[float(b), *theory.gm_boundary_1d(model, float(b))]
-            for b in np.linspace(args.lo, args.hi, args.steps)]
+    rows = theory.sweep_boundary_1d(model, args.steps)
     b_star, gm_star = theory.best_boundary_1d(model)
     print(f"best boundary b* = {b_star}, GM* = {gm_star:.6f}")
     if args.out:
@@ -79,7 +76,7 @@ def _cmd_theory_demo(args):
 def _cmd_theory_exhaustive(args):
     points, labels, model = theory.nonmonotone_example()
     per_card, (best, best_gm) = theory.exhaustive_search(
-        points, labels, model, sample_count=args.samples, seed=args.seed)
+        points, labels, model, seed=args.seed)
     full_gm = per_card[len(labels)][1]
     rows = [[k, per_card[k][1]] for k in sorted(per_card)]
     for k, g in rows:
@@ -119,7 +116,6 @@ def main(argv=None) -> int:
 
     p_rep = sub.add_parser("report", help="summarise a records CSV")
     p_rep.add_argument("--records", required=True)
-    p_rep.add_argument("--alpha", type=float, default=0.05)
     p_rep.set_defaults(func=_cmd_report)
 
     p_parse = sub.add_parser("parse", help="validate a KEEL .dat or CSV file")
@@ -129,10 +125,9 @@ def main(argv=None) -> int:
     p_theory = sub.add_parser("theory", help="numerical verification lab")
     tsub = p_theory.add_subparsers(dest="theory_command", required=True)
 
-    t1 = tsub.add_parser("boundary1d", help="exact 1D split-point analysis")
+    t1 = tsub.add_parser("boundary1d", help="exact 1D split-point analysis, "
+                         "swept over the densities' breakpoint range")
     t1.add_argument("--model", default=None, help="density model YAML")
-    t1.add_argument("--lo", type=float, default=0.0)
-    t1.add_argument("--hi", type=float, default=10.0)
     t1.add_argument("--steps", type=int, default=101)
     t1.add_argument("--out", default=None, help="CSV curve output")
     t1.set_defaults(func=_cmd_theory_boundary1d)
@@ -145,7 +140,6 @@ def main(argv=None) -> int:
     t2.set_defaults(func=_cmd_theory_demo)
 
     t3 = tsub.add_parser("exhaustive", help="per-cardinality best-GM curve")
-    t3.add_argument("--samples", type=int, default=2000)
     t3.add_argument("--seed", type=int, default=0)
     t3.add_argument("--out", default=None, help="CSV curve output")
     t3.set_defaults(func=_cmd_theory_exhaustive)

@@ -140,7 +140,6 @@ class FoldPlan:
     """
 
     repetitions: tuple[tuple[np.ndarray, np.ndarray], ...]
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -195,14 +194,13 @@ def _parse_attribute(body: str, line_no: int) -> Attribute:
 
 
 def parse_keel(text) -> Dataset:
-    """Parse a KEEL ``.dat`` stream or string into a :class:`Dataset`.
+    """Parse the text of a KEEL ``.dat`` file into a :class:`Dataset`.
 
-    Exactly one output attribute with exactly two classes is required.  The
-    smaller class becomes positive (ties broken by the lexicographically
+    Exactly one output attribute with exactly two classes is required, and
+    ``@inputs``, when given, must name every other attribute.  The smaller
+    class becomes positive (ties broken by the lexicographically
     smaller label).  Missing values (``?``) are rejected.
     """
-    if hasattr(text, "read"):
-        text = text.read()
     lines = text.splitlines()
 
     relation = None
@@ -249,14 +247,18 @@ def parse_keel(text) -> Dataset:
         class_attr = by_name[outputs[0]]
     else:
         class_attr = attributes[-1]
+    feature_attrs = tuple(a for a in attributes if a is not class_attr)
     if inputs is not None:
         unknown = [n for n in inputs if n not in by_name]
         if unknown:
             raise KeelParseError(f"unknown input attribute {unknown[0]!r}")
+        differ = set(inputs) ^ {a.name for a in feature_attrs}
+        if differ:
+            raise KeelValidationError("@inputs must list the non-output attributes; "
+                                      f"it differs from them by {sorted(differ)}")
     if class_attr.kind != "nominal" or len(class_attr.categories) != 2:
         raise KeelValidationError("output attribute must be nominal with exactly two classes")
 
-    feature_attrs = tuple(a for a in attributes if a is not class_attr)
     class_col = attributes.index(class_attr)
 
     rows = []
@@ -364,8 +366,6 @@ def parse_csv(text, name="csv") -> Dataset:
     Columns whose values all parse as floats are numeric; the rest nominal
     (categories in order of first appearance).
     """
-    if hasattr(text, "read"):
-        text = text.read()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2:
         raise KeelValidationError("CSV needs a header and at least one row")
@@ -425,7 +425,7 @@ def stratified_two_fold(ds: Dataset, seed: int, repetitions: int = 5) -> FoldPla
         half1 = np.sort(np.concatenate([p1, n1]))
         half2 = np.sort(np.concatenate([p2, n2]))
         reps.append((half1, half2))
-    return FoldPlan(repetitions=tuple(reps), seed=seed)
+    return FoldPlan(repetitions=tuple(reps))
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,6 @@ class EnsembleModel:
 
     members: tuple[ReferenceSet, ...]
     weights: np.ndarray
-    method: str = ""
-    seed: int | None = None
 
     def __post_init__(self):
         if len(self.members) == 0:
@@ -73,31 +71,27 @@ def bag_1nn(X, y, size=100, seed=0) -> EnsembleModel:
                 break
         # 1-NN over a multiset equals 1-NN over the distinct indices
         members.append(ReferenceSet(np.unique(draw), method="bag1nn", seed=s))
-    return EnsembleModel(tuple(members), np.ones(size), method="bag1nn", seed=seed)
+    return EnsembleModel(tuple(members), np.ones(size))
 
 
 def erus(X, y, size=100, seed=0) -> EnsembleModel:
     """Ensemble of independent RUS draws combined by unweighted majority vote."""
     members = tuple(rus(X, y, s) for s in _member_seeds(seed, size))
-    return EnsembleModel(members, np.ones(size), method="erus", seed=seed)
+    return EnsembleModel(members, np.ones(size))
 
 
-def _boost(X, y, size, seed, build_member, nominal_mask=None, method="",
-           index=None):
-    """Shared AdaBoost.M2-style harness.
+def _boost(X, y, size, seed, build_member, index, method):
+    """Shared AdaBoost.M2-style harness for the boosting ``method``.
 
     With two classes and hard votes the pseudo-loss reduces to the weighted
     error on the full training set, which is what is computed here, by rank
-    lookups in ``index`` (a :class:`~gmsel.knn.NeighbourIndex` over ``X``,
-    built here unless given).
+    lookups in ``index`` (a :class:`~gmsel.knn.NeighbourIndex` over ``X``).
     ``build_member(member_seed, weights)`` returns the iteration's reference
     set.  Iterations with weighted error >= 0.5 are retried with a fresh
     member seed (up to 10 times), then the ensemble stops early.
     """
     n = len(y)
     w = np.full(n, 1.0 / n)
-    if index is None:
-        index = NeighbourIndex(X, nominal_mask)
     members, alphas = [], []
     seeds = iter(_member_seeds(seed, size * (_MAX_RETRIES + 1)))
     for _ in range(size):
@@ -119,7 +113,7 @@ def _boost(X, y, size, seed, build_member, nominal_mask=None, method="",
         alphas.append(np.log(1.0 / beta))
     if not members:
         raise ValueError(f"{method}: no usable member could be built")
-    return EnsembleModel(tuple(members), np.array(alphas), method=method, seed=seed)
+    return EnsembleModel(tuple(members), np.array(alphas))
 
 
 def rusboost(X, y, size=10, seed=0, nominal_mask=None) -> EnsembleModel:
@@ -129,7 +123,7 @@ def rusboost(X, y, size=10, seed=0, nominal_mask=None) -> EnsembleModel:
     def build(member_seed, weights):
         return rus(X, y, member_seed, weights=weights)
 
-    return _boost(X, y, size, seed, build, nominal_mask, method="rusboost")
+    return _boost(X, y, size, seed, build, NeighbourIndex(X, nominal_mask), "rusboost")
 
 
 def eusboost(X, y, size=10, seed=0, params: EusParams | None = None,
@@ -147,7 +141,7 @@ def eusboost(X, y, size=10, seed=0, params: EusParams | None = None,
         return eus(X, y, member_seed, params=params, nominal_mask=nominal_mask,
                    sample_weight=weights, index=index)
 
-    return _boost(X, y, size, seed, build, method="eusboost", index=index)
+    return _boost(X, y, size, seed, build, index, "eusboost")
 
 
 def predict_ensemble(model: EnsembleModel, X, y, queries, nominal_mask=None) -> np.ndarray:

@@ -89,12 +89,14 @@ def pairwise_distances(A, B, nominal_mask=None) -> np.ndarray:
 
 
 def distance(a, b, nominal_mask=None) -> float:
-    """Distance between two value vectors."""
+    """Distance between two value vectors, summed from their differences, so
+    close vectors do not cancel to 0 as in :func:`pairwise_distances`."""
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     if a.shape != b.shape:
         raise ValueError("length mismatch")
-    return float(pairwise_distances(a[None, :], b[None, :], nominal_mask)[0, 0])
+    diff = np.where(False if nominal_mask is None else nominal_mask, a != b, a - b)
+    return float(np.sqrt(np.sum(diff * diff)))
 
 
 def _stable_top_k(D, k) -> np.ndarray:
@@ -157,10 +159,6 @@ class NeighbourIndex:
         self._ranks = None
         self._depth = RANK_DEPTH  # fixed when the index is built
 
-    @property
-    def n_queries(self) -> int:
-        return self.distances.shape[0]
-
     def _ranked(self, exclude_self):
         if self._ranks is None:
             n = self.distances.shape[1]
@@ -179,9 +177,7 @@ class NeighbourIndex:
         ``X`` is never its own neighbour."""
         if exclude_self and not self._square:
             raise ValueError("exclude_self needs an index whose queries are X")
-        retained = np.sort(np.asarray(retained, dtype=np.intp))
-        if retained.size == 0:
-            raise ValueError("empty reference set")
+        retained = _retained(retained)
         if rows is not None:
             # ranking every query would cost more than these few argmins
             return self._argmin(np.asarray(rows, dtype=np.intp), retained, exclude_self)
@@ -247,7 +243,7 @@ def classify_1nn(X, y, ref, queries, nominal_mask=None, index=None) -> np.ndarra
     """
     retained = _retained(ref)
     if index is not None:
-        if index.n_queries != len(queries):
+        if index.distances.shape[0] != len(queries):
             raise ValueError("index was built for other queries")
         return y[index.nearest(retained)]
     D = pairwise_distances(queries, X[retained], nominal_mask)
@@ -271,7 +267,7 @@ def loo_predict(X, y, retained, nominal_mask=None, index=None) -> np.ndarray:
     ``index``, a :class:`NeighbourIndex` over ``X``, answers from its ranks;
     without it only the retained columns of the distance matrix are computed.
     """
-    retained = np.sort(np.asarray(retained, dtype=np.intp))
+    retained = _retained(retained)
     if index is not None:
         return y[index.nearest(retained, exclude_self=True)]
     D = pairwise_distances(X, X[retained], nominal_mask)

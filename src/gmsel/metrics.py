@@ -35,10 +35,6 @@ class ConfusionCounts:
         if min(self.a, self.b, self.c, self.d) < 0:
             raise ValueError("confusion counts must be nonnegative")
 
-    @property
-    def total(self) -> int:
-        return self.a + self.b + self.c + self.d
-
 
 @dataclass(frozen=True)
 class SignTestResult:

@@ -36,6 +36,7 @@ __all__ = [
     "example_mixture_model",
     "gm_boundary_1d",
     "best_boundary_1d",
+    "sweep_boundary_1d",
     "asymptotic_gm",
     "voronoi_neighbors",
     "removal_analysis",
@@ -135,14 +136,14 @@ class GaussianMixture2D:
             out += w * np.exp(-0.5 * z.sum(axis=1)) / norm
         return out
 
+    def sample_components(self, counts, rng):
+        """``counts[c]`` draws from component ``c``, stacked in component order."""
+        return np.vstack([mean + rng.standard_normal((c, 2)) * np.sqrt(var)
+                          for (_, mean, var), c in zip(self.components, counts)])
+
     def sample(self, n, rng):
-        weights = np.array([w for w, _, _ in self.components])
-        counts = rng.multinomial(n, weights)
-        parts = []
-        for (w, mean, var), c in zip(self.components, counts):
-            parts.append(mean + rng.standard_normal((c, 2)) * np.sqrt(var))
-        out = np.vstack(parts)
-        return out[rng.permutation(n)]
+        counts = rng.multinomial(n, np.array([w for w, _, _ in self.components]))
+        return self.sample_components(counts, rng)[rng.permutation(n)]
 
 
 @dataclass(frozen=True)
@@ -190,6 +191,16 @@ def example_mixture_model() -> DensityModel:
 # ---------------------------------------------------------------------------
 # Exact 1D boundary analysis
 
+def _breakpoints_1d(model: DensityModel):
+    """Sorted breakpoints of the model's two densities, both piecewise uniform."""
+    for side in (model.positive, model.negative):
+        if not isinstance(side, PiecewiseUniform1D):
+            raise ValueError("1D boundary analysis needs PiecewiseUniform1D "
+                             f"densities, not {type(side).__name__}")
+    return sorted(set(model.positive.breakpoints) | set(model.negative.breakpoints),
+                  key=float)
+
+
 def gm_boundary_1d(model: DensityModel, b):
     """(TPR, TNR, GM) of the classifier "positive iff x < b" by exact
     piecewise integration."""
@@ -206,8 +217,7 @@ def best_boundary_1d(model: DensityModel):
     maximum is attained on a plateau (e.g. a gap between supports) the
     plateau midpoint is returned.  Exact for rational segment data.
     """
-    bps = sorted(set(model.positive.breakpoints) | set(model.negative.breakpoints),
-                 key=float)
+    bps = _breakpoints_1d(model)
     candidates = list(bps)
     for left, right in zip(bps, bps[1:]):
         mid = (left + right) / 2
@@ -230,6 +240,14 @@ def best_boundary_1d(model: DensityModel):
     at_max = [b for b, v in values if float(v) >= best - 1e-12]
     b_star = (min(at_max, key=float) + max(at_max, key=float)) / 2
     return float(b_star), math.sqrt(float(gm2(b_star)))
+
+
+def sweep_boundary_1d(model: DensityModel, steps):
+    """``[b, TPR, TNR, GM]`` at ``steps`` evenly spaced split points from the
+    lowest to the highest breakpoint of the two densities."""
+    bps = _breakpoints_1d(model)
+    return [[float(b), *gm_boundary_1d(model, float(b))]
+            for b in np.linspace(float(bps[0]), float(bps[-1]), steps)]
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +368,6 @@ def lemma_sweep(configs, probe_count, seed) -> int:
 class RemovalAnalysis:
     """Predicted GM effect of removing one prototype from a reference set."""
 
-    removed_index: int
     gain: float   # probability mass flowing to the opposite class's rate
     loss: float   # probability mass lost from the removed point's class rate
     tpr_before: float
@@ -406,7 +423,6 @@ def removal_analysis(points, labels, i, model: DensityModel, sample_count=10_000
     v = p2 * b_after - p * b_before
     margin_se = math.sqrt(np.var(u) / len(u) + np.var(v) / len(v))
     return RemovalAnalysis(
-        removed_index=int(i),
         gain=gain,
         loss=loss,
         tpr_before=float(p),
@@ -432,8 +448,8 @@ def prop1_check(cases, sample_count, seed):
     """Check the single-removal improvement condition on random point sets.
 
     Each case draws 2-5 positives and 3-9 negatives from
-    :func:`example_mixture_model` and a point to remove whose class keeps
-    another member.  A removal whose predicted margin exceeds five standard
+    :func:`example_mixture_model` and a point to remove, so both classes
+    keep a member.  A removal whose predicted margin exceeds five standard
     errors is checked by estimating GM with and without the point on fresh
     probes, and confirmed when GM rises.  Returns ``(confirmed, checked)``
     once ``cases`` removals have been checked.
@@ -447,8 +463,6 @@ def prop1_check(cases, sample_count, seed):
         pts, labels = _labelled_sample(model, n_pos, n_neg,
                                        int(rng.integers(0, 2**31)))
         i = int(rng.integers(0, len(labels)))
-        if np.sum(labels == labels[i]) < 2:
-            continue
         ra = removal_analysis(pts, labels, i, model, sample_count=sample_count,
                               seed=int(rng.integers(0, 2**31)))
         if ra.margin <= 5 * ra.margin_se:
@@ -623,9 +637,7 @@ def cb_bb_demo(test_size=9000, seed=0, re_trials=10_000, include_re=True):
     }
     if include_re:
         # one positive count per mixture component, honoured exactly
-        X_pos = np.vstack([mean + rng.standard_normal((c, 2)) * np.sqrt(var)
-                           for (_, mean, var), c in zip(model.positive.components,
-                                                        (300, 200))])
+        X_pos = model.positive.sample_components((300, 200), rng)
         X_neg = model.negative.sample(4000, rng)
         X_train = np.vstack([X_pos, X_neg])
         y_train = np.array([1] * X_pos.shape[0] + [0] * X_neg.shape[0])

@@ -112,6 +112,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(methods=())
 
+    def test_no_dataset_rejected(self, tmp_path):
+        cfg = ExperimentConfig(methods=("1nn",), out_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="datasets is empty"):
+            run_experiment(cfg)
+        assert not (tmp_path / "records.csv").exists()
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(methods=("1nn", "svm"))
@@ -198,6 +204,7 @@ class TestConfigYaml:
         ("pso: {iterations: -1}\n", r"PsoParams\.iterations "),
         ("methods: [1nn, rus, rus]\n", "methods .*twice"),
         ("datasets: a.dat\n", "'datasets' must be a list"),
+        ("datasets: [5]\n", "datasets entries must be file paths, got 5"),
         ("methods: rus\n", "'methods' must be a list"),
     ])
     def test_bad_value_rejected_by_name(self, tmp_path, text, key):

@@ -1,4 +1,9 @@
 import csv
+import hashlib
+import re
+from pathlib import Path
+
+import pytest
 
 from gmsel.cli import main
 from gmsel.theory import lemma_sweep, prop1_check
@@ -40,6 +45,11 @@ EXHAUSTIVE_STDOUT = (
     'full set GM = 0.7461; global best GM = 0.8089 at cardinality 4\n'
 )
 
+# sha256 of `gmsel theory boundary1d --out` at the defaults (101 split points
+# over [0, 10]), as first computed
+BOUNDARY1D_CSV_SHA256 = (
+    "dc2396afef549f451e63fe13316de3239254c2008abd94e7092b9eae2a38a7bb")
+
 
 class TestParseCommand:
     def test_valid_file(self, tmp_path, capsys):
@@ -78,6 +88,41 @@ class TestTheoryCommands:
         assert rows[0] == ["b", "tpr", "tnr", "gm"]
         assert len(rows) == 6
 
+    def test_boundary1d_curve_pinned(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        assert main(["theory", "boundary1d", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == BOUNDARY1D_CSV_SHA256
+
+    def test_boundary1d_readme_model(self, tmp_path, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block, = [b for b in re.findall(r"```yaml\n(.*?)```", readme, re.S)
+                  if b.startswith("prior_positive:")]
+        path = tmp_path / "model.yaml"
+        path.write_text(block)
+        assert main(["theory", "boundary1d", "--model", str(path)]) == 0
+        assert capsys.readouterr().out == "best boundary b* = 5.0, GM* = 0.629941\n"
+
+    def test_boundary1d_sweeps_the_model_support(self, tmp_path):
+        path = tmp_path / "model.yaml"
+        path.write_text(
+            "prior_positive: 0.5\n"
+            "positive: {type: piecewise_uniform, segments: [[-2, 1, 0.25], [1, 2, 0.25]]}\n"
+            "negative: {type: piecewise_uniform, segments: [[0, 5, 0.2]]}\n")
+        out = tmp_path / "curve.csv"
+        assert main(["theory", "boundary1d", "--model", str(path), "--steps", "8",
+                     "--out", str(out)]) == 0
+        b = [float(row[0]) for row in list(csv.reader(out.open()))[1:]]
+        assert b == [-2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+
+    def test_boundary1d_rejects_gaussian_model(self, tmp_path):
+        path = tmp_path / "model.yaml"
+        path.write_text(
+            "prior_positive: 0.5\n"
+            "positive: {type: piecewise_uniform, segments: [[0, 1, 1.0]]}\n"
+            "negative: {type: gaussian_mixture, components: [[1.0, [0, 0], [1, 1]]]}\n")
+        with pytest.raises(ValueError, match="GaussianMixture2D"):
+            main(["theory", "boundary1d", "--model", str(path)])
+
     def test_demo_gaussian_random_editing_pinned(self, capsys):
         # the full stdout at 500 trials, as the one-loo_gm-per-trial loop
         # printed it
@@ -98,6 +143,16 @@ class TestTheoryCommands:
         # printed it
         assert main(["theory", "exhaustive"]) == 0
         assert capsys.readouterr().out == EXHAUSTIVE_STDOUT
+
+    def test_exhaustive_writes_printed_curve(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        assert main(["theory", "exhaustive", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == EXHAUSTIVE_STDOUT + f"wrote {out}\n"
+        header, *rows = csv.reader(out.open())
+        assert header == ["cardinality", "best_gm"]
+        curve = re.findall(r"cardinality +(\d+): best GM = (\S+)", EXHAUSTIVE_STDOUT)
+        assert [(k, f"{float(g):.4f}") for k, g in rows] == curve
+        assert len(curve) == 14
 
     def test_lemma_check_small(self, capsys):
         assert main(["theory", "lemma-check", "--configs", "5",

@@ -82,6 +82,20 @@ class TestParseKeel:
         with pytest.raises(KeelParseError):
             parse_keel(make_keel(["1.0, 2.0, yes", "2.0, no"]))
 
+    def test_inputs_in_another_order(self):
+        ds = parse_keel(KEEL_SMALL.replace("@inputs height, colour",
+                                           "@inputs colour, height"))
+        assert ds == parse_keel(KEEL_SMALL)
+        assert [a.name for a in ds.schema] == ["height", "colour"]
+
+    @pytest.mark.parametrize("inputs, differ", [
+        ("height", r"\['colour'\]"),
+        ("height, colour, class", r"\['class'\]"),
+    ])
+    def test_inputs_must_be_the_non_output_attributes(self, inputs, differ):
+        with pytest.raises(KeelValidationError, match=differ):
+            parse_keel(KEEL_SMALL.replace("@inputs height, colour", f"@inputs {inputs}"))
+
     def test_round_trip(self):
         ds = parse_keel(KEEL_SMALL)
         assert parse_keel(serialize_keel(ds)) == ds

@@ -12,7 +12,7 @@ from gmsel.ensemble import (
     predict_ensemble,
     rusboost,
 )
-from gmsel.knn import ReferenceSet, classify_1nn
+from gmsel.knn import NeighbourIndex, ReferenceSet, classify_1nn
 from gmsel.selection import EusParams, rus
 
 
@@ -128,7 +128,8 @@ class TestBoostHarness:
         def build(seed, w):
             return ReferenceSet(np.array([0, 2]))
 
-        model = _boost(X, y, size=1, seed=0, build_member=build, method="stub")
+        model = _boost(X, y, size=1, seed=0, build_member=build,
+                       index=NeighbourIndex(X), method="stub")
         assert model.weights[0] == pytest.approx(np.log(3))
 
     def test_weight_update_renormalizes(self):
@@ -140,7 +141,8 @@ class TestBoostHarness:
             seen.append(w.copy())
             return ReferenceSet(np.array([0, 2]))
 
-        _boost(X, y, size=2, seed=0, build_member=build, method="stub")
+        _boost(X, y, size=2, seed=0, build_member=build, index=NeighbourIndex(X),
+               method="stub")
         w = seen[1]
         assert w.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(w >= 0)

@@ -31,7 +31,7 @@ class TestConfusion:
 
     def test_empty(self):
         c = confusion([], [])
-        assert c.total == 0
+        assert (c.a, c.b, c.c, c.d) == (0, 0, 0, 0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
