@@ -109,6 +109,10 @@ class ExperimentConfig:
     re_trials: int = 1000
 
     def __post_init__(self):
+        for name in ("datasets", "methods"):
+            value = getattr(self, name)
+            if isinstance(value, str):  # would iterate as its characters
+                raise ValueError(f"{name} must be a list or tuple, not the string {value!r}")
         if not self.methods:
             raise ValueError("method roster must be nonempty")
         unknown = [m for m in self.methods if m not in METHODS]

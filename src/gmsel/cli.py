@@ -101,6 +101,16 @@ def _cmd_theory_prop1(args):
     return 0
 
 
+def _at_least(low):
+    """argparse type: an integer >= ``low``; argparse names the flag in its error."""
+    def count(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return count
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="gmsel",
                                      description="Instance selection for "
@@ -128,14 +138,14 @@ def main(argv=None) -> int:
     t1 = tsub.add_parser("boundary1d", help="exact 1D split-point analysis, "
                          "swept over the densities' breakpoint range")
     t1.add_argument("--model", default=None, help="density model YAML")
-    t1.add_argument("--steps", type=int, default=101)
+    t1.add_argument("--steps", type=_at_least(1), default=101)
     t1.add_argument("--out", default=None, help="CSV curve output")
     t1.set_defaults(func=_cmd_theory_boundary1d)
 
     t2 = tsub.add_parser("demo-gaussian",
                          help="classical vs balanced Bayes vs random editing")
     t2.add_argument("--seed", type=int, default=0)
-    t2.add_argument("--re-trials", type=int, default=10_000)
+    t2.add_argument("--re-trials", type=_at_least(1), default=10_000)
     t2.add_argument("--no-re", action="store_true")
     t2.set_defaults(func=_cmd_theory_demo)
 
@@ -145,14 +155,15 @@ def main(argv=None) -> int:
     t3.set_defaults(func=_cmd_theory_exhaustive)
 
     t4 = tsub.add_parser("lemma-check", help="cell-inclusion verification")
-    t4.add_argument("--configs", type=int, default=100)
-    t4.add_argument("--probes", type=int, default=10_000)
+    t4.add_argument("--configs", type=_at_least(1), default=100)
+    t4.add_argument("--probes", type=_at_least(1), default=10_000)
     t4.add_argument("--seed", type=int, default=0)
     t4.set_defaults(func=_cmd_theory_lemma)
 
     t5 = tsub.add_parser("prop1", help="removal-improvement verification")
-    t5.add_argument("--cases", type=int, default=200)
-    t5.add_argument("--samples", type=int, default=10_000)
+    t5.add_argument("--cases", type=_at_least(1), default=200)
+    # the floor that asymptotic_gm enforces
+    t5.add_argument("--samples", type=_at_least(1000), default=10_000)
     t5.add_argument("--seed", type=int, default=0)
     t5.set_defaults(func=_cmd_theory_prop1)
 

@@ -147,12 +147,19 @@ def eusboost(X, y, size=10, seed=0, params: EusParams | None = None,
 def predict_ensemble(model: EnsembleModel, X, y, queries, nominal_mask=None) -> np.ndarray:
     """Weighted vote over member 1-NN predictions; ties go to the positive class.
 
-    The query-to-training distances are computed once for all members.
+    The query-to-training distances are computed once, and every member's
+    neighbours are found in one :meth:`~gmsel.knn.NeighbourIndex.nearest_batch`
+    lookup over the members-by-rows membership matrix.  The votes are added
+    member by member, so the float sums keep the members' order.
     """
+    y = np.asarray(y)
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     index = NeighbourIndex(X, nominal_mask, queries=queries)
+    member = np.zeros((model.size, index.distances.shape[1]), dtype=bool)
+    for row, ref in zip(member, model.members):
+        row[ref.retained] = True
+    votes = np.where(y[index.nearest_batch(member)] == 1, 1.0, -1.0)
     score = np.zeros(queries.shape[0])
-    for member, weight in zip(model.members, model.weights):
-        pred = classify_1nn(X, y, member, queries, index=index)
-        score += weight * np.where(pred == 1, 1.0, -1.0)
-    return (score >= 0).astype(np.asarray(y).dtype)
+    for vote, weight in zip(votes, model.weights):
+        score += weight * vote
+    return (score >= 0).astype(y.dtype)

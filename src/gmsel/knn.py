@@ -6,12 +6,12 @@ Nearest-neighbour distance ties are broken toward the lowest retained index;
 k-NN vote ties are broken toward the positive class.
 
 Callers that look up nearest retained neighbours many times over one training
-matrix (subset searches, condensing, boosting, ensemble voting) or one probe
-set (the theory lab) build a :class:`NeighbourIndex` once and pass it as
-``index``; one-shot calls compute only the distance columns of the retained
-instances; EUS and PSO look up a whole generation in one ``nearest_batch``
-call, and random editing scores all its sets in one ``loo_gm_many`` call.
-Every ordering of distances happens in this module.
+matrix (subset searches, condensing, boosting) or one probe set (the theory
+lab) build a :class:`NeighbourIndex` once and pass it as ``index``; one-shot
+calls compute only the distance columns of the retained instances; EUS and
+PSO look up a whole generation, and ensemble voting all its members, in one
+``nearest_batch`` call, and random editing scores all its sets in one
+``loo_gm_many`` call.  Every ordering of distances happens in this module.
 """
 
 from __future__ import annotations

@@ -122,6 +122,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(methods=("1nn", "svm"))
 
+    @pytest.mark.parametrize("field, value", [("datasets", "ab"), ("methods", "rus")])
+    def test_bare_string_rejected_by_name(self, field, value):
+        # iterated, the string would be the paths "a" and "b", or methods r, u, s
+        with pytest.raises(ValueError, match=f"^{field} must be a list or tuple"):
+            ExperimentConfig(**{field: value})
+
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tiny_records, tmp_path):

@@ -172,6 +172,23 @@ class TestTheoryCommands:
         assert (f"{confirmed}/{checked} predicted improvements confirmed"
                 in capsys.readouterr().out)
 
+    @pytest.mark.parametrize("args, flag, floor", [
+        (["boundary1d", "--steps", "-1"], "--steps", 1),
+        (["demo-gaussian", "--re-trials", "0"], "--re-trials", 1),
+        (["lemma-check", "--configs", "0"], "--configs", 1),
+        (["lemma-check", "--probes", "0"], "--probes", 1),
+        (["prop1", "--cases", "0"], "--cases", 1),
+        (["prop1", "--samples", "999"], "--samples", 1000),
+    ])
+    def test_count_below_its_floor_rejected_by_name(self, capsys, args, flag, floor):
+        # a zero count made lemma-check and prop1 report a vacuous success,
+        # and a negative one ended boundary1d in a numpy traceback
+        with pytest.raises(SystemExit) as exit_info:
+            main(["theory", *args])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be at least {floor}, got {args[-1]}" in \
+            capsys.readouterr().err
+
 
 class TestRunAndReport:
     def test_end_to_end(self, tmp_path, capsys):

@@ -12,7 +12,7 @@ from gmsel.ensemble import (
     predict_ensemble,
     rusboost,
 )
-from gmsel.knn import NeighbourIndex, ReferenceSet, classify_1nn
+from gmsel.knn import RANK_DEPTH, NeighbourIndex, ReferenceSet, classify_1nn
 from gmsel.selection import EusParams, rus
 
 
@@ -74,6 +74,24 @@ class TestPredictEnsemble:
                     for m, w in zip(members, weights))
         assert np.array_equal(predict_ensemble(model, X, y, q, mask),
                               (score >= 0).astype(y.dtype))
+
+    @pytest.mark.parametrize("n_queries", [1, 60])
+    def test_two_row_members_over_more_rows_than_ranked(self, n_queries):
+        # 100 members of one positive and one negative each over 200 rows:
+        # most queries rank neither among their RANK_DEPTH nearest rows, so
+        # their lookups miss the ranks and take the argmin over the members
+        X, y = clusters(20, 180, seed=4)
+        assert len(y) > RANK_DEPTH
+        rng = np.random.default_rng(9)
+        members = tuple(ReferenceSet([rng.integers(20), 20 + rng.integers(180)])
+                        for _ in range(100))
+        weights = rng.uniform(0.1, 2.0, len(members))
+        q = rng.normal(0.5, 1.5, (n_queries, 2))
+        score = np.zeros(n_queries)
+        for m, w in zip(members, weights):
+            score += w * np.where(classify_1nn(X, y, m, q) == 1, 1.0, -1.0)
+        got = predict_ensemble(EnsembleModel(members, weights), X, y, q)
+        assert np.array_equal(got, (score >= 0).astype(y.dtype))
 
 
 class TestBagging:

@@ -2,6 +2,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmsel import ensemble, knn, selection
 from gmsel.bench import make_synthetic_dataset
@@ -183,6 +185,64 @@ class TestEus:
         X, y = clusters(5, 20, gap=2.0)
         p = EusParams(population=10, generations=5)
         assert np.array_equal(eus(X, y, 4, p).retained, eus(X, y, 4, p).retained)
+
+
+class _CountingGenerator(np.random.Generator):
+    """A Generator that counts its ``integers`` calls, which only the
+    per-child draws make."""
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.integer_calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.integer_calls += 1
+        return super().integers(*args, **kwargs)
+
+
+def _per_child_draws(rng, size, n_neg):
+    """The GA's draws child by child: the stream order _child_draws reproduces."""
+    draws = [(rng.integers(0, size, size=2), rng.integers(0, size, size=2),
+              rng.random(n_neg), rng.random(n_neg)) for _ in range(size)]
+    return [np.array(d) for d in zip(*draws)]
+
+
+def _assert_same_draws(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+class TestChildDraws:
+    @given(size=st.integers(1, 12), n_neg=st.integers(1, 60),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_raw_block_equals_per_child_draws(self, size, n_neg, seed):
+        fast = _CountingGenerator(np.random.PCG64(seed))
+        loop = np.random.default_rng(seed)
+        fast.random((size, n_neg))  # the initial population, as in eus
+        loop.random((size, n_neg))
+        for _ in range(3):
+            _assert_same_draws(selection._child_draws(fast, size, n_neg),
+                               _per_child_draws(loop, size, n_neg))
+        assert fast.integer_calls == 0  # no generation fell back
+        assert fast.random() == loop.random()
+
+    def test_lemire_rejection_falls_back_to_per_child_draws(self):
+        # the next word's high half h gives (h * 10) mod 2**32 = 2, below the
+        # rejection threshold (2**32 - 10) mod 10 = 6 of a size-10 draw.  The
+        # redraw takes a 41st half, so the next generation starts with a half
+        # cached and falls back too.
+        def rng(generator=np.random.Generator):
+            bit_generator = np.random.PCG64(0)
+            bit_generator.advance(168_499_528)
+            return generator(bit_generator)
+
+        fast, loop = rng(_CountingGenerator), rng()
+        for _ in range(2):
+            _assert_same_draws(selection._child_draws(fast, 10, 7),
+                               _per_child_draws(loop, 10, 7))
+        assert fast.integer_calls == 2 * (2 * 10)
+        assert fast.random() == loop.random()
 
 
 def _all_false_seed(n_neg):
