@@ -23,7 +23,7 @@ from . import ensemble as ens
 from . import selection as sel
 from .data import Dataset, apply_scaler, fit_scaler, parse_csv, parse_keel, \
     stratified_two_fold
-from .knn import ReferenceSet, classify_1nn
+from .knn import NeighbourIndex, ReferenceSet, classify_1nn
 from .metrics import bonferroni, confusion, gm, sign_test, tnr, tpr, win_counts
 
 logger = logging.getLogger(__name__)
@@ -47,33 +47,39 @@ CSV_COLUMNS = ["dataset", "rep", "fold", "method", "gm", "tpr", "tnr",
 # Method table: name -> (properties, trainer).  The properties say whether a
 # method uses random selection, balances the class distribution (fully or
 # partially), explicitly evaluates GM, or is an ensemble.  A trainer maps
-# (X, y, seed, cfg, nominal_mask) to a ReferenceSet or an EnsembleModel.
+# (fold, seed, cfg) to a ReferenceSet or an EnsembleModel, trained on the
+# fold's training half.  A fold runs its methods in this order, which lets it
+# build its training index twice and its test index twice (see _Fold).
 METHODS = {
-    "1nn": (set(), lambda X, y, seed, cfg, nom: ReferenceSet(np.arange(len(y)),
-                                                             method="1nn")),
-    "bag1nn": ({"random", "ensemble"},
-               lambda X, y, seed, cfg, nom: ens.bag_1nn(X, y, cfg.ensemble_size_bag,
-                                                        seed)),
-    "rus": ({"random", "balance"}, lambda X, y, seed, cfg, nom: sel.rus(X, y, seed)),
-    "erus": ({"random", "balance", "ensemble"},
-             lambda X, y, seed, cfg, nom: ens.erus(X, y, cfg.ensemble_size_bag, seed)),
-    "rusboost": ({"random", "balance", "ensemble"},
-                 lambda X, y, seed, cfg, nom: ens.rusboost(X, y, cfg.ensemble_size_boost,
-                                                           seed, nom)),
-    "eusboost": ({"random", "balance", "explicit-gm", "ensemble"},
-                 lambda X, y, seed, cfg, nom: ens.eusboost(X, y, cfg.ensemble_size_boost,
-                                                           seed, cfg.eus_params, nom)),
-    "eus": ({"random", "balance", "explicit-gm"},
-            lambda X, y, seed, cfg, nom: sel.eus(X, y, seed, cfg.eus_params, nom)),
-    "pso": ({"random", "explicit-gm"},
-            lambda X, y, seed, cfg, nom: sel.pso_select(X, y, seed, cfg.pso_params, nom)),
-    "tl": ({"balance"}, lambda X, y, seed, cfg, nom: sel.tomek_links(X, y, nom)),
-    "oss": ({"balance"}, lambda X, y, seed, cfg, nom: sel.oss(X, y, seed, nom)),
-    "tlcnn": ({"balance"}, lambda X, y, seed, cfg, nom: sel.tl_cnn(X, y, seed, nom)),
-    "ncl": ({"balance"}, lambda X, y, seed, cfg, nom: sel.ncl(X, y, nom)),
+    "rus": ({"random", "balance"}, lambda f, seed, cfg: sel.rus(f.X, f.y, seed)),
     "re": ({"random", "explicit-gm"},
-           lambda X, y, seed, cfg, nom: sel.random_edit(X, y, cfg.re_cardinality,
-                                                        cfg.re_trials, seed, nom)),
+           lambda f, seed, cfg: sel.random_edit(f.X, f.y, cfg.re_cardinality,
+                                                cfg.re_trials, seed, f.nominal)),
+    "tl": ({"balance"}, lambda f, seed, cfg: sel.tomek_links(f.X, f.y, f.nominal,
+                                                             index=f.index())),
+    "oss": ({"balance"}, lambda f, seed, cfg: sel.oss(f.X, f.y, seed, f.nominal,
+                                                      index=f.index())),
+    "tlcnn": ({"balance"}, lambda f, seed, cfg: sel.tl_cnn(f.X, f.y, seed, f.nominal,
+                                                           index=f.index())),
+    "ncl": ({"balance"}, lambda f, seed, cfg: sel.ncl(f.X, f.y, f.nominal, index=f.index())),
+    "eus": ({"random", "balance", "explicit-gm"},
+            lambda f, seed, cfg: sel.eus(f.X, f.y, seed, cfg.eus_params, f.nominal,
+                                         index=f.index())),
+    "pso": ({"random", "explicit-gm"},
+            lambda f, seed, cfg: sel.pso_select(f.X, f.y, seed, cfg.pso_params, f.nominal,
+                                                index=f.index())),
+    "rusboost": ({"random", "balance", "ensemble"},
+                 lambda f, seed, cfg: ens.rusboost(f.X, f.y, cfg.ensemble_size_boost, seed,
+                                                   f.nominal, index=f.index())),
+    "1nn": (set(), lambda f, seed, cfg: ReferenceSet(np.arange(len(f.y)), method="1nn")),
+    "bag1nn": ({"random", "ensemble"},
+               lambda f, seed, cfg: ens.bag_1nn(f.X, f.y, cfg.ensemble_size_bag, seed)),
+    "erus": ({"random", "balance", "ensemble"},
+             lambda f, seed, cfg: ens.erus(f.X, f.y, cfg.ensemble_size_bag, seed)),
+    "eusboost": ({"random", "balance", "explicit-gm", "ensemble"},
+                 lambda f, seed, cfg: ens.eusboost(f.X, f.y, cfg.ensemble_size_boost, seed,
+                                                   cfg.eus_params, f.nominal,
+                                                   index=f.index())),
 }
 
 
@@ -200,38 +206,73 @@ def derive_seed(master_seed, dataset_name, rep, fold, method) -> int:
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
-def _run_method(method, X, y, seed, cfg: ExperimentConfig, nominal_mask):
-    """Train one method; returns (predict(queries), retained count)."""
-    model = METHODS[method][1](X, y, seed, cfg, nominal_mask)
-    if isinstance(model, ReferenceSet):
-        return lambda Q: classify_1nn(X, y, model, Q, nominal_mask), len(model)
-    retained = len(set().union(*(set(m.retained.tolist()) for m in model.members)))
-    return (lambda Q: ens.predict_ensemble(model, X, y, Q, nominal_mask)), retained
+class _Fold:
+    """One fold: its training half ``X``, ``y`` and test half ``X_test``,
+    ``y_test``, scaled once, and at most one live neighbour index.
 
+    :meth:`index` builds the index over the training half, or from the test
+    half to it, on first use, and drops the other one first, so a fold holds
+    one matrix of distances at a time (8 MB at 1,000 x 1,000).
+    """
 
-def _run_trial(args):
-    ds, rep, fold, train_idx, test_idx, method, cfg = args
-    seed = derive_seed(cfg.master_seed, ds.name, rep, fold, method)
-    try:
+    def __init__(self, ds, rep, fold, train_idx, test_idx):
         scaler = fit_scaler(ds, train_idx)
-        X_train = apply_scaler(scaler, ds.X[train_idx])
-        X_test = apply_scaler(scaler, ds.X[test_idx])
-        y_train = np.asarray(ds.y[train_idx])
-        nominal = ds.nominal_mask if ds.nominal_mask.any() else None
-        predict, retained = _run_method(method, X_train, y_train, seed, cfg, nominal)
-        pred = predict(X_test)
-        c = confusion(ds.y[test_idx], pred)
+        self.key = (ds.name, rep, fold)
+        self.X = apply_scaler(scaler, ds.X[train_idx])
+        self.y = np.asarray(ds.y[train_idx])
+        self.X_test = apply_scaler(scaler, ds.X[test_idx])
+        self.y_test = ds.y[test_idx]
+        self.nominal = ds.nominal_mask if ds.nominal_mask.any() else None
+        self._index, self._test = None, None
+
+    def index(self, test=False) -> NeighbourIndex:
+        if self._test is not test:
+            self._index = None  # freed before the other one is built
+            self._index = NeighbourIndex(self.X, self.nominal,
+                                         queries=self.X_test if test else None)
+            self._test = test
+        return self._index
+
+
+def _run_method(method, fold: _Fold, seed, cfg: ExperimentConfig):
+    """Train one method on the fold; returns (test-half predictions, retained count)."""
+    model = METHODS[method][1](fold, seed, cfg)
+    if isinstance(model, ReferenceSet):
+        # 1-NN over every training row reads the test index; a selection's own
+        # product over its retained columns may round otherwise, so it keeps it
+        index = fold.index(test=True) if method == "1nn" else None
+        return classify_1nn(fold.X, fold.y, model, fold.X_test, fold.nominal,
+                            index=index), len(model)
+    retained = len(set().union(*(set(m.retained.tolist()) for m in model.members)))
+    return ens.predict_ensemble(model, fold.X, fold.y, fold.X_test, fold.nominal,
+                                index=fold.index(test=True)), retained
+
+
+def _run_trial(fold: _Fold, method, cfg: ExperimentConfig) -> TrialRecord:
+    """One method on one fold; an exception fails this trial alone."""
+    seed = derive_seed(cfg.master_seed, *fold.key, method)
+    try:
+        pred, retained = _run_method(method, fold, seed, cfg)
+        c = confusion(fold.y_test, pred)
         scores, failed = (gm(c), tpr(c), tnr(c), retained), False
     except Exception:
-        logger.exception("trial failed: %s rep=%d fold=%d method=%s",
-                         ds.name, rep, fold, method)
+        logger.exception("trial failed: %s rep=%d fold=%d method=%s", *fold.key, method)
         scores, failed = (0.0, 0.0, 0.0, 0), True
-    return TrialRecord(ds.name, rep, fold, method, *scores, 0, failed)
+    return TrialRecord(*fold.key, method, *scores, 0, failed)
+
+
+def _run_fold(args) -> list[TrialRecord]:
+    """Every trial of one fold, in ``METHODS`` order."""
+    *where, cfg = args
+    fold = _Fold(*where)
+    return [_run_trial(fold, method, cfg) for method in METHODS if method in cfg.methods]
 
 
 def run_experiment(cfg: ExperimentConfig, datasets=None) -> list[TrialRecord]:
     """Run the full protocol: per dataset one shared fold plan; for every
-    (repetition, fold, method) train on one half and test on the other.
+    (repetition, fold) scale the halves once and, for every method, train on
+    one half and test on the other.  One task runs a fold's methods, which
+    share its neighbour index (:class:`_Fold`).
     ``datasets``, Dataset objects, replaces the files of ``cfg.datasets``.
 
     Returns records sorted by (dataset, rep, fold, method).  When
@@ -248,16 +289,16 @@ def run_experiment(cfg: ExperimentConfig, datasets=None) -> list[TrialRecord]:
         for rep, (half1, half2) in enumerate(plan.repetitions):
             for fold, (train_idx, test_idx) in enumerate([(half1, half2),
                                                           (half2, half1)]):
-                for method in cfg.methods:
-                    tasks.append((ds, rep, fold, train_idx, test_idx, method, cfg))
+                tasks.append((ds, rep, fold, train_idx, test_idx, cfg))
 
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(_run_trial, tasks, chunksize=1))
+            folds = list(pool.map(_run_fold, tasks, chunksize=1))
     else:
-        records = [_run_trial(t) for t in tasks]
+        folds = [_run_fold(t) for t in tasks]
 
-    records.sort(key=lambda r: (r.dataset, r.rep, r.fold, r.method))
+    records = sorted((r for fold in folds for r in fold),
+                     key=lambda r: (r.dataset, r.rep, r.fold, r.method))
     if cfg.out_dir:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -2,7 +2,9 @@
 
 Members are reference sets over a common training matrix.  Bagging-type
 ensembles vote with equal weights; boosting members vote with ln(1/beta_t).
-Prediction ties are broken toward the positive class.
+Prediction ties are broken toward the positive class.  A function given
+``index``, a :class:`~gmsel.knn.NeighbourIndex` over ``X`` (from ``queries``
+to ``X`` for :func:`predict_ensemble`), reads it instead of building its own.
 """
 
 from __future__ import annotations
@@ -116,18 +118,20 @@ def _boost(X, y, size, seed, build_member, index, method):
     return EnsembleModel(tuple(members), np.array(alphas))
 
 
-def rusboost(X, y, size=10, seed=0, nominal_mask=None) -> EnsembleModel:
+def rusboost(X, y, size=10, seed=0, nominal_mask=None, index=None) -> EnsembleModel:
     """Boosting of RUS: weighted undersampling of the majority class in each
     iteration, with AdaBoost-style reweighting of the full training set."""
 
     def build(member_seed, weights):
         return rus(X, y, member_seed, weights=weights)
 
-    return _boost(X, y, size, seed, build, NeighbourIndex(X, nominal_mask), "rusboost")
+    if index is None:
+        index = NeighbourIndex(X, nominal_mask)
+    return _boost(X, y, size, seed, build, index, "rusboost")
 
 
 def eusboost(X, y, size=10, seed=0, params: EusParams | None = None,
-             nominal_mask=None) -> EnsembleModel:
+             nominal_mask=None, index=None) -> EnsembleModel:
     """AdaBoost-like ensemble of EUS.
 
     Each iteration runs the evolutionary search with the current boosting
@@ -135,7 +139,8 @@ def eusboost(X, y, size=10, seed=0, params: EusParams | None = None,
     the beta/weight arithmetic is shared with rusboost.  One neighbour index
     serves every member search and the boosting error.
     """
-    index = NeighbourIndex(X, nominal_mask)
+    if index is None:
+        index = NeighbourIndex(X, nominal_mask)
 
     def build(member_seed, weights):
         return eus(X, y, member_seed, params=params, nominal_mask=nominal_mask,
@@ -144,7 +149,8 @@ def eusboost(X, y, size=10, seed=0, params: EusParams | None = None,
     return _boost(X, y, size, seed, build, index, "eusboost")
 
 
-def predict_ensemble(model: EnsembleModel, X, y, queries, nominal_mask=None) -> np.ndarray:
+def predict_ensemble(model: EnsembleModel, X, y, queries, nominal_mask=None,
+                     index=None) -> np.ndarray:
     """Weighted vote over member 1-NN predictions; ties go to the positive class.
 
     The query-to-training distances are computed once, and every member's
@@ -154,7 +160,8 @@ def predict_ensemble(model: EnsembleModel, X, y, queries, nominal_mask=None) -> 
     """
     y = np.asarray(y)
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    index = NeighbourIndex(X, nominal_mask, queries=queries)
+    if index is None:
+        index = NeighbourIndex(X, nominal_mask, queries=queries)
     member = np.zeros((model.size, index.distances.shape[1]), dtype=bool)
     for row, ref in zip(member, model.members):
         row[ref.retained] = True

@@ -7,8 +7,10 @@ k-NN vote ties are broken toward the positive class.
 
 Callers that look up nearest retained neighbours many times over one training
 matrix (subset searches, condensing, boosting) or one probe set (the theory
-lab) build a :class:`NeighbourIndex` once and pass it as ``index``; one-shot
-calls compute only the distance columns of the retained instances; EUS and
+lab) build a :class:`NeighbourIndex` once and pass it as ``index``; the
+benchmark builds one per fold and hands it to every method of the fold that
+reads distances over all of its training rows.  One-shot calls over a subset
+compute only the distance columns of the retained instances; EUS and
 PSO look up a whole generation, and ensemble voting all its members, in one
 ``nearest_batch`` call, and random editing scores all its sets in one
 ``loo_gm_many`` call.  Every ordering of distances happens in this module.
@@ -76,16 +78,14 @@ def pairwise_distances(A, B, nominal_mask=None) -> np.ndarray:
         nominal_mask = np.asarray(nominal_mask, dtype=bool)
     num = ~nominal_mask
     An, Bn = A[:, num], B[:, num]
-    sq = (
-        np.sum(An * An, axis=1)[:, None]
-        + np.sum(Bn * Bn, axis=1)[None, :]
-        - 2.0 * An @ Bn.T
-    )
+    # in place, in the order of ||a||^2 + ||b||^2 - 2ab: two n x m matrices live
+    sq = np.sum(An * An, axis=1)[:, None] + np.sum(Bn * Bn, axis=1)[None, :]
+    sq -= 2.0 * An @ Bn.T
     np.maximum(sq, 0.0, out=sq)
     if nominal_mask.any():
         Ac, Bc = A[:, nominal_mask], B[:, nominal_mask]
         sq += np.sum(Ac[:, None, :] != Bc[None, :, :], axis=2)
-    return np.sqrt(sq)
+    return np.sqrt(sq, out=sq)
 
 
 def distance(a, b, nominal_mask=None) -> float:

@@ -4,7 +4,9 @@ All functions take a scaled data matrix ``X`` and a 0/1 label vector ``y``
 (1 = positive/minority) and return a :class:`~gmsel.knn.ReferenceSet` of
 retained indices.  Every method except random editing retains all minority
 instances by construction; every returned set contains both classes.
-Stochastic methods are pure functions of (inputs, seed).
+Stochastic methods are pure functions of (inputs, seed).  A method given
+``index``, a :class:`~gmsel.knn.NeighbourIndex` over ``X``, reads it instead
+of building its own.
 """
 
 from __future__ import annotations
@@ -79,12 +81,16 @@ def rus(X, y, seed, weights=None) -> ReferenceSet:
     return ReferenceSet(np.concatenate([pos_idx, neg_sample]), method="rus", seed=seed)
 
 
-def tomek_links(X, y, nominal_mask=None, subset=None) -> ReferenceSet:
-    """Remove majority members of Tomek links (mutual cross-class NN pairs)."""
+def tomek_links(X, y, nominal_mask=None, subset=None, index=None) -> ReferenceSet:
+    """Remove majority members of Tomek links (mutual cross-class NN pairs).
+    A ``subset`` gets its own index: a product of another shape may round
+    otherwise than ``index``."""
     X, y = _check_xy(X, y)
     idx = np.arange(len(y)) if subset is None else np.sort(np.asarray(subset))
+    if index is None or subset is not None:
+        index = NeighbourIndex(X[idx], nominal_mask)
     local = np.arange(idx.size)
-    nn = NeighbourIndex(X[idx], nominal_mask).nearest(local, exclude_self=True)
+    nn = index.nearest(local, exclude_self=True)
     mutual = nn[nn[local]] == local
     cross = y[idx] != y[idx[nn]]
     in_link = mutual & cross
@@ -92,7 +98,7 @@ def tomek_links(X, y, nominal_mask=None, subset=None) -> ReferenceSet:
     return ReferenceSet(idx[~drop], method="tl")
 
 
-def cnn_mod(X, y, seed, nominal_mask=None, subset=None) -> ReferenceSet:
+def cnn_mod(X, y, seed, nominal_mask=None, subset=None, index=None) -> ReferenceSet:
     """Imbalance-adapted condensed NN: all positives plus a random majority
     seed instance; remaining majority instances are scanned once in seeded
     shuffle order and added only if misclassified by the current store."""
@@ -105,28 +111,29 @@ def cnn_mod(X, y, seed, nominal_mask=None, subset=None) -> ReferenceSet:
         return ReferenceSet(pos, method="cnn", seed=seed)
     order = rng.permutation(neg)
     store = list(pos) + [order[0]]
-    index = NeighbourIndex(X, nominal_mask)
+    if index is None:
+        index = NeighbourIndex(X, nominal_mask)
     for i in order[1:]:
         if y[index.nearest(store, rows=[i])[0]] != y[i]:
             store.append(i)
     return ReferenceSet(np.array(store), method="cnn", seed=seed)
 
 
-def oss(X, y, seed, nominal_mask=None) -> ReferenceSet:
+def oss(X, y, seed, nominal_mask=None, index=None) -> ReferenceSet:
     """One-sided selection: condensing (cnn_mod) followed by Tomek-link removal."""
-    condensed = cnn_mod(X, y, seed, nominal_mask)
+    condensed = cnn_mod(X, y, seed, nominal_mask, index=index)
     cleaned = tomek_links(X, y, nominal_mask, subset=condensed.retained)
     return ReferenceSet(cleaned.retained, method="oss", seed=seed)
 
 
-def tl_cnn(X, y, seed, nominal_mask=None) -> ReferenceSet:
+def tl_cnn(X, y, seed, nominal_mask=None, index=None) -> ReferenceSet:
     """Tomek-link removal followed by condensing (Batista's ordering)."""
-    cleaned = tomek_links(X, y, nominal_mask)
-    condensed = cnn_mod(X, y, seed, nominal_mask, subset=cleaned.retained)
+    cleaned = tomek_links(X, y, nominal_mask, index=index)
+    condensed = cnn_mod(X, y, seed, nominal_mask, subset=cleaned.retained, index=index)
     return ReferenceSet(condensed.retained, method="tlcnn", seed=seed)
 
 
-def ncl(X, y, nominal_mask=None) -> ReferenceSet:
+def ncl(X, y, nominal_mask=None, index=None) -> ReferenceSet:
     """Neighbourhood cleaning rule.
 
     Majority instances misclassified by their own 3-NN are marked; for every
@@ -138,7 +145,8 @@ def ncl(X, y, nominal_mask=None) -> ReferenceSet:
     if n < 4:
         logger.warning("ncl: fewer than 4 instances; identity selection")
         return ReferenceSet(np.arange(n), method="ncl")
-    D = pairwise_distances(X, X, nominal_mask)
+    # a copy of the index's distances, whose diagonal is written below
+    D = pairwise_distances(X, X, nominal_mask) if index is None else index.distances.copy()
     np.fill_diagonal(D, np.inf)
     nn3 = _stable_top_k(D, 3)
     votes = y[nn3].sum(axis=1)
@@ -302,7 +310,7 @@ def _pso_fitness(X, y, masks, index) -> np.ndarray:
 
 
 def pso_select(X, y, seed, params: PsoParams | None = None,
-               nominal_mask=None) -> ReferenceSet:
+               nominal_mask=None, index=None) -> ReferenceSet:
     """Binary PSO over the majority mask with sigmoid-velocity bit sampling.
 
     Fitness is the equal-weight mean of balanced AUC, F-measure and GM, one
@@ -315,7 +323,8 @@ def pso_select(X, y, seed, params: PsoParams | None = None,
     pos_idx = np.flatnonzero(y == 1)
     neg_idx = np.flatnonzero(y == 0)
     n_neg = neg_idx.size
-    index = NeighbourIndex(X, nominal_mask)
+    if index is None:
+        index = NeighbourIndex(X, nominal_mask)
 
     pos_mask = rng.random((params.swarm, n_neg)) < 0.5
     vel = rng.uniform(-1, 1, size=(params.swarm, n_neg))

@@ -1,15 +1,19 @@
 import hashlib
 import re
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gmsel import ensemble as ens
+from gmsel import selection as sel
 from gmsel.bench import (
     CSV_COLUMNS,
     METHODS,
     ExperimentConfig,
+    TrialRecord,
     derive_seed,
     make_synthetic_dataset,
     read_records,
@@ -17,7 +21,9 @@ from gmsel.bench import (
     run_experiment,
     write_records,
 )
-from gmsel.data import parse_keel
+from gmsel.data import apply_scaler, fit_scaler, parse_keel, stratified_two_fold
+from gmsel.knn import NeighbourIndex, ReferenceSet, classify_1nn
+from gmsel.metrics import confusion, gm, tnr, tpr
 from gmsel.selection import EusParams, PsoParams
 
 
@@ -95,10 +101,10 @@ class TestRunExperiment:
 
         real = bench._run_method
 
-        def flaky(method, X, y, seed, cfg, nominal_mask):
+        def flaky(method, fold, seed, cfg):
             if method == "ncl":
                 raise RuntimeError("boom")
-            return real(method, X, y, seed, cfg, nominal_mask)
+            return real(method, fold, seed, cfg)
 
         monkeypatch.setattr(bench, "_run_method", flaky)
         cfg = ExperimentConfig(methods=("1nn", "ncl"), repetitions=1)
@@ -271,6 +277,97 @@ def test_records_digest_pinned(tmp_path):
     assert len(records) == 3 * 2 * 13 and not any(r.failed for r in records)
     digest = hashlib.sha256((tmp_path / "records.csv").read_bytes()).hexdigest()
     assert digest == PINNED_RECORDS_SHA256
+
+
+# the full roster at small budgets on one file of 140 rows with a nominal
+# attribute: 70-row training halves, over RANK_DEPTH, so lookups take ranks
+FOLD_CFG = ExperimentConfig(methods=tuple(METHODS), repetitions=2,
+                            ensemble_size_bag=5, ensemble_size_boost=3,
+                            eus_params=EusParams(population=6, generations=3),
+                            pso_params=PsoParams(swarm=6, iterations=3),
+                            re_cardinality=6, re_trials=20)
+
+
+def _trial_by_trial(cfg, ds):
+    """Records of ``cfg`` on ``ds``, each trial on its own: every method's
+    public function builds its own neighbour index, and every prediction its
+    own distances.  The oracle for the fold tasks of ``run_experiment``."""
+    trainers = {
+        "1nn": lambda X, y, s, nom: ReferenceSet(np.arange(len(y))),
+        "bag1nn": lambda X, y, s, nom: ens.bag_1nn(X, y, cfg.ensemble_size_bag, s),
+        "rus": lambda X, y, s, nom: sel.rus(X, y, s),
+        "erus": lambda X, y, s, nom: ens.erus(X, y, cfg.ensemble_size_bag, s),
+        "rusboost": lambda X, y, s, nom: ens.rusboost(X, y, cfg.ensemble_size_boost, s, nom),
+        "eusboost": lambda X, y, s, nom: ens.eusboost(X, y, cfg.ensemble_size_boost, s,
+                                                      cfg.eus_params, nom),
+        "eus": lambda X, y, s, nom: sel.eus(X, y, s, cfg.eus_params, nom),
+        "pso": lambda X, y, s, nom: sel.pso_select(X, y, s, cfg.pso_params, nom),
+        "tl": lambda X, y, s, nom: sel.tomek_links(X, y, nom),
+        "oss": lambda X, y, s, nom: sel.oss(X, y, s, nom),
+        "tlcnn": lambda X, y, s, nom: sel.tl_cnn(X, y, s, nom),
+        "ncl": lambda X, y, s, nom: sel.ncl(X, y, nom),
+        "re": lambda X, y, s, nom: sel.random_edit(X, y, cfg.re_cardinality, cfg.re_trials,
+                                                   s, nom),
+    }
+    plan = stratified_two_fold(ds, derive_seed(cfg.master_seed, ds.name, -1, -1, "folds"),
+                               cfg.repetitions)
+    nom = ds.nominal_mask if ds.nominal_mask.any() else None
+    records = []
+    for rep, (half1, half2) in enumerate(plan.repetitions):
+        for fold, (train, test) in enumerate([(half1, half2), (half2, half1)]):
+            for method in cfg.methods:
+                scaler = fit_scaler(ds, train)
+                X, Q = apply_scaler(scaler, ds.X[train]), apply_scaler(scaler, ds.X[test])
+                y = ds.y[train]
+                model = trainers[method](X, y, derive_seed(cfg.master_seed, ds.name, rep,
+                                                           fold, method), nom)
+                if isinstance(model, ReferenceSet):
+                    pred, kept = classify_1nn(X, y, model, Q, nom), len(model)
+                else:
+                    pred = ens.predict_ensemble(model, X, y, Q, nom)
+                    kept = np.unique(np.concatenate([m.retained for m in model.members])).size
+                c = confusion(ds.y[test], pred)
+                records.append(TrialRecord(ds.name, rep, fold, method, gm(c), tpr(c), tnr(c),
+                                           kept, 0))
+    return sorted(records, key=lambda r: (r.dataset, r.rep, r.fold, r.method))
+
+
+def test_fold_tasks_equal_trial_by_trial():
+    ds = parse_keel(_mixed_keel(n_pos=20, n_neg=120, seed=4))
+    records = run_experiment(FOLD_CFG, datasets=[ds])
+    assert len(records) == 2 * 2 * 13 and not any(r.failed for r in records)
+    assert records == _trial_by_trial(FOLD_CFG, ds)
+
+
+def test_fold_holds_at_most_one_index(monkeypatch):
+    import gmsel.bench as bench
+
+    folds = []  # per fold: (kind, indexes alive at its construction) per index built
+
+    class SpyFold(bench._Fold):
+        def __init__(self, *args):
+            folds.append([])
+            super().__init__(*args)
+
+    class SpyIndex(NeighbourIndex):
+        alive = []
+
+        def __init__(self, X, nominal_mask=None, queries=None):
+            SpyIndex.alive = [r for r in SpyIndex.alive if r() is not None]
+            folds[-1].append(("train" if queries is None else "test", len(SpyIndex.alive)))
+            SpyIndex.alive.append(weakref.ref(self))
+            super().__init__(X, nominal_mask, queries)
+
+    monkeypatch.setattr(bench, "_Fold", SpyFold)
+    monkeypatch.setattr(bench, "NeighbourIndex", SpyIndex)
+    ds = parse_keel(_mixed_keel(n_pos=20, n_neg=120, seed=4))
+    records = run_experiment(FOLD_CFG, datasets=[ds])
+    assert not any(r.failed for r in records)
+    assert len(folds) == 4
+    for built in folds:
+        kinds = [kind for kind, _ in built]
+        assert 0 < kinds.count("train") <= 2 and 0 < kinds.count("test") <= 2
+        assert all(alive == 0 for _, alive in built)
 
 
 class TestReport:

@@ -223,6 +223,38 @@ class TestPairwise:
             for j in range(6):
                 assert D[i, j] == pytest.approx(distance(A[i], B[j], mask))
 
+    @given(rows_a=st.integers(1, 40), rows_b=st.integers(1, 40), d=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1), grid=st.booleans(), nominal=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_in_place_kernel_equals_the_expression(self, rows_a, rows_b, d, seed, grid,
+                                                   nominal):
+        rng = np.random.default_rng(seed)
+        draw = (lambda r: rng.integers(0, 3, (r, d)).astype(float)) if grid else \
+            (lambda r: rng.standard_normal((r, d)))
+        A, B = draw(rows_a), draw(rows_b)
+        mask = rng.random(d) < 0.4 if nominal else np.zeros(d, dtype=bool)
+        A[:, mask] = rng.integers(0, 3, (rows_a, np.count_nonzero(mask)))
+        B[:, mask] = rng.integers(0, 3, (rows_b, np.count_nonzero(mask)))
+        want = _expression_distances(A, B, mask)
+        assert pairwise_distances(A, B, mask if nominal else None).tobytes() == want.tobytes()
+
+
+def _expression_distances(A, B, nominal_mask):
+    """``pairwise_distances`` as one expression, its first form: the oracle
+    for the in-place kernel, which must keep its order of operations."""
+    num = ~nominal_mask
+    An, Bn = A[:, num], B[:, num]
+    sq = (
+        np.sum(An * An, axis=1)[:, None]
+        + np.sum(Bn * Bn, axis=1)[None, :]
+        - 2.0 * An @ Bn.T
+    )
+    np.maximum(sq, 0.0, out=sq)
+    if nominal_mask.any():
+        Ac, Bc = A[:, nominal_mask], B[:, nominal_mask]
+        sq += np.sum(Ac[:, None, :] != Bc[None, :, :], axis=2)
+    return np.sqrt(sq)
+
 
 @st.composite
 def grid_problems(draw):
