@@ -48,8 +48,9 @@ CSV_COLUMNS = ["dataset", "rep", "fold", "method", "gm", "tpr", "tnr",
 # method uses random selection, balances the class distribution (fully or
 # partially), explicitly evaluates GM, or is an ensemble.  A trainer maps
 # (fold, seed, cfg) to a ReferenceSet or an EnsembleModel, trained on the
-# fold's training half.  A fold runs its methods in this order, which lets it
-# build its training index twice and its test index twice (see _Fold).
+# fold's training half.  A fold runs its methods in this order, and builds
+# each of its two neighbour indexes once, for the first method that reads it
+# (see _Fold).
 METHODS = {
     "rus": ({"random", "balance"}, lambda f, seed, cfg: sel.rus(f.X, f.y, seed)),
     "re": ({"random", "explicit-gm"},
@@ -208,11 +209,12 @@ def derive_seed(master_seed, dataset_name, rep, fold, method) -> int:
 
 class _Fold:
     """One fold: its training half ``X``, ``y`` and test half ``X_test``,
-    ``y_test``, scaled once, and at most one live neighbour index.
+    ``y_test``, scaled once, and its neighbour indexes.
 
     :meth:`index` builds the index over the training half, or from the test
-    half to it, on first use, and drops the other one first, so a fold holds
-    one matrix of distances at a time (8 MB at 1,000 x 1,000).
+    half to it, on first use and keeps it for the fold's other methods, so a
+    fold builds each at most once and holds at most two matrices of
+    distances (8 MB each at 1,000 x 1,000).
     """
 
     def __init__(self, ds, rep, fold, train_idx, test_idx):
@@ -223,15 +225,13 @@ class _Fold:
         self.X_test = apply_scaler(scaler, ds.X[test_idx])
         self.y_test = ds.y[test_idx]
         self.nominal = ds.nominal_mask if ds.nominal_mask.any() else None
-        self._index, self._test = None, None
+        self._indexes = {}
 
     def index(self, test=False) -> NeighbourIndex:
-        if self._test is not test:
-            self._index = None  # freed before the other one is built
-            self._index = NeighbourIndex(self.X, self.nominal,
-                                         queries=self.X_test if test else None)
-            self._test = test
-        return self._index
+        if test not in self._indexes:
+            self._indexes[test] = NeighbourIndex(self.X, self.nominal,
+                                                 queries=self.X_test if test else None)
+        return self._indexes[test]
 
 
 def _run_method(method, fold: _Fold, seed, cfg: ExperimentConfig):

@@ -1,6 +1,5 @@
 import hashlib
 import re
-import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -339,10 +338,10 @@ def test_fold_tasks_equal_trial_by_trial():
     assert records == _trial_by_trial(FOLD_CFG, ds)
 
 
-def test_fold_holds_at_most_one_index(monkeypatch):
+def test_fold_builds_each_index_once(monkeypatch):
     import gmsel.bench as bench
 
-    folds = []  # per fold: (kind, indexes alive at its construction) per index built
+    folds = []  # per fold: the kind of each index built, in order
 
     class SpyFold(bench._Fold):
         def __init__(self, *args):
@@ -350,12 +349,8 @@ def test_fold_holds_at_most_one_index(monkeypatch):
             super().__init__(*args)
 
     class SpyIndex(NeighbourIndex):
-        alive = []
-
         def __init__(self, X, nominal_mask=None, queries=None):
-            SpyIndex.alive = [r for r in SpyIndex.alive if r() is not None]
-            folds[-1].append(("train" if queries is None else "test", len(SpyIndex.alive)))
-            SpyIndex.alive.append(weakref.ref(self))
+            folds[-1].append("train" if queries is None else "test")
             super().__init__(X, nominal_mask, queries)
 
     monkeypatch.setattr(bench, "_Fold", SpyFold)
@@ -365,9 +360,7 @@ def test_fold_holds_at_most_one_index(monkeypatch):
     assert not any(r.failed for r in records)
     assert len(folds) == 4
     for built in folds:
-        kinds = [kind for kind, _ in built]
-        assert 0 < kinds.count("train") <= 2 and 0 < kinds.count("test") <= 2
-        assert all(alive == 0 for _, alive in built)
+        assert built.count("train") == 1 and built.count("test") <= 1
 
 
 class TestReport:
