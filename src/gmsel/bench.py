@@ -48,9 +48,8 @@ CSV_COLUMNS = ["dataset", "rep", "fold", "method", "gm", "tpr", "tnr",
 # method uses random selection, balances the class distribution (fully or
 # partially), explicitly evaluates GM, or is an ensemble.  A trainer maps
 # (fold, seed, cfg) to a ReferenceSet or an EnsembleModel, trained on the
-# fold's training half.  A fold runs its methods in this order, and builds
-# each of its two neighbour indexes once, for the first method that reads it
-# (see _Fold).
+# fold's training half.  A fold runs its methods in this order and builds each
+# of its two neighbour indexes once, for the first method that reads it (_Fold).
 METHODS = {
     "rus": ({"random", "balance"}, lambda f, seed, cfg: sel.rus(f.X, f.y, seed)),
     "re": ({"random", "explicit-gm"},
@@ -212,9 +211,8 @@ class _Fold:
     ``y_test``, scaled once, and its neighbour indexes.
 
     :meth:`index` builds the index over the training half, or from the test
-    half to it, on first use and keeps it for the fold's other methods, so a
-    fold builds each at most once and holds at most two matrices of
-    distances (8 MB each at 1,000 x 1,000).
+    half to it, on first use, and keeps it for the fold's other methods: a
+    fold holds at most two matrices of distances (8 MB each at 1,000 x 1,000).
     """
 
     def __init__(self, ds, rep, fold, train_idx, test_idx):

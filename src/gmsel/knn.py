@@ -10,11 +10,10 @@ matrix (subset searches, condensing, boosting) or one probe set (the theory
 lab) build a :class:`NeighbourIndex` once and pass it as ``index``; the
 benchmark builds one per fold and hands it to every method of the fold that
 reads distances over all of its training rows.  One-shot calls over a subset
-(``classify_1nn``, ``loo_predict``, ``loo_gm``) compute only the distance
-columns of the retained instances.  EUS and PSO look up a whole generation,
-and ensemble voting all its members, in one ``nearest_batch`` call, NCL reads
-an index's ``ranks``, and random editing scores all its sets in one
-``loo_gm_many`` call.  Every ordering of distances happens in this module.
+compute only the distance columns of the retained instances; EUS and
+PSO look up a whole generation, and ensemble voting all its members, in one
+``nearest_batch`` call, NCL reads ``ranks``, and random editing scores all its
+sets in one ``loo_gm_many`` call.  Every ordering of distances happens here.
 """
 
 from __future__ import annotations
@@ -137,16 +136,15 @@ class NeighbourIndex:
     """Nearest-retained-neighbour lookups over one training matrix ``X``.
 
     The distances from every query row to every row of ``X`` are computed
-    once.  On the first lookup over all queries (or :meth:`ranks` call), each
-    query's ``RANK_DEPTH`` nearest rows of ``X`` are ranked by a stable sort,
-    so equal distances keep index order; a lookup (:meth:`nearest`, or
-    :meth:`nearest_batch` for many reference sets at once) is then the first
-    ranked row that is retained, which is the argmin over the retained
-    columns with ties to the lowest retained index.  Queries with no
-    retained row ranked, and ``nearest`` for a few given ``rows``, over
-    every row of ``X`` (where no rank can beat one argmin) or in an index
-    over at most ``RANK_DEPTH`` rows of ``X`` (whose ranks would be whole
-    rows), take that argmin over the stored distances.
+    once.  On the first lookup over all queries, each query's ``RANK_DEPTH``
+    nearest rows of ``X`` are ranked by a stable sort, so equal distances keep
+    index order; a lookup (:meth:`nearest`, or :meth:`nearest_batch` for many
+    reference sets at once) is then the first ranked row that is retained,
+    which is the argmin over the retained columns with ties to the lowest
+    retained index.  Queries with no retained row ranked, and ``nearest`` for
+    a few given ``rows``, over every row of ``X`` (where no rank can beat one
+    argmin) or in an index over at most ``RANK_DEPTH`` rows of ``X`` (whose
+    ranks would be whole rows), take that argmin over the stored distances.
 
     Without ``queries`` the queries are the rows of ``X`` themselves, and
     ``nearest(..., exclude_self=True)`` gives leave-one-out lookups.  Memory is
@@ -162,10 +160,8 @@ class NeighbourIndex:
         self._depth = RANK_DEPTH  # fixed when the index is built
 
     def ranks(self, exclude_self=False) -> np.ndarray:
-        """Each query's ``RANK_DEPTH`` nearest rows of ``X`` (over at most
-        ``RANK_DEPTH`` rows, all of them), nearest first and equal distances in
-        index order, ranked on first use.  With ``exclude_self`` a row of ``X``
-        is left out of its own ranks."""
+        """Each query's ``RANK_DEPTH`` nearest rows of ``X``, nearest first and
+        equal distances in index order; ``exclude_self`` leaves a row's own out."""
         if exclude_self and not self._square:
             raise ValueError("exclude_self needs an index whose queries are X")
         if self._ranks is None:
@@ -267,10 +263,15 @@ def classify_knn(X, y, ref, queries, k, nominal_mask=None) -> np.ndarray:
     return (2 * votes >= k).astype(y.dtype)
 
 
-def loo_predict(X, y, retained, nominal_mask=None) -> np.ndarray:
-    """1-NN prediction for every row of ``X`` over ``retained`` minus itself,
-    from only the retained columns of the distance matrix."""
+def loo_predict(X, y, retained, nominal_mask=None, index=None) -> np.ndarray:
+    """1-NN prediction for every row of ``X`` over ``retained`` minus itself.
+
+    ``index``, a :class:`NeighbourIndex` over ``X``, answers from its ranks;
+    without it only the retained columns of the distance matrix are computed.
+    """
     retained = _retained(retained)
+    if index is not None:
+        return y[index.nearest(retained, exclude_self=True)]
     D = pairwise_distances(X, X[retained], nominal_mask)
     return y[_nearest_retained(D, retained, np.arange(D.shape[0]))]
 
@@ -318,18 +319,28 @@ def loo_gm_many(X, y, refsets, nominal_mask=None) -> np.ndarray:
     return np.sqrt((hits[:, 0] / wp) * (hits[:, 1] / (n - wp)))[np.argsort(order)]
 
 
-def loo_gm(X, y, retained, nominal_mask=None) -> float:
+def loo_gm(X, y, retained, nominal_mask=None, sample_weight=None,
+           index=None) -> float:
     """Leave-one-out GM of 1-NN over ``retained``, evaluated on all of ``X``.
 
     Returns 0.0 (not an error) when ``retained`` misses a class, so subset
-    optimisers can penalise degenerate selections naturally.
+    optimisers can penalise degenerate selections naturally.  With
+    ``sample_weight`` the confusion cells are weight sums instead of counts.
+    ``index`` is passed on to :func:`loo_predict`.
     """
+    # count_nonzero, .sum(): no np.any/np.sum dispatch, as EUS calls this per chromosome
     retained = np.asarray(retained, dtype=np.intp)
     yr = y[retained]
-    if not (np.any(yr == 1) and np.any(yr == 0)):
+    if not (np.count_nonzero(yr == 1) and np.count_nonzero(yr == 0)):
         return 0.0
-    pred = loo_predict(X, y, retained, nominal_mask)
+    pred = loo_predict(X, y, retained, nominal_mask, index=index)
+    if sample_weight is None:
+        sample_weight = np.ones(len(y))
     pos = y == 1
-    tp = np.count_nonzero(pos & (pred == 1))
-    tn = np.count_nonzero(~pos & (pred == 0))
-    return float(np.sqrt((tp / np.count_nonzero(pos)) * (tn / np.count_nonzero(~pos))))
+    tp = sample_weight[pos & (pred == 1)].sum()
+    tn = sample_weight[~pos & (pred == 0)].sum()
+    wp = sample_weight[pos].sum()
+    wn = sample_weight[~pos].sum()
+    if wp == 0 or wn == 0:
+        return 0.0
+    return float(np.sqrt((tp / wp) * (tn / wn)))

@@ -6,9 +6,7 @@ retained indices.  Every method except random editing retains all minority
 instances by construction; every returned set contains both classes.
 Stochastic methods are pure functions of (inputs, seed).  A method given
 ``index``, a :class:`~gmsel.knn.NeighbourIndex` over ``X``, reads it instead
-of building its own.  EUS and PSO score a whole generation from the
-leave-one-out neighbours of one ``nearest_batch`` lookup, and NCL reads the
-index's leave-one-out ranks.
+of building its own; NCL reads its leave-one-out ranks.
 """
 
 from __future__ import annotations
@@ -18,7 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knn import NeighbourIndex, ReferenceSet, loo_gm_many
+from .knn import NeighbourIndex, ReferenceSet, loo_gm, loo_gm_many, loo_predict
+from .knn import pairwise_distances  # noqa: F401  (perfbench/test_perfbench.py traces it here)
+from .metrics import balanced_auc, confusion, f_measure
+from .metrics import gm as gm_of
 
 logger = logging.getLogger(__name__)
 
@@ -178,34 +179,34 @@ class EusParams:
                              f"got {lam!r}")
 
 
-def _loo_hits(y, masks, index):
-    """``(P, n)``: whether each row of ``X`` gets its own label from its
-    leave-one-out nearest retained row, where row ``p`` retains the positives
-    plus the negatives of the ``(P, n_neg)`` majority masks' row ``p``, all
+class _Found:
+    """Neighbours already found for one reference set, in a NeighbourIndex's place."""
+
+    def __init__(self, nn):
+        self.nn = nn
+
+    def nearest(self, retained, exclude_self=False):
+        return self.nn
+
+
+def _looked_up(y, masks, index):
+    """``(retained, found)`` for each row of the ``(P, n_neg)`` majority masks:
+    the positives plus its negatives, and their LOO nearest retained rows, all
     found by one :meth:`~gmsel.knn.NeighbourIndex.nearest_batch` call."""
     member = np.repeat((y == 1)[None], len(masks), axis=0)
     member[:, y == 0] = masks
-    return y[index.nearest_batch(member, exclude_self=True)] == y
+    nn = index.nearest_batch(member, exclude_self=True)
+    return [(m.nonzero()[0], _Found(row)) for m, row in zip(member, nn)]
 
 
-def eus_fitness(y, masks, index, lam=0.2, sample_weight=None) -> np.ndarray:
+def eus_fitness(X, y, masks, index, lam=0.2, sample_weight=None) -> np.ndarray:
     """For each row of the ``(P, n_neg)`` population ``masks``: the LOO 1-NN GM
-    over positives plus masked negatives, minus the balance penalty
-    lambda * |1 - n_selected/n_pos|.  With ``sample_weight`` the confusion
-    cells are weight sums instead of counts; a GM is 0 when its class weights
-    are.  ``index`` is a :class:`~gmsel.knn.NeighbourIndex` over ``X``,
-    shared across generations."""
-    hits, pos = _loo_hits(y, masks, index), y == 1
-    if sample_weight is None:
-        tp, tn = np.count_nonzero(hits & pos, axis=1), np.count_nonzero(hits & ~pos, axis=1)
-        wp, wn = np.count_nonzero(pos), np.count_nonzero(~pos)
-    else:
-        w = sample_weight  # a gathered sum per row: a matrix product would round otherwise
-        tp, tn = (np.array([w[h].sum() for h in hits & cls]) for cls in (pos, ~pos))
-        wp, wn = w[pos].sum(), w[~pos].sum()
-    # an all-false mask predicts every row positive: tn is 0, and so is its GM
-    g = np.sqrt((tp / wp) * (tn / wn)) if wp and wn else np.zeros(len(masks))
-    return g - lam * np.abs(1.0 - masks.sum(axis=1) / np.count_nonzero(pos))
+    (:func:`~gmsel.knn.loo_gm`) over positives plus masked negatives, minus the
+    balance penalty lambda * |1 - n_selected/n_pos|.  ``index`` is a
+    :class:`~gmsel.knn.NeighbourIndex` over ``X``, shared across generations."""
+    g = [loo_gm(X, y, retained, sample_weight=sample_weight, index=found)
+         for retained, found in _looked_up(y, masks, index)]
+    return np.array(g) - lam * np.abs(1.0 - masks.sum(axis=1) / np.count_nonzero(y == 1))
 
 
 def _with_both_classes(pos_idx, neg_idx, mask):
@@ -265,7 +266,7 @@ def eus(X, y, seed, params: EusParams | None = None, nominal_mask=None,
         index = NeighbourIndex(X, nominal_mask)
 
     pop = rng.random((size, n_neg)) < 0.5
-    fits = eus_fitness(y, pop, index, params.balance_penalty, sample_weight)
+    fits = eus_fitness(X, y, pop, index, params.balance_penalty, sample_weight)
     best_mask, best_fit = pop[np.argmax(fits)].copy(), float(np.max(fits))
 
     for _ in range(params.generations):
@@ -275,7 +276,7 @@ def eus(X, y, seed, params: EusParams | None = None, nominal_mask=None,
         pop = np.where(take < 0.5, p1, p2)
         pop ^= flip < 1.0 / n_neg
         pop[0] = best_mask  # elitism
-        fits = eus_fitness(y, pop, index, params.balance_penalty, sample_weight)
+        fits = eus_fitness(X, y, pop, index, params.balance_penalty, sample_weight)
         gen_best = int(np.argmax(fits))
         if fits[gen_best] > best_fit:
             best_fit, best_mask = float(fits[gen_best]), pop[gen_best].copy()
@@ -296,17 +297,15 @@ class PsoParams:
         _check_minimums(self, {"swarm": 1, "iterations": 0})
 
 
-def _pso_fitness(y, masks, index) -> np.ndarray:
+def _pso_fitness(X, y, masks, index) -> np.ndarray:
     """Mean of balanced AUC, F-measure and GM of the LOO 1-NN predictions, for
-    each row of ``masks`` as in :func:`eus_fitness`, in the operation order of
-    :mod:`~gmsel.metrics`; 0 for a row without negatives."""
-    hits, pos = _loo_hits(y, masks, index), y == 1
-    n_pos, n_neg = np.count_nonzero(pos), np.count_nonzero(~pos)
-    tp, tn = np.count_nonzero(hits & pos, axis=1), np.count_nonzero(hits & ~pos, axis=1)
-    tpr, tnr = tp / n_pos, tn / n_neg
-    f1 = np.where(tp == 0, 0.0, 2 * tp / (2 * tp + (n_pos - tp) + (n_neg - tn)))
-    fits = ((tpr + tnr) / 2 + f1 + np.sqrt(tpr * tnr)) / 3.0
-    return np.where(masks.any(axis=1), fits, 0.0)
+    each row of ``masks`` as in :func:`eus_fitness`; 0 for a row without negatives."""
+    fits = np.zeros(len(masks))
+    for p, (retained, found) in enumerate(_looked_up(y, masks, index)):
+        if masks[p].any():
+            c = confusion(y, loo_predict(X, y, retained, index=found))
+            fits[p] = (balanced_auc(c) + f_measure(c) + gm_of(c)) / 3.0
+    return fits
 
 
 def pso_select(X, y, seed, params: PsoParams | None = None,
@@ -329,7 +328,7 @@ def pso_select(X, y, seed, params: PsoParams | None = None,
     pos_mask = rng.random((params.swarm, n_neg)) < 0.5
     vel = rng.uniform(-1, 1, size=(params.swarm, n_neg))
     x = pos_mask.copy()
-    fits = _pso_fitness(y, x, index)
+    fits = _pso_fitness(X, y, x, index)
     pbest, pbest_fit = x.copy(), fits.copy()
     g = int(np.argmax(pbest_fit))
     gbest, gbest_fit = pbest[g].copy(), float(pbest_fit[g])
@@ -344,7 +343,7 @@ def pso_select(X, y, seed, params: PsoParams | None = None,
         )
         np.clip(vel, -4.0, 4.0, out=vel)
         x = rng.random((params.swarm, n_neg)) < 1.0 / (1.0 + np.exp(-vel))
-        fits = _pso_fitness(y, x, index)
+        fits = _pso_fitness(X, y, x, index)
         improved = fits > pbest_fit
         pbest[improved] = x[improved]
         pbest_fit[improved] = fits[improved]

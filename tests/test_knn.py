@@ -314,7 +314,7 @@ class TestNeighbourIndex:
         want = _argmin_nearest(X, retained, nominal, exclude_self)
         assert np.array_equal(index.nearest(retained, exclude_self), want)
         if exclude_self:
-            assert np.array_equal(y[index.nearest(retained, exclude_self=True)],
+            assert np.array_equal(loo_predict(X, y, retained, nominal, index=index),
                                   loo_predict(X, y, retained, nominal))
         rows = np.arange(X.shape[0])[::2]
         assert np.array_equal(index.nearest(retained, exclude_self, rows), want[rows])

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from gmsel import ensemble, knn, selection
 from gmsel.bench import make_synthetic_dataset
 from gmsel.data import apply_scaler, fit_scaler, parse_keel
-from gmsel.knn import (NeighbourIndex, ReferenceSet, _stable_top_k, loo_gm,
+from gmsel.knn import (NeighbourIndex, ReferenceSet, _stable_top_k, loo_gm, loo_predict,
                        pairwise_distances)
 from gmsel.metrics import balanced_auc, confusion, f_measure, gm
 from gmsel.selection import (
@@ -218,7 +218,7 @@ class TestEus:
         lam = 0.2
         masks = np.ones((1, 15), dtype=bool)
         expected = loo_gm(X, y, np.arange(20)) - lam * abs(1 - 15 / 5)
-        assert eus_fitness(y, masks, NeighbourIndex(X), lam) == pytest.approx([expected])
+        assert eus_fitness(X, y, masks, NeighbourIndex(X), lam) == pytest.approx([expected])
 
     def test_separable_reaches_perfect_gm(self):
         X, y = clusters(4, 12, gap=50.0, seed=1)
@@ -325,7 +325,7 @@ class TestPso:
     def test_fitness_bounded(self):
         X, y = clusters(5, 20, gap=2.0, seed=3)
         masks = np.random.default_rng(0).random((10, 20)) < 0.5
-        f = _pso_fitness(y, masks, NeighbourIndex(X))
+        f = _pso_fitness(X, y, masks, NeighbourIndex(X))
         assert f.shape == (10,) and np.all((0.0 <= f) & (f <= 1.0))
 
     def test_separable_reaches_perfect_gm(self):
@@ -347,41 +347,22 @@ class TestPso:
 
 
 # ---------------------------------------------------------------------------
-# Per-mask oracle: the searches with one leave-one-out lookup and one
-# confusion per chromosome, the reference that batched scoring must match bit
-# for bit.
+# Per-mask oracle: the searches with one loo_gm / loo_predict call per
+# chromosome, the reference that batched scoring must match bit for bit.
 
-def _oracle_loo_gm(y, retained, sample_weight, index):
-    """Leave-one-out GM over ``retained``, confusion cells summed per mask."""
-    yr = y[retained]
-    if not (np.any(yr == 1) and np.any(yr == 0)):
-        return 0.0
-    pred = y[index.nearest(retained, exclude_self=True)]
-    if sample_weight is None:
-        sample_weight = np.ones(len(y))
-    pos = y == 1
-    tp = sample_weight[pos & (pred == 1)].sum()
-    tn = sample_weight[~pos & (pred == 0)].sum()
-    wp = sample_weight[pos].sum()
-    wn = sample_weight[~pos].sum()
-    if wp == 0 or wn == 0:
-        return 0.0
-    return float(np.sqrt((tp / wp) * (tn / wn)))
-
-
-def _oracle_eus_fitness(y, mask, lam, sample_weight, index):
+def _oracle_eus_fitness(X, y, mask, lam, sample_weight, index):
     pos_idx, neg_idx = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
     retained = np.concatenate([pos_idx, neg_idx[mask]])
-    g = _oracle_loo_gm(y, retained, sample_weight, index)
+    g = loo_gm(X, y, retained, sample_weight=sample_weight, index=index)
     return g - lam * abs(1.0 - mask.sum() / pos_idx.size)
 
 
-def _oracle_pso_fitness(y, mask, index):
+def _oracle_pso_fitness(X, y, mask, index):
     pos_idx, neg_idx = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
     retained = np.concatenate([pos_idx, neg_idx[mask]]) if mask.any() else pos_idx
     if not (np.any(y[retained] == 1) and np.any(y[retained] == 0)):
         return 0.0
-    c = confusion(y, y[index.nearest(retained, exclude_self=True)])
+    c = confusion(y, loo_predict(X, y, retained, index=index))
     return (balanced_auc(c) + f_measure(c) + gm(c)) / 3.0
 
 
@@ -396,7 +377,8 @@ def _oracle_eus(X, y, seed, params=None, nominal_mask=None, sample_weight=None,
         index = NeighbourIndex(X, nominal_mask)
 
     def fitness(mask):
-        return _oracle_eus_fitness(y, mask, params.balance_penalty, sample_weight, index)
+        return _oracle_eus_fitness(X, y, mask, params.balance_penalty, sample_weight,
+                                   index)
 
     pop = rng.random((params.population, n_neg)) < 0.5
     fits = np.array([fitness(m) for m in pop])
@@ -421,8 +403,8 @@ def _oracle_eus(X, y, seed, params=None, nominal_mask=None, sample_weight=None,
                         method="eus", seed=seed)
 
 
-def _oracle_pso_scorer(y, index):
-    return lambda masks: np.array([_oracle_pso_fitness(y, m, index) for m in masks])
+def _oracle_pso_scorer(X, y, index):
+    return lambda masks: np.array([_oracle_pso_fitness(X, y, m, index) for m in masks])
 
 
 class TestRankPathSearches:
@@ -444,15 +426,15 @@ class TestRankPathSearches:
         w = self.weights if weighted else None
         index = NeighbourIndex(self.X)
         masks = self.masks()
-        want = [_oracle_eus_fitness(self.y, m, 0.2, w, index) for m in masks]
-        got = eus_fitness(self.y, masks, index, sample_weight=w)
+        want = [_oracle_eus_fitness(self.X, self.y, m, 0.2, w, index) for m in masks]
+        got = eus_fitness(self.X, self.y, masks, index, sample_weight=w)
         assert np.array_equal(got, want)
 
     def test_pso_fitness_bit_equal_to_oracle(self):
         masks = self.masks()
         index = NeighbourIndex(self.X)
-        want = _oracle_pso_scorer(self.y, index)(masks)
-        assert np.array_equal(_pso_fitness(self.y, masks, index), want)
+        want = _oracle_pso_scorer(self.X, self.y, index)(masks)
+        assert np.array_equal(_pso_fitness(self.X, self.y, masks, index), want)
 
     def edge_inputs(self, case):
         """Labels, weights and masks of one edge case, on the same rows."""
@@ -476,10 +458,11 @@ class TestRankPathSearches:
         y, w, masks = self.edge_inputs(case)
         index = NeighbourIndex(self.X)
         for weights in (None, w):
-            want = [_oracle_eus_fitness(y, m, 0.2, weights, index) for m in masks]
-            assert np.array_equal(eus_fitness(y, masks, index, sample_weight=weights), want)
-        want = _oracle_pso_scorer(y, index)(masks)
-        assert np.array_equal(_pso_fitness(y, masks, index), want)
+            want = [_oracle_eus_fitness(self.X, y, m, 0.2, weights, index) for m in masks]
+            got = eus_fitness(self.X, y, masks, index, sample_weight=weights)
+            assert np.array_equal(got, want)
+        want = _oracle_pso_scorer(self.X, y, index)(masks)
+        assert np.array_equal(_pso_fitness(self.X, y, masks, index), want)
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_eus_matches_oracle(self, weighted):
@@ -495,8 +478,8 @@ class TestRankPathSearches:
         for seed in (0, 1):
             got = pso_select(self.X, self.y, seed, params)
             with mock.patch.object(selection, "_pso_fitness",
-                                   lambda y, masks, index:
-                                   _oracle_pso_scorer(y, index)(masks)):
+                                   lambda X, y, masks, index:
+                                   _oracle_pso_scorer(X, y, index)(masks)):
                 want = pso_select(self.X, self.y, seed, params)
             assert np.array_equal(got.retained, want.retained)
 
