@@ -10,7 +10,6 @@ from .data import (
     fit_scaler,
     parse_csv,
     parse_keel,
-    serialize_keel,
     stratified_two_fold,
 )
 from .ensemble import EnsembleModel, bag_1nn, erus, eusboost, predict_ensemble, rusboost

@@ -7,7 +7,6 @@ a single 2-D float array.  The minority class is always designated positive.
 
 from __future__ import annotations
 
-import io
 import re
 from dataclasses import dataclass, field
 
@@ -21,7 +20,6 @@ __all__ = [
     "KeelParseError",
     "KeelValidationError",
     "parse_keel",
-    "serialize_keel",
     "parse_csv",
     "stratified_two_fold",
     "fit_scaler",
@@ -324,40 +322,6 @@ def _build_dataset(name, schema, X, labels, class_attr) -> Dataset:
         negative_label=neg_label,
         class_attribute=class_attr,
     )
-
-
-def _format_value(attr: Attribute, v: float) -> str:
-    if attr.kind == "nominal":
-        return attr.categories[int(v)]
-    if attr.integer and float(v).is_integer():
-        return str(int(v))
-    return repr(float(v))
-
-
-def serialize_keel(ds: Dataset) -> str:
-    """Write a :class:`Dataset` back to KEEL text; round-trips with parse_keel."""
-    out = io.StringIO()
-    out.write(f"@relation {ds.name}\n")
-    for a in ds.schema:
-        if a.kind == "nominal":
-            out.write(f"@attribute {a.name} {{{', '.join(a.categories)}}}\n")
-        else:
-            decl = "integer" if a.integer else "real"
-            if a.lo is not None and a.hi is not None:
-                out.write(f"@attribute {a.name} {decl} [{a.lo!r}, {a.hi!r}]\n")
-            else:
-                out.write(f"@attribute {a.name} {decl}\n")
-    ca = ds.class_attribute
-    out.write(f"@attribute {ca.name} {{{', '.join(ca.categories)}}}\n")
-    out.write(f"@inputs {', '.join(a.name for a in ds.schema)}\n")
-    out.write(f"@outputs {ca.name}\n")
-    out.write("@data\n")
-    labels = np.where(ds.y == 1, ds.positive_label, ds.negative_label)
-    for row, lab in zip(ds.X, labels):
-        fields = [_format_value(a, v) for a, v in zip(ds.schema, row)]
-        fields.append(str(lab))
-        out.write(", ".join(fields) + "\n")
-    return out.getvalue()
 
 
 def parse_csv(text, name="csv") -> Dataset:

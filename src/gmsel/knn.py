@@ -12,8 +12,8 @@ benchmark builds one per fold and hands it to every method of the fold that
 reads distances over all of its training rows.  One-shot calls over a subset
 compute only the distance columns of the retained instances; EUS and
 PSO look up a whole generation, and ensemble voting all its members, in one
-``nearest_batch`` call, NCL reads ``ranks``, and random editing scores all its
-sets in one ``loo_gm_many`` call.  Every ordering of distances happens here.
+``nearest_batch`` call, NCL reads ``ranks``, and random editing finds its best
+set in one ``loo_gm_best`` call.  Every ordering of distances happens here.
 """
 
 from __future__ import annotations
@@ -31,17 +31,18 @@ __all__ = [
     "classify_knn",
     "loo_predict",
     "loo_gm",
-    "loo_gm_many",
+    "loo_gm_best",
 ]
 
 # Neighbours ranked per query row by a NeighbourIndex.  Lookups that find no
 # retained instance this deep fall back to an exact argmin.
 RANK_DEPTH = 32
 
-# loo_gm_many's float64 cells per block of distances (2 MB) and per chunk of
-# gathered member rows (512 kB), whatever the data size
+# loo_gm_best's float64 cells per block of distances (2 MB) and per chunk of
+# gathered distances (512 kB), and the sets it scores on every row first
 _BLOCK_CELLS = 2**18
 _CHUNK_CELLS = 2**16
+_PILOT = 128
 
 
 @dataclass(frozen=True)
@@ -276,47 +277,79 @@ def loo_predict(X, y, retained, nominal_mask=None, index=None) -> np.ndarray:
     return y[_nearest_retained(D, retained, np.arange(D.shape[0]))]
 
 
-def loo_gm_many(X, y, refsets, nominal_mask=None) -> np.ndarray:
-    """``[loo_gm(X, y, r, nominal_mask) for r in refsets]``, value for value,
-    for the ``(T, M)`` array ``refsets`` of distinct indices.  The distances of
-    each block of rows to all of ``X`` are computed once, own distances inf; a
-    set's nearest positive and negative are minimum reductions over its
-    members' distances.  Where neither is strictly nearer (an exact tie, or
-    NaN), :func:`_nearest_retained` decides, so ties go to the lowest index."""
-    refsets = np.asarray(refsets, dtype=np.intp)
-    n, M, pos = len(y), refsets.shape[1], y == 1
-    is_pos = pos[refsets]
-    n_pos = np.count_nonzero(is_pos, axis=1)
-    # sets by positive count k, positives first: rows first[k]:first[k + 1], columns :k
-    order = np.argsort(n_pos, kind="stable")
-    members = np.take_along_axis(refsets, np.argsort(~is_pos, 1, kind="stable"), 1)[order]
-    first = np.searchsorted(n_pos[order], np.arange(M + 1))
-    if first[1] == first[M]:  # loo_gm gives 0.0 to a one-class set
-        return np.zeros(len(refsets))
-    hits = np.zeros((len(members), 2), dtype=np.intp)  # TP and TN per set
+def _loo_hits(X, y, jobs, nominal_mask=None):
+    """Add :func:`loo_gm`'s TP and TN counts to ``hits`` for each ``(members,
+    rows, hits)`` of ``jobs``: the ``(S, M)`` sets ``members``, sorted by
+    positive count, positives first, on the rows where the mask ``rows`` is
+    true.  Each block of rows gets its distances to all of ``X`` once, own
+    distances inf; a job reads the whole block if at least half its rows are
+    the job's, else gathers their columns.  Nearest positive and negative are
+    min reductions; where neither is strictly nearer (a tie, or NaN),
+    :func:`_nearest_retained` decides, so ties go to the lowest index."""
+    n, pos = len(y), y == 1
     block = max(2, _BLOCK_CELLS // n)
-    chunk = max(1, _CHUNK_CELLS // (M * block))
+    # per job: its sets (those with k positives in rows first[k]:first[k + 1]), rows, hits
+    jobs = [(m, np.searchsorted(np.count_nonzero(pos[m], axis=1), np.arange(m.shape[1] + 1)),
+             r, h) for m, r, h in jobs if len(m)]
     # no block of one row, which numpy would multiply by gemv, rounding otherwise
-    bounds = [*range(0, n - 1, block), n]
+    bounds = [*range(0, n - 1, block), n] if jobs else []
     for r0, r1 in zip(bounds, bounds[1:]):
         DT = np.ascontiguousarray(pairwise_distances(X[r0:r1], X, nominal_mask).T)
         np.fill_diagonal(DT[r0:r1], np.inf)  # each row's own distance
-        for k in range(1, M):
-            for c0 in range(first[k], first[k + 1], chunk):
-                sets = members[c0:min(c0 + chunk, first[k + 1])]
-                G = DT.take(sets, axis=0)
-                d_pos, d_neg = G[:, :k].min(axis=1), G[:, k:].min(axis=1)
-                pred = d_pos < d_neg
-                undecided = ~(pred | (d_neg < d_pos))
-                for t in np.flatnonzero(undecided.any(axis=1)):
-                    cols, q = np.sort(sets[t]), np.flatnonzero(undecided[t])
-                    pred[t, q] = pos[_nearest_retained(DT[np.ix_(cols, q)].T, cols)]
-                hits[c0:c0 + len(sets), 0] += np.count_nonzero(pred & pos[r0:r1], axis=1)
-                hits[c0:c0 + len(sets), 1] += np.count_nonzero(~(pred | pos[r0:r1]), axis=1)
-        del DT, G  # freed before the next block's distances are computed
-    # a one-class set scores no hit in its missing class, so its GM is 0.0
-    wp = np.count_nonzero(pos)
-    return np.sqrt((hits[:, 0] / wp) * (hits[:, 1] / (n - wp)))[np.argsort(order)]
+        for members, first, rows, hits in jobs:
+            own = rows[r0:r1]
+            q = np.flatnonzero(own)
+            if not q.size:
+                continue
+            # half the block or more: all its columns, the job's rows counted
+            q, own, D = (np.arange(r0, r1), own, DT) if 2 * q.size >= r1 - r0 \
+                else (r0 + q, own[q], DT.take(q, axis=1))
+            tp_q, tn_q = own & pos[q], own & ~pos[q]
+            M = members.shape[1]
+            chunk = max(1, _CHUNK_CELLS // (M * q.size))
+            for k in range(1, M):
+                for c0 in range(first[k], first[k + 1], chunk):
+                    sets = members[c0:min(c0 + chunk, first[k + 1])]
+                    G = D.take(sets, axis=0)
+                    d_pos, d_neg = G[:, :k].min(axis=1), G[:, k:].min(axis=1)
+                    pred = d_pos < d_neg
+                    undecided = ~(pred | (d_neg < d_pos))
+                    for t in np.flatnonzero(undecided.any(axis=1)):
+                        c, u = np.sort(sets[t]), np.flatnonzero(undecided[t])
+                        pred[t, u] = pos[_nearest_retained(D[np.ix_(c, u)].T, c)]
+                    hits[c0:c0 + len(sets), 0] += (pred & tp_q).sum(axis=1)
+                    hits[c0:c0 + len(sets), 1] += (tn_q > pred).sum(axis=1)  # tn_q and not pred
+        DT = D = G = None  # freed before the next block's distances are computed
+
+
+def loo_gm_best(X, y, refsets, nominal_mask=None) -> tuple[int, float]:
+    """The first of the highest ``[loo_gm(X, y, r, nominal_mask) for r in
+    refsets]``, as ``(index, gm)``, for the ``(T, M)`` array ``refsets`` of
+    distinct indices.  The first ``_PILOT`` sets are scored on every row and
+    the others on the positive rows.  As GM = sqrt(TPR * TNR) <= sqrt(TPR), in
+    floating point too, only a set whose sqrt(TPR) reaches the pilot's best GM
+    can equal the highest; only those are scored again, on every row."""
+    refsets = np.asarray(refsets, dtype=np.intp)
+    (T, M), pos = refsets.shape, y == 1
+    n_pos = np.count_nonzero(pos[refsets], axis=1)
+    if not np.any((n_pos > 0) & (n_pos < M)):  # loo_gm gives 0.0 to a one-class set
+        return 0, 0.0
+    # the pilot's sets, then the others, each part by positive count, positives first
+    order = np.lexsort((n_pos, np.arange(T) >= _PILOT))
+    members = np.take_along_axis(refsets, np.argsort(~pos[refsets], 1, kind="stable"), 1)[order]
+    P, every, hits = min(T, _PILOT), np.ones(len(y), dtype=bool), np.zeros((T, 2), np.intp)
+    _loo_hits(X, y, [(members[:P], every, hits[:P]), (members[P:], pos, hits[P:])], nominal_mask)
+    wp, wn = np.count_nonzero(pos), np.count_nonzero(~pos)
+    pilot_best = np.sqrt((hits[:P, 0] / wp) * (hits[:P, 1] / wn)).max()
+    alive = P + np.flatnonzero(np.sqrt(hits[P:, 0] / wp) >= pilot_best)
+    again = np.zeros((alive.size, 2), np.intp)
+    _loo_hits(X, y, [(members[alive], every, again)], nominal_mask)
+    hits[alive] = again
+    # a set left out scores 0.0 here (no TN counted), below the pilot's best
+    gms = np.empty(T)
+    gms[order] = np.sqrt((hits[:, 0] / wp) * (hits[:, 1] / wn))
+    best = int(np.argmax(gms))
+    return best, float(gms[best])
 
 
 def loo_gm(X, y, retained, nominal_mask=None, sample_weight=None,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knn import NeighbourIndex, ReferenceSet, loo_gm, loo_gm_many, loo_predict
+from .knn import NeighbourIndex, ReferenceSet, loo_gm, loo_gm_best, loo_predict
 from .knn import pairwise_distances  # noqa: F401  (perfbench/test_perfbench.py traces it here)
 from .metrics import balanced_auc, confusion, f_measure
 from .metrics import gm as gm_of
@@ -360,13 +360,13 @@ def random_edit(X, y, M, T, seed, nominal_mask=None) -> ReferenceSet:
 
     Every sampled set is forced to contain at least one instance of each class
     (degenerate draws are resampled from the same stream).  All ``T`` sets are
-    drawn, then scored in one :func:`~gmsel.knn.loo_gm_many` call; the first
-    best is kept, so the best GM is non-decreasing in ``T`` for a fixed seed.
+    drawn, then the first best is found by one :func:`~gmsel.knn.loo_gm_best`
+    call, so the best GM is non-decreasing in ``T`` for a fixed seed.
     """
     X, y = _check_xy(X, y)
     n = len(y)
-    if M < 2:
-        raise ValueError("cardinality M must be at least 2")
+    if M < 2 or T < 1:
+        raise ValueError(f"need cardinality M >= 2 and trials T >= 1, got M={M}, T={T}")
     if M > n:
         raise ValueError("cardinality M exceeds the training set size")
     rng = np.random.default_rng(seed)
@@ -376,5 +376,5 @@ def random_edit(X, y, M, T, seed, nominal_mask=None) -> ReferenceSet:
             cand[:] = rng.choice(n, size=M, replace=False, shuffle=False)
             if np.any(y[cand] == 1) and np.any(y[cand] == 0):
                 break
-    best = np.argmax(loo_gm_many(X, y, cands, nominal_mask))
+    best, _ = loo_gm_best(X, y, cands, nominal_mask)
     return ReferenceSet(cands[best], method="re", seed=seed)

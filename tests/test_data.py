@@ -8,7 +8,6 @@ from gmsel.data import (
     fit_scaler,
     parse_csv,
     parse_keel,
-    serialize_keel,
     stratified_two_fold,
 )
 
@@ -97,8 +96,20 @@ class TestParseKeel:
             parse_keel(KEEL_SMALL.replace("@inputs height, colour", f"@inputs {inputs}"))
 
     def test_round_trip(self):
+        # the file as written back from its Dataset: declared bounds as reprs,
+        # values as reprs and categories, the class last
         ds = parse_keel(KEEL_SMALL)
-        assert parse_keel(serialize_keel(ds)) == ds
+        rows = zip(ds.X, np.where(ds.y == 1, ds.positive_label, ds.negative_label))
+        text = (
+            "@relation toy\n@attribute height real [0.0, 2.0]\n"
+            "@attribute colour {red, green, blue}\n@attribute class {yes, no}\n"
+            "@inputs height, colour\n@outputs class\n@data\n"
+            + "".join(f"{float(h)!r}, {ds.schema[1].categories[int(c)]}, {lab}\n"
+                      for (h, c), lab in rows)
+        )
+        assert text.splitlines()[-4:] == ["0.5, red, yes", "1.5, green, no",
+                                          "1.0, blue, no", "0.7, red, no"]
+        assert parse_keel(text) == ds
 
     def test_round_trip_integer_attribute(self):
         text = (
@@ -106,8 +117,10 @@ class TestParseKeel:
             "@attribute class {a, b}\n@data\n3, a\n7, b\n"
         )
         ds = parse_keel(text)
-        assert ds.schema[0].integer
-        assert parse_keel(serialize_keel(ds)) == ds
+        assert ds.schema[0].integer and ds.X[:, 0].tolist() == [3.0, 7.0]
+        written = "".join(f"{int(v)}, {lab}\n" for v, lab in zip(
+            ds.X[:, 0], np.where(ds.y == 1, ds.positive_label, ds.negative_label)))
+        assert parse_keel(text.split("@data\n")[0] + "@data\n" + written) == ds
 
 
 class TestParseCsv:

@@ -15,7 +15,7 @@ from gmsel.knn import (
     classify_knn,
     distance,
     loo_gm,
-    loo_gm_many,
+    loo_gm_best,
     loo_predict,
     pairwise_distances,
 )
@@ -148,10 +148,10 @@ class TestLooGm:
 def refset_problems(draw):
     """Integer-grid data (duplicate rows, exact ties within and across
     classes) or Gaussian data (where a sum rounded in another order would
-    show), maybe with nominal columns; sets of M distinct rows, some with a
-    lone member of one class or with one class only; and the rows per block
-    and sets per chunk of ``loo_gm_many``, which may leave a last block of one
-    row."""
+    show), maybe with nominal columns; up to 40 sets of M distinct rows, some
+    with a lone member of one class or with one class only; and the rows per
+    block and sets per chunk of ``loo_gm_best``, which may leave a last block
+    of one row, and its pilot's size."""
     n = draw(st.integers(2, 40))
     d = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -163,34 +163,66 @@ def refset_problems(draw):
     y = (rng.random(n) < draw(st.sampled_from([0.2, 0.5]))).astype(np.int64)
     y[0], y[1] = 1, 0
     M = draw(st.integers(2, n))
-    sets = [rng.choice(n, M, replace=False) for _ in range(draw(st.integers(1, 6)))]
+    sets = [rng.choice(n, M, replace=False) for _ in range(draw(st.integers(1, 38)))]
     for lone in (1, 0):
         one, rest = np.flatnonzero(y == lone), np.flatnonzero(y != lone)
         if rest.size >= M - 1 and draw(st.booleans()):
             sets.append(np.r_[rng.choice(one, 1), rng.choice(rest, M - 1, replace=False)])
     block = draw(st.integers(1, n))
-    return X, y, nominal, np.array(sets), block, draw(st.integers(1, 3))
+    return X, y, nominal, np.array(sets), block, draw(st.integers(1, 3)), draw(st.integers(1, 5))
 
 
-class TestLooGmMany:
+def _first_best(X, y, refsets, nominal=None):
+    """The oracle: the first highest per-set ``loo_gm``, and that GM."""
+    gms = [loo_gm(X, y, r, nominal) for r in refsets]
+    return gms.index(max(gms)), max(gms)
+
+
+class TestLooGmBest:
     @given(problem=refset_problems())
     @settings(max_examples=300, deadline=None)
-    def test_equals_loo_gm_per_set(self, problem):
-        X, y, nominal, refsets, block, chunk = problem
+    @example(problem=(np.array([[0.0], [1.0], [2.0], [3.0], [0.0]]), np.array([1, 0, 1, 0, 0]),
+                      None, np.array([[0, 1], [2, 3], [4, 2], [1, 2], [0, 3]]), 1, 1, 1))
+    def test_first_best_of_loo_gm_per_set(self, problem):
+        X, y, nominal, refsets, block, chunk, pilot = problem
         n, M = X.shape[0], refsets.shape[1]
+        # chunks of 1-3 sets over a whole block's columns, more over fewer
         with mock.patch.object(knn, "_BLOCK_CELLS", block * n), \
                 mock.patch.object(knn, "_CHUNK_CELLS", chunk * M * max(2, block)), \
+                mock.patch.object(knn, "_PILOT", pilot), \
                 mock.patch.object(knn, "pairwise_distances",
                                   wraps=knn.pairwise_distances) as distances:
-            got = loo_gm_many(X, y, refsets, nominal)
-        assert got.tolist() == [loo_gm(X, y, r, nominal) for r in refsets]
+            got = loo_gm_best(X, y, refsets, nominal)
+        assert got == _first_best(X, y, refsets, nominal)
         # numpy multiplies a one-row block by gemv, whose sums round otherwise
         assert all(len(c.args[0]) >= 2 for c in distances.call_args_list)
+
+    @given(problem=refset_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_hits_on_some_rows_only(self, problem):
+        # one row in three: a block of two rows is read whole, a longer one
+        # has its counted rows' columns gathered
+        X, y, nominal, refsets, block, chunk, _ = problem
+        n, M = X.shape[0], refsets.shape[1]
+        rows = np.arange(n) % 3 == 0
+        k = np.count_nonzero(y[refsets] == 1, axis=1)
+        members = np.take_along_axis(refsets, np.argsort(y[refsets] != 1, 1, kind="stable"),
+                                     1)[np.argsort(k, kind="stable")]
+        hits = np.zeros((len(members), 2), dtype=np.intp)
+        with mock.patch.object(knn, "_BLOCK_CELLS", block * n), \
+                mock.patch.object(knn, "_CHUNK_CELLS", chunk * M * max(2, block)):
+            knn._loo_hits(X, y, [(members, rows, hits)], nominal)
+        for m, got in zip(members, hits):
+            pred = loo_predict(X, y, m, nominal)
+            want = [np.count_nonzero(rows & (pred == 1) & (y == 1)),
+                    np.count_nonzero(rows & (pred == 0) & (y == 0))]
+            assert got.tolist() == (want if 0 < np.count_nonzero(y[m]) < M else [0, 0])
 
     @pytest.mark.parametrize("nominal", [None, np.array([False] * 6 + [True] * 2)])
     def test_last_block_of_one_row(self, nominal):
         # 886 rows are three blocks of 295 and one row, which the last block
-        # takes on: a one-row block's distances would round otherwise
+        # takes on: a one-row block's distances would round otherwise.  With a
+        # pilot of 5 of the 20 sets, both passes read these blocks.
         n = 886
         assert n % (knn._BLOCK_CELLS // n) == 1
         rng = np.random.default_rng(5)
@@ -198,18 +230,35 @@ class TestLooGmMany:
         X[:, 6:] = rng.integers(0, 2, (n, 2))
         y = (rng.random(n) < 0.3).astype(np.int64)
         refsets = np.array([rng.choice(n, 12, replace=False) for _ in range(20)])
-        with mock.patch.object(knn, "pairwise_distances",
-                               wraps=knn.pairwise_distances) as distances:
-            got = loo_gm_many(X, y, refsets, nominal)
-        assert [len(c.args[0]) for c in distances.call_args_list] == [295, 295, 296]
-        assert got.tolist() == [loo_gm(X, y, r, nominal) for r in refsets]
+        with mock.patch.object(knn, "_PILOT", 5), \
+                mock.patch.object(knn, "pairwise_distances",
+                                  wraps=knn.pairwise_distances) as distances:
+            got = loo_gm_best(X, y, refsets, nominal)
+        assert [len(c.args[0]) for c in distances.call_args_list] == [295, 295, 296] * 2
+        assert got == _first_best(X, y, refsets, nominal)
 
     def test_one_class_sets_score_zero(self):
         # {0, 3}: rows 0 and 3 each see only the other class, so TPR = TNR = 1/2
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([1, 1, 0, 0])
-        assert loo_gm_many(X, y, np.array([[0, 1], [2, 3], [0, 3]])).tolist() == [0.0, 0.0, 0.5]
-        assert loo_gm_many(X, np.zeros(4, dtype=int), np.array([[0, 1]])).tolist() == [0.0]
+        assert loo_gm_best(X, y, np.array([[0, 1], [2, 3], [0, 3]])) == (2, 0.5)
+        assert loo_gm_best(X, y, np.array([[0, 1], [2, 3]])) == (0, 0.0)
+        with np.errstate(all="raise"):  # no class to divide by
+            assert loo_gm_best(X, np.zeros(4, dtype=int), np.array([[0, 1], [2, 3]])) == (0, 0.0)
+
+    def test_sets_that_cannot_win_are_not_scored_again(self):
+        # 30 positives among 300 rows: most sets' sqrt(TPR) is below the best
+        # pilot GM, so the pass over every row rescores only a few of them
+        rng = np.random.default_rng(11)
+        y = (np.arange(300) < 30).astype(np.int64)
+        X = rng.standard_normal((300, 2)) + 1.5 * y[:, None]
+        refsets = np.array([rng.choice(300, 10, replace=False) for _ in range(400)])
+        with mock.patch.object(knn, "_loo_hits", wraps=knn._loo_hits) as passes:
+            got = loo_gm_best(X, y, refsets)
+        assert got == _first_best(X, y, refsets)
+        rescored = sum(len(m) for c in passes.call_args_list[1:] for m, _, _ in c.args[2])
+        assert len(refsets) > knn._PILOT
+        assert rescored < (len(refsets) - knn._PILOT) / 4
 
 
 class TestPairwise:

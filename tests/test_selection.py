@@ -523,6 +523,8 @@ class TestRandomEdit:
         X, y = clusters()
         with pytest.raises(ValueError):
             random_edit(X, y, M=1, T=5, seed=0)
+        with pytest.raises(ValueError, match="T >= 1"):  # no set to keep
+            random_edit(X, y, M=3, T=0, seed=0)
 
 
 def _oracle_random_edit(X, y, M, T, seed, nominal_mask=None):
@@ -556,8 +558,9 @@ def _grid_keel(n_pos=12, n_neg=48, seed=4):
 
 
 class TestRandomEditMatchesLoop:
-    """One loo_gm_many call over all drawn sets picks what the per-trial loop
-    picked: the same draws, the same GMs, and the first of equal best GMs."""
+    """One loo_gm_best call over all drawn sets picks what the per-trial loop
+    picked: the same draws, the same GMs, and the first of equal best GMs,
+    also when more sets are drawn than its pilot scores on every row."""
 
     def _check(self, X, y, M, T, seed, nominal_mask=None):
         got = random_edit(X, y, M, T, seed, nominal_mask)
@@ -570,6 +573,13 @@ class TestRandomEditMatchesLoop:
     def test_gaussian_data(self, M, T, seed):
         ds = make_synthetic_dataset("re", 10, 6, seed=seed, d=3)
         self._check(ds.X, ds.y, M, T, seed)
+
+    def test_more_sets_than_the_pilot(self):
+        ds = make_synthetic_dataset("re", 6, 9, seed=4, d=2)
+        assert len(ds.y) == 60 and knn._PILOT < 300
+        gms = self._check(ds.X, ds.y, M=8, T=300, seed=3)
+        # the first best comes after the pilot, and a later set equals it
+        assert gms.index(max(gms)) >= knn._PILOT and gms.count(max(gms)) == 2
 
     def test_first_of_equal_best_gms_wins(self):
         X, y = clusters(5, 20, gap=50.0)

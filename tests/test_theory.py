@@ -373,6 +373,15 @@ class TestBayesDemo:
         assert out["bb"] > out["cb"]
         assert 0.0 < out["cb"] < out["bb"] <= 1.0
 
+    def test_random_editing_choice_pinned(self):
+        # the set random editing keeps from its 10,000 draws over 4,500 rows,
+        # and its GM on the test sample, as the one-pass scorer chose them
+        out = cb_bb_demo(seed=0)
+        assert out["re_refset"].retained.tolist() == [
+            98, 168, 239, 245, 314, 340, 570, 648, 693, 735, 739, 789, 972,
+            1106, 1802, 2120, 2233, 2404, 2756, 2885, 3570, 3675, 3925, 4022, 4041]
+        assert out["re"] == 0.7926445706958797
+
     def test_deterministic(self):
         a = cb_bb_demo(test_size=2000, seed=3, include_re=False)
         b = cb_bb_demo(test_size=2000, seed=3, include_re=False)
