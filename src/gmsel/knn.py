@@ -6,14 +6,14 @@ Nearest-neighbour distance ties are broken toward the lowest retained index;
 k-NN vote ties are broken toward the positive class.
 
 Callers that look up nearest retained neighbours many times over one training
-matrix (subset searches, condensing, boosting) or one probe set (the theory
-lab) build a :class:`NeighbourIndex` once and pass it as ``index``; the
-benchmark builds one per fold and hands it to every method of the fold that
-reads distances over all of its training rows.  One-shot calls over a subset
-compute only the distance columns of the retained instances; EUS and
-PSO look up a whole generation, and ensemble voting all its members, in one
-``nearest_batch`` call, NCL reads ``ranks``, and random editing finds its best
-set in one ``loo_gm_best`` call.  Every ordering of distances happens here.
+matrix (subset searches, condensing, boosting) build a :class:`NeighbourIndex`
+once and pass it as ``index``; the benchmark builds one per fold and hands it
+to every method of the fold that reads distances over all of its training
+rows.  One-shot calls over a subset compute only the distance columns of the
+retained instances; EUS and PSO look up a whole generation, and ensemble
+voting all its members, in one ``nearest_batch`` call, NCL reads ``ranks``,
+random editing finds its best set in one ``loo_gm_best`` call, and the theory
+lab's probes take :func:`nearest_points`.  Every ordering of distances is here.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 __all__ = [
     "ReferenceSet",
     "NeighbourIndex",
-    "distance",
     "pairwise_distances",
+    "nearest_points",
     "classify_1nn",
     "classify_knn",
     "loo_predict",
@@ -89,15 +89,27 @@ def pairwise_distances(A, B, nominal_mask=None) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
-def distance(a, b, nominal_mask=None) -> float:
-    """Distance between two value vectors, summed from their differences, so
-    close vectors do not cancel to 0 as in :func:`pairwise_distances`."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise ValueError("length mismatch")
-    diff = np.where(False if nominal_mask is None else nominal_mask, a != b, a - b)
-    return float(np.sqrt(np.sum(diff * diff)))
+def nearest_points(points, queries) -> np.ndarray:
+    """Index of the nearest row of ``points`` to each row of ``queries``, ties
+    to the lowest, over numeric attributes.  Each squared distance is summed
+    from its own pair's differences, without BLAS, so a lookup over some of
+    the points finds the same distances to them."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    columns = np.ascontiguousarray(np.atleast_2d(np.asarray(queries, dtype=float)).T)
+    if points.shape[1] != columns.shape[0]:
+        raise ValueError("dimension mismatch")
+    sq = np.zeros((points.shape[0], columns.shape[1]))  # points x queries: long rows
+    diff = np.empty_like(sq)
+    for p, q in zip(points.T, columns):  # a strided query column took 3x as long
+        np.subtract.outer(p, q, out=diff)
+        diff *= diff
+        sq += diff
+    # the first minimum, an earlier point overwriting a later one, by arithmetic:
+    # a masked copy branches on every query and took twice as long
+    best, nearest = sq.min(axis=0), np.zeros(columns.shape[1], dtype=np.intp)
+    for j in range(points.shape[0] - 1, -1, -1):
+        nearest -= (sq[j] == best) * (nearest - j)
+    return nearest
 
 
 def _stable_top_k(D, k) -> np.ndarray:
@@ -143,11 +155,10 @@ class NeighbourIndex:
     reference sets at once) is then the first ranked row that is retained,
     which is the argmin over the retained columns with ties to the lowest
     retained index.  Queries with no retained row ranked, and ``nearest`` for
-    a few given ``rows``, over every row of ``X`` (where no rank can beat one
-    argmin) or in an index over at most ``RANK_DEPTH`` rows of ``X`` (whose
-    ranks would be whole rows), take that argmin over the stored distances.
+    a few given ``rows`` or over every row of ``X`` (where no rank can beat one
+    argmin), take that argmin over the stored distances.
 
-    Without ``queries`` the queries are the rows of ``X`` themselves, and
+    ``queries`` are rows to classify, or without them the rows of ``X``, where
     ``nearest(..., exclude_self=True)`` gives leave-one-out lookups.  Memory is
     8 bytes per query per row of ``X`` (8 MB at 1,000 x 1,000) plus the ranks.
     """
@@ -188,7 +199,7 @@ class NeighbourIndex:
             return self._argmin(np.asarray(rows, dtype=np.intp), retained, exclude_self)
         n = self.distances.shape[1]
         # with every row retained, the first ranked row is the argmin
-        if n <= self._depth or np.array_equal(retained, np.arange(n)):
+        if np.array_equal(retained, np.arange(n)):
             return self._argmin(None, retained, exclude_self)
         return self.nearest_batch(np.bincount(retained, minlength=n)[None] > 0,
                                   exclude_self)[0]

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .knn import NeighbourIndex, _stable_top_k, classify_1nn, pairwise_distances
+from .knn import _stable_top_k, classify_1nn, nearest_points, pairwise_distances
 from .metrics import confusion, gm
 from .selection import random_edit
 
@@ -137,13 +137,21 @@ class GaussianMixture2D:
         return out
 
     def sample_components(self, counts, rng):
-        """``counts[c]`` draws from component ``c``, stacked in component order."""
-        return np.vstack([mean + rng.standard_normal((c, 2)) * np.sqrt(var)
-                          for (_, mean, var), c in zip(self.components, counts)])
+        """``counts[c]`` draws from component ``c``, stacked in component order:
+        the normals drawn at once, then scaled and shifted column by column."""
+        X = np.empty((sum(counts), 2))
+        rng.standard_normal(out=X)
+        for (_, mean, var), rows in zip(self.components, np.split(X, np.cumsum(counts)[:-1])):
+            for col, m, v in zip(rows.T, mean, var):
+                col *= np.sqrt(v)
+                col += m
+        return X
 
     def sample(self, n, rng):
+        """``n`` draws: component counts from one multinomial draw, then
+        :meth:`sample_components` put in a random order by ``take``."""
         counts = rng.multinomial(n, np.array([w for w, _, _ in self.components]))
-        return self.sample_components(counts, rng)[rng.permutation(n)]
+        return self.sample_components(counts, rng).take(rng.permutation(n), axis=0)
 
 
 @dataclass(frozen=True)
@@ -271,9 +279,8 @@ def asymptotic_gm(points, labels, model: DensityModel, sample_count=10_000, seed
     if sample_count < 1000:
         raise ValueError("sample_count must be at least 1000")
     Xp, Xn = _class_probes(model, sample_count, seed)
-    every = np.arange(len(labels))
-    p = np.mean(labels[NeighbourIndex(points, queries=Xp).nearest(every)] == 1)
-    q = np.mean(labels[NeighbourIndex(points, queries=Xn).nearest(every)] == 0)
+    p = np.mean(labels[nearest_points(points, Xp)] == 1)
+    q = np.mean(labels[nearest_points(points, Xn)] == 0)
     g = math.sqrt(p * q)
     se_p = math.sqrt(p * (1 - p) / Xp.shape[0])
     se_n = math.sqrt(q * (1 - q) / Xn.shape[0])
@@ -284,9 +291,9 @@ def asymptotic_gm(points, labels, model: DensityModel, sample_count=10_000, seed
     return g, se
 
 
-def _box_index(points, probe_count, seed):
-    """The points (at least 2), the probe stream, and an index from uniform
-    probes over the points' padded bounding box to the points."""
+def _box_probes(points, probe_count, seed):
+    """The points (at least 2), the probe stream, and uniform probes over the
+    points' padded bounding box."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 2:
         raise ValueError("need at least 2 points")
@@ -294,17 +301,17 @@ def _box_index(points, probe_count, seed):
     lo, hi = points.min(axis=0), points.max(axis=0)
     pad = 0.5 * np.maximum(hi - lo, 1.0)
     probes = rng.uniform(lo - pad, hi + pad, size=(probe_count, points.shape[1]))
-    return points, rng, NeighbourIndex(points, queries=probes)
+    return points, rng, probes
 
 
 def voronoi_neighbors(points, i, probe_count=10_000, seed=0):
     """Facet neighbours of cell ``i`` by Monte Carlo: probes landing in the
     cell report their second-nearest point.  A probabilistic
     under-approximation; recall grows with ``probe_count``."""
-    points, _, index = _box_index(points, probe_count, seed)
-    every = np.arange(points.shape[0])
-    in_cell = np.flatnonzero(index.nearest(every) == i)
-    return set(np.unique(index.nearest(np.delete(every, i), rows=in_cell)).tolist())
+    points, _, probes = _box_probes(points, probe_count, seed)
+    in_cell = probes[nearest_points(points, probes) == i]
+    others = np.delete(np.arange(points.shape[0]), i)
+    return set(np.unique(others[nearest_points(points[others], in_cell)]).tolist())
 
 
 @dataclass(frozen=True)
@@ -325,11 +332,11 @@ def lemma_check(points, i, probe_count=10_000, seed=0) -> LemmaReport:
     probe stream must capture at least one probe from the old cell of i;
     misses indicate insufficient probes, not a failure.
     """
-    points, rng, index = _box_index(points, probe_count, seed)
-    every = np.arange(points.shape[0])
-    nearest = index.nearest(every)
+    points, rng, probes = _box_probes(points, probe_count, seed)
+    others = np.delete(np.arange(points.shape[0]), i)
+    nearest = nearest_points(points, probes)
     # every probe is looked up again: that no outside probe moves is the check
-    nearest_wo = index.nearest(np.delete(every, i))
+    nearest_wo = others[nearest_points(points[others], probes)]
 
     outside = nearest != i
     inclusion_violations = int(np.sum(nearest_wo[outside] != nearest[outside]))
@@ -391,17 +398,16 @@ def removal_analysis(points, labels, i, model: DensityModel, sample_count=10_000
     if not (np.any(keep == 1) and np.any(keep == 0)):
         raise ValueError("removal would leave a class unrepresented")
 
-    every = np.arange(len(labels))
+    others = np.delete(np.arange(len(labels)), i)
 
     def correct(probes, label):
         """1.0 where a probe's nearest point has ``label``, before and after
         removing i."""
-        index = NeighbourIndex(points, queries=probes)
-        before = index.nearest(every)
+        before = nearest_points(points, probes)
         # cell inclusion: only the probes of i's cell change their nearest point
         cell = np.flatnonzero(before == i)
         after = before.copy()
-        after[cell] = index.nearest(np.delete(every, i), rows=cell)
+        after[cell] = others[nearest_points(points[others], probes[cell])]
         return (labels[before] == label).astype(float), (labels[after] == label).astype(float)
 
     Xp, Xn = _class_probes(model, sample_count, seed)

@@ -13,10 +13,10 @@ from gmsel.knn import (
     _stable_top_k,
     classify_1nn,
     classify_knn,
-    distance,
     loo_gm,
     loo_gm_best,
     loo_predict,
+    nearest_points,
     pairwise_distances,
 )
 
@@ -26,35 +26,53 @@ finite_vec = arrays(
 )
 
 
+def _one(a, b, nominal_mask=None) -> float:
+    """The distance between two vectors, as a one-row ``pairwise_distances``."""
+    return float(pairwise_distances([a], [b], nominal_mask)[0, 0])
+
+
+def _direct_distance(a, b, nominal_mask):
+    """Distance summed from the pair's own differences: numeric ones squared,
+    a 1 for each nominal mismatch."""
+    diff = np.where(nominal_mask, a != b, a - b)
+    return float(np.sqrt(np.sum(diff * diff)))
+
+
+# the expansion ||a||^2 + ||b||^2 - 2ab rounds with the squared norms, up to
+# 3 * 100^2 here: a few eps of that is about 1e-11, 3e-6 once square-rooted
+# near 0, per distance
+_CANCEL = 1e-4
+
+
 class TestDistance:
     def test_identity(self):
-        assert distance([1.0, 2.0], [1.0, 2.0]) == 0.0
+        assert _one([1.0, 2.0], [1.0, 2.0]) == 0.0
 
     def test_unit_interval(self):
-        assert distance([0.0], [1.0]) == 1.0
+        assert _one([0.0], [1.0]) == 1.0
 
     def test_nominal_overlap(self):
         mask = np.array([True])
-        assert distance([0.0], [1.0], mask) == 1.0
-        assert distance([2.0], [2.0], mask) == 0.0
+        assert _one([0.0], [1.0], mask) == 1.0
+        assert _one([2.0], [2.0], mask) == 0.0
 
     def test_mixed_quadrature(self):
         # one numeric difference of 1 plus one nominal mismatch
         mask = np.array([False, True])
-        assert distance([0.0, 0.0], [1.0, 1.0], mask) == pytest.approx(np.sqrt(2))
+        assert _one([0.0, 0.0], [1.0, 1.0], mask) == pytest.approx(np.sqrt(2))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            distance([0.0], [0.0, 1.0])
+            _one([0.0], [0.0, 1.0])
 
     @given(a=finite_vec, b=finite_vec)
     def test_symmetry(self, a, b):
-        assert distance(a, b) == pytest.approx(distance(b, a))
+        assert _one(a, b) == pytest.approx(_one(b, a), abs=_CANCEL)
 
     @given(a=finite_vec, b=finite_vec, c=finite_vec)
     @settings(max_examples=200)
     def test_triangle_inequality(self, a, b, c):
-        assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-9
+        assert _one(a, c) <= _one(a, b) + _one(b, c) + _CANCEL
 
 
 class TestClassify1NN:
@@ -270,7 +288,7 @@ class TestPairwise:
         D = pairwise_distances(A, B, mask)
         for i in range(5):
             for j in range(6):
-                assert D[i, j] == pytest.approx(distance(A[i], B[j], mask))
+                assert D[i, j] == pytest.approx(_direct_distance(A[i], B[j], mask))
 
     @given(rows_a=st.integers(1, 40), rows_b=st.integers(1, 40), d=st.integers(1, 8),
            seed=st.integers(0, 2**32 - 1), grid=st.booleans(), nominal=st.booleans())
@@ -303,6 +321,57 @@ def _expression_distances(A, B, nominal_mask):
         Ac, Bc = A[:, nominal_mask], B[:, nominal_mask]
         sq += np.sum(Ac[:, None, :] != Bc[None, :, :], axis=2)
     return np.sqrt(sq)
+
+
+def _direct_squares(P, Q):
+    """``O[q, p]``: the squared distance from query q to point p, summed per
+    pair from its differences in attribute order."""
+    return np.array([[sum((float(p[a]) - float(q[a])) ** 2 for a in range(len(p)))
+                      for p in P] for q in Q])
+
+
+class TestNearestPoints:
+    @given(n=st.integers(1, 25), m=st.integers(1, 40), d=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_grid_data_matches_pairwise_argmin(self, n, m, d, seed):
+        # small integers: both kernels are exact, so ties and duplicates decide
+        rng = np.random.default_rng(seed)
+        P = rng.integers(0, 3, (n, d)).astype(float)
+        Q = rng.integers(-1, 4, (m, d)).astype(float)
+        want = np.argmin(pairwise_distances(Q, P), axis=1)
+        assert nearest_points(P, Q).tolist() == want.tolist()
+
+    @given(n=st.integers(1, 20), m=st.integers(1, 30), d=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_continuous_data_matches_direct_oracle(self, n, m, d, seed):
+        rng = np.random.default_rng(seed)
+        P = rng.standard_normal((n, d))
+        P[rng.integers(0, n, n // 3)] = P[rng.integers(0, n, n // 3)]  # duplicates
+        Q = rng.standard_normal((m, d))
+        O = _direct_squares(P, Q)
+        assert nearest_points(P, Q).tolist() == np.argmin(O, axis=1).tolist()
+        # a lookup over some points: their distances are the same as in the full call
+        others = np.flatnonzero(rng.random(n) < 0.5)
+        others = others if others.size else np.array([n - 1])
+        got = others[nearest_points(P[others], Q)]
+        assert got.tolist() == others[np.argmin(O[:, others], axis=1)].tolist()
+
+    def test_one_point(self):
+        Q = np.random.default_rng(0).standard_normal((7, 3))
+        assert nearest_points([[0.0, 1.0, 2.0]], Q).tolist() == [0] * 7
+
+    def test_one_query(self):
+        assert nearest_points([[0.0], [2.0], [1.0], [1.0]], [[1.2]]).tolist() == [2]
+
+    def test_no_queries(self):
+        got = nearest_points([[0.0, 0.0], [1.0, 1.0]], np.empty((0, 2)))
+        assert got.shape == (0,) and got.dtype == np.intp
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            nearest_points([[0.0, 1.0]], [[0.0]])
 
 
 @st.composite

@@ -66,6 +66,18 @@ class TestPiecewiseUniform:
         assert np.all((x >= 2.0) & (x < 3.0))
 
 
+def _stacked_components(g, counts, rng):
+    """The sampler's first form, a draw per component, stacked: the oracle
+    for the numbers drawn and the generator's state after them."""
+    return np.vstack([mean + rng.standard_normal((c, 2)) * np.sqrt(var)
+                      for (_, mean, var), c in zip(g.components, counts)])
+
+
+def _stacked_sample(g, n, rng):
+    counts = rng.multinomial(n, np.array([w for w, _, _ in g.components]))
+    return _stacked_components(g, counts, rng)[rng.permutation(n)]
+
+
 class TestGaussianMixture:
     def test_pdf_single_standard_normal(self):
         g = GaussianMixture2D([(1.0, [0.0, 0.0], [1.0, 1.0])])
@@ -86,6 +98,24 @@ class TestGaussianMixture:
     def test_sample_shape(self):
         g = example_mixture_model().positive
         assert g.sample(100, np.random.default_rng(1)).shape == (100, 2)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 10_000])
+    def test_sample_draws_the_stacked_form(self, n):
+        model = example_mixture_model()
+        rng, oracle = np.random.default_rng(n), np.random.default_rng(n)
+        for g in (model.positive, model.negative):  # one stream, as probes are drawn
+            got, want = g.sample(n, rng), _stacked_sample(g, n, oracle)
+            assert got.shape == want.shape == (n, 2)
+            assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+    @pytest.mark.parametrize("counts", [(300, 200), (0, 5), (4, 0), (0, 0)])
+    def test_sample_components_draws_the_stacked_form(self, counts):
+        g = example_mixture_model().positive
+        rng, oracle = np.random.default_rng(9), np.random.default_rng(9)
+        got, want = g.sample_components(counts, rng), _stacked_components(g, counts, oracle)
+        assert got.tobytes() == want.tobytes() and got.shape == (sum(counts), 2)
+        assert rng.bit_generator.state == oracle.bit_generator.state
 
 
 class TestBoundary1D:
