@@ -13,17 +13,19 @@ Run:  python3 demos/01_boundary_analysis.py
 import csv
 import math
 
-import numpy as np
-
-from gmsel.theory import best_boundary_1d, example_uniform_model, gm_boundary_1d
+from gmsel.theory import (
+    best_boundary_1d,
+    example_uniform_model,
+    gm_boundary_1d,
+    sweep_boundary_1d,
+)
 
 
 def main():
     model = example_uniform_model()
 
     print("split b   TPR     TNR     GM")
-    for b in np.linspace(0.0, 10.0, 21):
-        tpr, tnr, g = gm_boundary_1d(model, float(b))
+    for b, tpr, tnr, g in sweep_boundary_1d(model, 21):
         print(f"{b:6.1f}  {tpr:.4f}  {tnr:.4f}  {g:.4f}")
 
     tpr3, tnr3, gm3 = gm_boundary_1d(model, 3)
@@ -37,8 +39,7 @@ def main():
     with open("boundary_curve.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["b", "tpr", "tnr", "gm"])
-        for b in np.linspace(0.0, 10.0, 501):
-            tpr, tnr, g = gm_boundary_1d(model, float(b))
+        for b, tpr, tnr, g in sweep_boundary_1d(model, 501):
             w.writerow([f"{b:.3f}", f"{tpr:.6f}", f"{tnr:.6f}", f"{g:.6f}"])
     print("wrote boundary_curve.csv (501 rows)")
 

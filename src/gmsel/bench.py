@@ -211,8 +211,10 @@ class _Fold:
     ``y_test``, scaled once, and its neighbour indexes.
 
     :meth:`index` builds the index over the training half, or from the test
-    half to it, on first use, and keeps it for the fold's other methods: a
-    fold holds at most two matrices of distances (8 MB each at 1,000 x 1,000).
+    half to it, on first use, and keeps it for the fold's other methods.  The
+    training index answers every method's lookups but random editing's, and
+    the test index every prediction, so a fold computes these two matrices of
+    distances (8 MB each at 1,000 x 1,000) and no other.
     """
 
     def __init__(self, ds, rep, fold, train_idx, test_idx):
@@ -236,11 +238,8 @@ def _run_method(method, fold: _Fold, seed, cfg: ExperimentConfig):
     """Train one method on the fold; returns (test-half predictions, retained count)."""
     model = METHODS[method][1](fold, seed, cfg)
     if isinstance(model, ReferenceSet):
-        # 1-NN over every training row reads the test index; a selection's own
-        # product over its retained columns may round otherwise, so it keeps it
-        index = fold.index(test=True) if method == "1nn" else None
         return classify_1nn(fold.X, fold.y, model, fold.X_test, fold.nominal,
-                            index=index), len(model)
+                            index=fold.index(test=True)), len(model)
     retained = len(set().union(*(set(m.retained.tolist()) for m in model.members)))
     return ens.predict_ensemble(model, fold.X, fold.y, fold.X_test, fold.nominal,
                                 index=fold.index(test=True)), retained

@@ -8,7 +8,7 @@ a single 2-D float array.  The minority class is always designated positive.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class Attribute:
     lo: float | None = None
     hi: float | None = None
     categories: tuple[str, ...] = ()
-    integer: bool = False  # declared as @attribute ... integer
 
     def __post_init__(self):
         if self.kind == "numeric":
@@ -80,7 +79,6 @@ class Dataset:
     y: np.ndarray
     positive_label: str
     negative_label: str
-    class_attribute: Attribute = field(repr=False, default=None)
 
     def __post_init__(self):
         if self.X.shape[0] != self.y.shape[0]:
@@ -154,7 +152,7 @@ class Scaler:
 
 _KEYWORD_RE = re.compile(r"^@(\w+)\s*(.*)$")
 _ATTR_NUMERIC_RE = re.compile(
-    r"^(\S+)\s+(real|integer|numeric)\s*(?:\[\s*([^,\]]+)\s*,\s*([^,\]]+)\s*\])?\s*$",
+    r"^(\S+)\s+(?:real|integer|numeric)\s*(?:\[\s*([^,\]]+)\s*,\s*([^,\]]+)\s*\])?\s*$",
     re.IGNORECASE,
 )
 _ATTR_NOMINAL_RE = re.compile(r"^(\S+)\s*\{(.*)\}\s*$")
@@ -172,20 +170,14 @@ def _parse_attribute(body: str, line_no: int) -> Attribute:
             raise KeelParseError(str(exc), line_no) from exc
     m = _ATTR_NUMERIC_RE.match(body)
     if m:
-        name, decl, lo, hi = m.groups()
+        name, lo, hi = m.groups()
         try:
             lo_f = float(lo) if lo is not None else None
             hi_f = float(hi) if hi is not None else None
         except ValueError as exc:
             raise KeelParseError(f"bad numeric range in attribute {name}", line_no) from exc
         try:
-            return Attribute(
-                name=name,
-                kind="numeric",
-                lo=lo_f,
-                hi=hi_f,
-                integer=decl.lower() == "integer",
-            )
+            return Attribute(name=name, kind="numeric", lo=lo_f, hi=hi_f)
         except ValueError as exc:
             raise KeelParseError(str(exc), line_no) from exc
     raise KeelParseError(f"cannot parse attribute declaration: {body!r}", line_no)
@@ -320,7 +312,6 @@ def _build_dataset(name, schema, X, labels, class_attr) -> Dataset:
         y=y,
         positive_label=pos_label,
         negative_label=neg_label,
-        class_attribute=class_attr,
     )
 
 

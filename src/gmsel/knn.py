@@ -6,14 +6,16 @@ Nearest-neighbour distance ties are broken toward the lowest retained index;
 k-NN vote ties are broken toward the positive class.
 
 Callers that look up nearest retained neighbours many times over one training
-matrix (subset searches, condensing, boosting) build a :class:`NeighbourIndex`
-once and pass it as ``index``; the benchmark builds one per fold and hands it
-to every method of the fold that reads distances over all of its training
-rows.  One-shot calls over a subset compute only the distance columns of the
-retained instances; EUS and PSO look up a whole generation, and ensemble
-voting all its members, in one ``nearest_batch`` call, NCL reads ``ranks``,
-random editing finds its best set in one ``loo_gm_best`` call, and the theory
-lab's probes take :func:`nearest_points`.  Every ordering of distances is here.
+matrix (subset searches, condensing, Tomek links, boosting) build a
+:class:`NeighbourIndex` once and pass it as ``index``; the benchmark builds
+two per fold, over its training half and from its test half to it, and every
+lookup of the fold's methods and predictions reads them.  One-shot calls
+without an index compute only the distance columns of the retained instances;
+EUS and PSO look up a whole generation, and ensemble voting all its members,
+in one ``nearest_batch`` call, NCL reads ``ranks``, random editing finds its
+best set in one ``loo_gm_best`` call over its own blocks of distances, and the
+theory lab's probes take :func:`nearest_points`.  Every ordering of distances
+is here.
 """
 
 from __future__ import annotations
@@ -155,8 +157,7 @@ class NeighbourIndex:
     reference sets at once) is then the first ranked row that is retained,
     which is the argmin over the retained columns with ties to the lowest
     retained index.  Queries with no retained row ranked, and ``nearest`` for
-    a few given ``rows`` or over every row of ``X`` (where no rank can beat one
-    argmin), take that argmin over the stored distances.
+    given ``rows``, take that argmin over the stored distances.
 
     ``queries`` are rows to classify, or without them the rows of ``X``, where
     ``nearest(..., exclude_self=True)`` gives leave-one-out lookups.  Memory is
@@ -198,9 +199,6 @@ class NeighbourIndex:
             # ranking every query would cost more than these few argmins
             return self._argmin(np.asarray(rows, dtype=np.intp), retained, exclude_self)
         n = self.distances.shape[1]
-        # with every row retained, the first ranked row is the argmin
-        if np.array_equal(retained, np.arange(n)):
-            return self._argmin(None, retained, exclude_self)
         return self.nearest_batch(np.bincount(retained, minlength=n)[None] > 0,
                                   exclude_self)[0]
 
@@ -212,7 +210,8 @@ class NeighbourIndex:
         if not member.any(axis=1).all():
             raise ValueError("empty reference set")
         if not ranked.shape[1]:  # one row of X, which its leave-one-out ranks leave out
-            return np.array([self.nearest(np.flatnonzero(m), exclude_self) for m in member])
+            return np.array([self._argmin(np.arange(1), np.flatnonzero(m), exclude_self)
+                             for m in member])
         first = np.take(member, ranked, axis=1).argmax(axis=2)  # first True, or 0
         # flat takes: ranked[q, first[p, q]], then member[p, nn[p, q]]
         nn = np.take(ranked, first + np.arange(0, ranked.size, ranked.shape[1]))
@@ -223,18 +222,8 @@ class NeighbourIndex:
         return nn
 
     def _argmin(self, rows, retained, exclude_self):
-        """Argmin over the stored distances for the queries in ``rows``, or
-        for every query when ``rows`` is None.  A lookup of every query over
-        every row of ``X`` reads the stored matrix without copying it."""
-        D, n = self.distances, self.distances.shape[1]
-        if rows is not None:
-            D = D[np.ix_(rows, retained)]
-        elif not np.array_equal(retained, np.arange(n)):
-            D = D[:, retained]
-        elif exclude_self:
-            D = D.copy()  # _nearest_retained overwrites each row's own distance
-        if exclude_self and rows is None:
-            rows = np.arange(D.shape[0])
+        """Argmin over the stored distances for the queries in ``rows``."""
+        D = self.distances[np.ix_(rows, retained)]
         return _nearest_retained(D, retained, rows if exclude_self else None)
 
 

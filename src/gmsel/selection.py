@@ -82,16 +82,15 @@ def rus(X, y, seed, weights=None) -> ReferenceSet:
 
 
 def tomek_links(X, y, nominal_mask=None, subset=None, index=None) -> ReferenceSet:
-    """Remove majority members of Tomek links (mutual cross-class NN pairs).
-    A ``subset`` gets its own index: a product of another shape may round
-    otherwise than ``index``."""
+    """Remove majority members of Tomek links (mutual cross-class NN pairs)
+    among ``subset``, or all rows, each row's neighbour found in ``index``."""
     X, y = _check_xy(X, y)
     idx = np.arange(len(y)) if subset is None else np.sort(np.asarray(subset))
-    if index is None or subset is not None:
-        index = NeighbourIndex(X[idx], nominal_mask)
-    local = np.arange(idx.size)
-    nn = index.nearest(local, exclude_self=True)
-    mutual = nn[nn[local]] == local
+    if index is None:
+        index = NeighbourIndex(X, nominal_mask)
+    # positions in idx of each row's nearest other row of idx
+    nn = np.searchsorted(idx, index.nearest(idx, exclude_self=True, rows=idx))
+    mutual = nn[nn] == np.arange(idx.size)
     cross = y[idx] != y[idx[nn]]
     in_link = mutual & cross
     drop = in_link & (y[idx] == 0)
@@ -121,8 +120,10 @@ def cnn_mod(X, y, seed, nominal_mask=None, subset=None, index=None) -> Reference
 
 def oss(X, y, seed, nominal_mask=None, index=None) -> ReferenceSet:
     """One-sided selection: condensing (cnn_mod) followed by Tomek-link removal."""
+    if index is None:
+        index = NeighbourIndex(X, nominal_mask)
     condensed = cnn_mod(X, y, seed, nominal_mask, index=index)
-    cleaned = tomek_links(X, y, nominal_mask, subset=condensed.retained)
+    cleaned = tomek_links(X, y, nominal_mask, subset=condensed.retained, index=index)
     return ReferenceSet(cleaned.retained, method="oss", seed=seed)
 
 

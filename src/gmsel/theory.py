@@ -304,14 +304,21 @@ def _box_probes(points, probe_count, seed):
     return points, rng, probes
 
 
+def _nearest_without(points, i, queries):
+    """Index into ``points`` of the nearest point other than ``i`` to each
+    query: each distance is summed from its own pair, so it is the one the
+    lookup over every point finds."""
+    others = np.delete(np.arange(points.shape[0]), i)
+    return others[nearest_points(points[others], queries)]
+
+
 def voronoi_neighbors(points, i, probe_count=10_000, seed=0):
     """Facet neighbours of cell ``i`` by Monte Carlo: probes landing in the
     cell report their second-nearest point.  A probabilistic
     under-approximation; recall grows with ``probe_count``."""
     points, _, probes = _box_probes(points, probe_count, seed)
     in_cell = probes[nearest_points(points, probes) == i]
-    others = np.delete(np.arange(points.shape[0]), i)
-    return set(np.unique(others[nearest_points(points[others], in_cell)]).tolist())
+    return set(np.unique(_nearest_without(points, i, in_cell)).tolist())
 
 
 @dataclass(frozen=True)
@@ -333,10 +340,9 @@ def lemma_check(points, i, probe_count=10_000, seed=0) -> LemmaReport:
     misses indicate insufficient probes, not a failure.
     """
     points, rng, probes = _box_probes(points, probe_count, seed)
-    others = np.delete(np.arange(points.shape[0]), i)
     nearest = nearest_points(points, probes)
     # every probe is looked up again: that no outside probe moves is the check
-    nearest_wo = others[nearest_points(points[others], probes)]
+    nearest_wo = _nearest_without(points, i, probes)
 
     outside = nearest != i
     inclusion_violations = int(np.sum(nearest_wo[outside] != nearest[outside]))
@@ -398,8 +404,6 @@ def removal_analysis(points, labels, i, model: DensityModel, sample_count=10_000
     if not (np.any(keep == 1) and np.any(keep == 0)):
         raise ValueError("removal would leave a class unrepresented")
 
-    others = np.delete(np.arange(len(labels)), i)
-
     def correct(probes, label):
         """1.0 where a probe's nearest point has ``label``, before and after
         removing i."""
@@ -407,7 +411,7 @@ def removal_analysis(points, labels, i, model: DensityModel, sample_count=10_000
         # cell inclusion: only the probes of i's cell change their nearest point
         cell = np.flatnonzero(before == i)
         after = before.copy()
-        after[cell] = others[nearest_points(points[others], probes[cell])]
+        after[cell] = _nearest_without(points, i, probes[cell])
         return (labels[before] == label).astype(float), (labels[after] == label).astype(float)
 
     Xp, Xn = _class_probes(model, sample_count, seed)

@@ -338,6 +338,28 @@ def test_fold_tasks_equal_trial_by_trial():
     assert records == _trial_by_trial(FOLD_CFG, ds)
 
 
+def test_fold_computes_only_its_two_index_matrices(monkeypatch):
+    # every lookup of the fold's methods, random editing's blocks aside, reads
+    # the training index or the test index: one distance matrix each
+    import gmsel.bench as bench
+    from gmsel import knn
+
+    real, calls = knn.pairwise_distances, []
+
+    def spy(A, B, nominal_mask=None):
+        calls.append(("train" if A is B else "test", len(A), len(B)))
+        return real(A, B, nominal_mask)
+
+    monkeypatch.setattr(knn, "pairwise_distances", spy)
+    ds = parse_keel(_mixed_keel(n_pos=20, n_neg=120, seed=4))
+    cfg = replace(FOLD_CFG, methods=tuple(m for m in METHODS if m != "re"))
+    train, test = stratified_two_fold(ds, 0, 1).repetitions[0]
+    records = bench._run_fold((ds, 0, 0, train, test, cfg))
+    assert len(records) == 12 and not any(r.failed for r in records)
+    assert sorted(calls) == [("test", len(test), len(train)),
+                             ("train", len(train), len(train))]
+
+
 def test_fold_builds_each_index_once(monkeypatch):
     import gmsel.bench as bench
 

@@ -117,7 +117,7 @@ class TestParseKeel:
             "@attribute class {a, b}\n@data\n3, a\n7, b\n"
         )
         ds = parse_keel(text)
-        assert ds.schema[0].integer and ds.X[:, 0].tolist() == [3.0, 7.0]
+        assert ds.X[:, 0].tolist() == [3.0, 7.0]
         written = "".join(f"{int(v)}, {lab}\n" for v, lab in zip(
             ds.X[:, 0], np.where(ds.y == 1, ds.positive_label, ds.negative_label)))
         assert parse_keel(text.split("@data\n")[0] + "@data\n" + written) == ds

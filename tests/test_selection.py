@@ -163,6 +163,41 @@ def _oracle_ncl(X, y, nn3):
     return ReferenceSet(retained)
 
 
+@st.composite
+def subset_problems(draw):
+    """An ncl_problems draw, a subset of its rows with both classes, and a seed."""
+    X, y, nominal = draw(ncl_problems())
+    keep = draw(arrays(np.bool_, len(y)))
+    keep[:2] = True
+    return X, y, nominal, np.flatnonzero(keep), draw(st.integers(0, 2**32 - 1))
+
+
+def _oracle_tomek(X, y, nominal, subset):
+    """The rows of ``subset`` that are not the negative of a Tomek link, each
+    row's neighbour the argmin of the subset's own distances, its own inf."""
+    idx = np.sort(subset)
+    D = pairwise_distances(X[idx], X[idx], nominal)
+    np.fill_diagonal(D, np.inf)
+    nn = np.argmin(D, axis=1)
+    link = (nn[nn] == np.arange(idx.size)) & (y[idx] != y[idx[nn]])
+    return idx[~(link & (y[idx] == 0))]
+
+
+class TestSharedIndexTomekPass:
+    @given(problem=subset_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_subset_read_from_the_index_equals_its_own_distances(self, problem):
+        X, y, nominal, subset, seed = problem
+        index = NeighbourIndex(X, nominal)
+        condensed = cnn_mod(X, y, seed, nominal).retained
+        with mock.patch.object(selection, "NeighbourIndex", side_effect=AssertionError):
+            got = tomek_links(X, y, nominal, subset=subset, index=index).retained
+            got_oss = oss(X, y, seed, nominal, index=index).retained
+        assert np.array_equal(got, _oracle_tomek(X, y, nominal, subset))
+        assert np.array_equal(got_oss, _oracle_tomek(X, y, nominal, condensed))
+        assert np.array_equal(oss(X, y, seed, nominal).retained, got_oss)
+
+
 class TestNcl:
     def test_separated_clusters_untouched(self):
         X, y = clusters()
