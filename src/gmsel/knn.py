@@ -12,10 +12,11 @@ two per fold, over its training half and from its test half to it, and every
 lookup of the fold's methods and predictions reads them.  One-shot calls
 without an index compute only the distance columns of the retained instances;
 EUS and PSO look up a whole generation, and ensemble voting all its members,
-in one ``nearest_batch`` call, NCL reads ``ranks``, random editing finds its
-best set in one ``loo_gm_best`` call over its own blocks of distances, and the
-theory lab's probes take :func:`nearest_points`.  Every ordering of distances
-is here.
+in one ``nearest_batch`` call (the searches then score the generation from its
+hit matrix, not by :func:`loo_gm`), NCL and a Tomek pass over all rows read
+``ranks``, random editing finds its best set in one ``loo_gm_best`` call over
+its own blocks of distances, and the theory lab's probes take
+:func:`nearest_points`.  Every ordering of distances is here.
 """
 
 from __future__ import annotations
@@ -352,28 +353,19 @@ def loo_gm_best(X, y, refsets, nominal_mask=None) -> tuple[int, float]:
     return best, float(gms[best])
 
 
-def loo_gm(X, y, retained, nominal_mask=None, sample_weight=None,
-           index=None) -> float:
+def loo_gm(X, y, retained, nominal_mask=None) -> float:
     """Leave-one-out GM of 1-NN over ``retained``, evaluated on all of ``X``.
 
     Returns 0.0 (not an error) when ``retained`` misses a class, so subset
-    optimisers can penalise degenerate selections naturally.  With
-    ``sample_weight`` the confusion cells are weight sums instead of counts.
-    ``index`` is passed on to :func:`loo_predict`.
+    optimisers can penalise degenerate selections naturally.  EUS scores its
+    populations from the same predictions in ``selection.eus_fitness``.
     """
-    # count_nonzero, .sum(): no np.any/np.sum dispatch, as EUS calls this per chromosome
     retained = np.asarray(retained, dtype=np.intp)
     yr = y[retained]
     if not (np.count_nonzero(yr == 1) and np.count_nonzero(yr == 0)):
         return 0.0
-    pred = loo_predict(X, y, retained, nominal_mask, index=index)
-    if sample_weight is None:
-        sample_weight = np.ones(len(y))
+    pred = loo_predict(X, y, retained, nominal_mask)
     pos = y == 1
-    tp = sample_weight[pos & (pred == 1)].sum()
-    tn = sample_weight[~pos & (pred == 0)].sum()
-    wp = sample_weight[pos].sum()
-    wn = sample_weight[~pos].sum()
-    if wp == 0 or wn == 0:
-        return 0.0
-    return float(np.sqrt((tp / wp) * (tn / wn)))
+    tp = np.count_nonzero(pos & (pred == 1))
+    tn = np.count_nonzero(~pos & (pred == 0))
+    return float(np.sqrt((tp / np.count_nonzero(pos)) * (tn / np.count_nonzero(~pos))))

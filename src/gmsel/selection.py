@@ -16,10 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knn import NeighbourIndex, ReferenceSet, loo_gm, loo_gm_best, loo_predict
+from .knn import NeighbourIndex, ReferenceSet, loo_gm_best, loo_predict
 from .knn import pairwise_distances  # noqa: F401  (perfbench/test_perfbench.py traces it here)
-from .metrics import balanced_auc, confusion, f_measure
-from .metrics import gm as gm_of
 
 logger = logging.getLogger(__name__)
 
@@ -83,13 +81,15 @@ def rus(X, y, seed, weights=None) -> ReferenceSet:
 
 def tomek_links(X, y, nominal_mask=None, subset=None, index=None) -> ReferenceSet:
     """Remove majority members of Tomek links (mutual cross-class NN pairs)
-    among ``subset``, or all rows, each row's neighbour found in ``index``."""
+    among ``subset``, or all rows, each row's neighbour found in ``index``:
+    over all rows its first leave-one-out rank, over a subset an argmin."""
     X, y = _check_xy(X, y)
     idx = np.arange(len(y)) if subset is None else np.sort(np.asarray(subset))
     if index is None:
         index = NeighbourIndex(X, nominal_mask)
     # positions in idx of each row's nearest other row of idx
-    nn = np.searchsorted(idx, index.nearest(idx, exclude_self=True, rows=idx))
+    nn = index.ranks(exclude_self=True)[:, 0] if subset is None else \
+        np.searchsorted(idx, index.nearest(idx, exclude_self=True, rows=idx))
     mutual = nn[nn] == np.arange(idx.size)
     cross = y[idx] != y[idx[nn]]
     in_link = mutual & cross
@@ -128,7 +128,9 @@ def oss(X, y, seed, nominal_mask=None, index=None) -> ReferenceSet:
 
 
 def tl_cnn(X, y, seed, nominal_mask=None, index=None) -> ReferenceSet:
-    """Tomek-link removal followed by condensing (Batista's ordering)."""
+    """Tomek-link removal, then condensing (Batista's ordering), over one index."""
+    if index is None:
+        index = NeighbourIndex(X, nominal_mask)
     cleaned = tomek_links(X, y, nominal_mask, index=index)
     condensed = cnn_mod(X, y, seed, nominal_mask, subset=cleaned.retained, index=index)
     return ReferenceSet(condensed.retained, method="tlcnn", seed=seed)
@@ -190,24 +192,42 @@ class _Found:
         return self.nn
 
 
-def _looked_up(y, masks, index):
-    """``(retained, found)`` for each row of the ``(P, n_neg)`` majority masks:
-    the positives plus its negatives, and their LOO nearest retained rows, all
-    found by one :meth:`~gmsel.knn.NeighbourIndex.nearest_batch` call."""
+def _hits(X, y, masks, index):
+    """The ``(P, n)`` leave-one-out hit matrix of the ``(P, n_neg)`` majority
+    masks: row ``p`` is where 1-NN over the positives plus the negatives of
+    ``masks[p]``, each row of ``X`` left out, predicts ``y``.  Every
+    neighbour is found by one :meth:`~gmsel.knn.NeighbourIndex.nearest_batch`
+    call, and each chromosome's predictions are one ``loo_predict`` call."""
     member = np.repeat((y == 1)[None], len(masks), axis=0)
     member[:, y == 0] = masks
     nn = index.nearest_batch(member, exclude_self=True)
-    return [(m.nonzero()[0], _Found(row)) for m, row in zip(member, nn)]
+    return np.array([loo_predict(X, y, m.nonzero()[0], index=_Found(row)) == y
+                     for m, row in zip(member, nn)])
 
 
 def eus_fitness(X, y, masks, index, lam=0.2, sample_weight=None) -> np.ndarray:
     """For each row of the ``(P, n_neg)`` population ``masks``: the LOO 1-NN GM
-    (:func:`~gmsel.knn.loo_gm`) over positives plus masked negatives, minus the
-    balance penalty lambda * |1 - n_selected/n_pos|.  ``index`` is a
-    :class:`~gmsel.knn.NeighbourIndex` over ``X``, shared across generations."""
-    g = [loo_gm(X, y, retained, sample_weight=sample_weight, index=found)
-         for retained, found in _looked_up(y, masks, index)]
-    return np.array(g) - lam * np.abs(1.0 - masks.sum(axis=1) / np.count_nonzero(y == 1))
+    over positives plus masked negatives, minus the balance penalty
+    lambda * |1 - n_selected/n_pos|.  ``index`` is a
+    :class:`~gmsel.knn.NeighbourIndex` over ``X``, shared across generations.
+    The GM is :func:`~gmsel.knn.loo_gm`'s, from one :func:`_hits` matrix: TP
+    and TN are counts, or one ``sample_weight`` sum per row; a row without
+    negatives, or a class of weight 0, scores 0.0."""
+    pos = y == 1
+    hits = _hits(X, y, masks, index)
+    tp_rows, tn_rows = hits & pos, hits & ~pos
+    if sample_weight is None:
+        tp, tn = np.count_nonzero(tp_rows, axis=1), np.count_nonzero(tn_rows, axis=1)
+        wp, wn = np.count_nonzero(pos), np.count_nonzero(~pos)
+    else:
+        tp = np.array([sample_weight[r].sum() for r in tp_rows])
+        tn = np.array([sample_weight[r].sum() for r in tn_rows])
+        wp, wn = sample_weight[pos].sum(), sample_weight[~pos].sum()
+    g = np.zeros(len(masks))
+    if wp != 0 and wn != 0:
+        both = masks.any(axis=1)
+        g[both] = np.sqrt((tp[both] / wp) * (tn[both] / wn))
+    return g - lam * np.abs(1.0 - masks.sum(axis=1) / np.count_nonzero(pos))
 
 
 def _with_both_classes(pos_idx, neg_idx, mask):
@@ -300,13 +320,17 @@ class PsoParams:
 
 def _pso_fitness(X, y, masks, index) -> np.ndarray:
     """Mean of balanced AUC, F-measure and GM of the LOO 1-NN predictions, for
-    each row of ``masks`` as in :func:`eus_fitness`; 0 for a row without negatives."""
-    fits = np.zeros(len(masks))
-    for p, (retained, found) in enumerate(_looked_up(y, masks, index)):
-        if masks[p].any():
-            c = confusion(y, loo_predict(X, y, retained, index=found))
-            fits[p] = (balanced_auc(c) + f_measure(c) + gm_of(c)) / 3.0
-    return fits
+    each row of ``masks`` as in :func:`eus_fitness`; 0 for a row without
+    negatives.  The confusion cells come from one :func:`_hits` matrix, and
+    each measure is computed in :mod:`gmsel.metrics`' order of operations."""
+    pos = y == 1
+    hits = _hits(X, y, masks, index)
+    a, d = np.count_nonzero(hits & pos, axis=1), np.count_nonzero(hits & ~pos, axis=1)
+    b, c = np.count_nonzero(pos) - a, np.count_nonzero(~pos) - d
+    tpr, tnr = a / (a + b), d / (c + d)
+    f = 2 * a / (2 * a + b + c)  # 0.0 where a = 0, as b = n_pos > 0 there
+    fits = ((tpr + tnr) / 2 + f + np.sqrt(tpr * tnr)) / 3.0
+    return np.where(masks.any(axis=1), fits, 0.0)
 
 
 def pso_select(X, y, seed, params: PsoParams | None = None,

@@ -81,12 +81,12 @@ class TestTomekLinks:
         y = np.array([1, 1, 0, 0, 0])
         assert len(tomek_links(X, y)) == 5
 
-    def test_lookup_over_every_row_never_ranks(self):
-        # one lookup with every row retained: the stored argmin, no ranking
+    def test_lookup_over_every_row_reads_the_ranks(self):
+        # every row's neighbour is its first leave-one-out rank, no argmin
         X, y = clusters(10, 2 * knn.RANK_DEPTH)
-        want = tomek_links(X, y).retained
-        with mock.patch.object(knn, "_stable_top_k", side_effect=AssertionError):
-            assert np.array_equal(tomek_links(X, y).retained, want)
+        with mock.patch.object(NeighbourIndex, "_argmin", side_effect=AssertionError):
+            got = tomek_links(X, y).retained
+        assert np.array_equal(got, _oracle_tomek(X, y, None, np.arange(len(y))))
 
 
 class TestCnnMod:
@@ -128,6 +128,13 @@ class TestCompositions:
         ref = tl_cnn(X, y, seed=0)
         assert set(np.flatnonzero(y == 1)) <= set(ref.retained)
         assert set(ref.retained) <= set(after_tl.retained)
+
+    def test_tl_cnn_builds_one_index(self):
+        X, y = clusters(5, 25, gap=3.0, seed=4)
+        with mock.patch.object(selection, "NeighbourIndex", wraps=NeighbourIndex) as built:
+            got = tl_cnn(X, y, 7).retained
+        assert built.call_count == 1
+        assert np.array_equal(got, tl_cnn(X, y, 7, index=NeighbourIndex(X)).retained)
 
 
 @st.composite
@@ -196,6 +203,20 @@ class TestSharedIndexTomekPass:
         assert np.array_equal(got, _oracle_tomek(X, y, nominal, subset))
         assert np.array_equal(got_oss, _oracle_tomek(X, y, nominal, condensed))
         assert np.array_equal(oss(X, y, seed, nominal).retained, got_oss)
+
+    @given(problem=ncl_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_all_rows_read_from_the_ranks_equal_the_argmin(self, problem):
+        # the oracle is the argmin over the index's distances, own entry inf
+        X, y, nominal = problem
+        index = NeighbourIndex(X, nominal)
+        D = index.distances.copy()
+        np.fill_diagonal(D, np.inf)
+        assert np.array_equal(index.ranks(exclude_self=True)[:, 0], np.argmin(D, axis=1))
+        want = _oracle_tomek(X, y, nominal, np.arange(len(y)))
+        with mock.patch.object(NeighbourIndex, "_argmin", side_effect=AssertionError):
+            assert np.array_equal(tomek_links(X, y, nominal, index=index).retained, want)
+            assert np.array_equal(tomek_links(X, y, nominal).retained, want)
 
 
 class TestNcl:
@@ -382,13 +403,33 @@ class TestPso:
 
 
 # ---------------------------------------------------------------------------
-# Per-mask oracle: the searches with one loo_gm / loo_predict call per
+# Per-mask oracle: the searches with one weighted-GM / loo_predict call per
 # chromosome, the reference that batched scoring must match bit for bit.
+
+def _oracle_loo_gm(X, y, retained, sample_weight, index):
+    """Leave-one-out GM of 1-NN over ``retained``, the confusion cells weight
+    sums (ones without ``sample_weight``); 0.0 when ``retained`` misses a
+    class or a class weighs 0."""
+    yr = y[retained]
+    if not (np.any(yr == 1) and np.any(yr == 0)):
+        return 0.0
+    pred = loo_predict(X, y, retained, index=index)
+    if sample_weight is None:
+        sample_weight = np.ones(len(y))
+    pos = y == 1
+    tp = sample_weight[pos & (pred == 1)].sum()
+    tn = sample_weight[~pos & (pred == 0)].sum()
+    wp = sample_weight[pos].sum()
+    wn = sample_weight[~pos].sum()
+    if wp == 0 or wn == 0:
+        return 0.0
+    return float(np.sqrt((tp / wp) * (tn / wn)))
+
 
 def _oracle_eus_fitness(X, y, mask, lam, sample_weight, index):
     pos_idx, neg_idx = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
     retained = np.concatenate([pos_idx, neg_idx[mask]])
-    g = loo_gm(X, y, retained, sample_weight=sample_weight, index=index)
+    g = _oracle_loo_gm(X, y, retained, sample_weight, index)
     return g - lam * abs(1.0 - mask.sum() / pos_idx.size)
 
 
@@ -498,6 +539,19 @@ class TestRankPathSearches:
             assert np.array_equal(got, want)
         want = _oracle_pso_scorer(self.X, y, index)(masks)
         assert np.array_equal(_pso_fitness(self.X, y, masks, index), want)
+
+    def test_one_loo_predict_per_chromosome(self):
+        masks, index = self.masks(), NeighbourIndex(self.X)
+        scorers = [lambda: eus_fitness(self.X, self.y, masks, index),
+                   lambda: eus_fitness(self.X, self.y, masks, index, sample_weight=self.weights),
+                   lambda: _pso_fitness(self.X, self.y, masks, index)]
+        for score in scorers:
+            with mock.patch.object(selection, "loo_predict", wraps=loo_predict) as spy, \
+                    mock.patch.object(selection, "loo_gm", side_effect=AssertionError,
+                                      create=True), \
+                    mock.patch.object(knn, "loo_gm", side_effect=AssertionError):
+                score()
+            assert spy.call_count == len(masks)
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_eus_matches_oracle(self, weighted):
