@@ -103,12 +103,12 @@ def _cmd_theory_prop1(args):
 
 def _at_least(low):
     """argparse type: an integer >= ``low``; argparse names the flag in its error."""
-    def count(text):
+    def integer(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
-    return count
+    return integer
 
 
 def main(argv=None) -> int:
@@ -119,8 +119,8 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a benchmark experiment")
     p_run.add_argument("--config", required=True, help="YAML experiment config")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--jobs", type=int, default=None)
+    p_run.add_argument("--seed", type=_at_least(0), default=None)
+    p_run.add_argument("--jobs", type=_at_least(1), default=None)
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.set_defaults(func=_cmd_run)
 
@@ -144,27 +144,27 @@ def main(argv=None) -> int:
 
     t2 = tsub.add_parser("demo-gaussian",
                          help="classical vs balanced Bayes vs random editing")
-    t2.add_argument("--seed", type=int, default=0)
+    t2.add_argument("--seed", type=_at_least(0), default=0)
     t2.add_argument("--re-trials", type=_at_least(1), default=10_000)
     t2.add_argument("--no-re", action="store_true")
     t2.set_defaults(func=_cmd_theory_demo)
 
     t3 = tsub.add_parser("exhaustive", help="per-cardinality best-GM curve")
-    t3.add_argument("--seed", type=int, default=0)
+    t3.add_argument("--seed", type=_at_least(0), default=0)
     t3.add_argument("--out", default=None, help="CSV curve output")
     t3.set_defaults(func=_cmd_theory_exhaustive)
 
     t4 = tsub.add_parser("lemma-check", help="cell-inclusion verification")
     t4.add_argument("--configs", type=_at_least(1), default=100)
     t4.add_argument("--probes", type=_at_least(1), default=10_000)
-    t4.add_argument("--seed", type=int, default=0)
+    t4.add_argument("--seed", type=_at_least(0), default=0)
     t4.set_defaults(func=_cmd_theory_lemma)
 
     t5 = tsub.add_parser("prop1", help="removal-improvement verification")
     t5.add_argument("--cases", type=_at_least(1), default=200)
     # the floor that asymptotic_gm enforces
     t5.add_argument("--samples", type=_at_least(1000), default=10_000)
-    t5.add_argument("--seed", type=int, default=0)
+    t5.add_argument("--seed", type=_at_least(0), default=0)
     t5.set_defaults(func=_cmd_theory_prop1)
 
     args = parser.parse_args(argv)

@@ -271,9 +271,9 @@ def loo_predict(X, y, retained, nominal_mask=None, index=None) -> np.ndarray:
     ``index``, a :class:`NeighbourIndex` over ``X``, answers from its ranks;
     without it only the retained columns of the distance matrix are computed.
     """
-    retained = _retained(retained)
     if index is not None:
         return y[index.nearest(retained, exclude_self=True)]
+    retained = _retained(retained)
     D = pairwise_distances(X, X[retained], nominal_mask)
     return y[_nearest_retained(D, retained, np.arange(D.shape[0]))]
 

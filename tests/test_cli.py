@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 import re
 from pathlib import Path
 
@@ -47,8 +48,8 @@ EXHAUSTIVE_STDOUT = (
 
 # sha256 of `gmsel theory boundary1d --out` at the defaults (101 split points
 # over [0, 10]), as first computed
-BOUNDARY1D_CSV_SHA256 = (
-    "dc2396afef549f451e63fe13316de3239254c2008abd94e7092b9eae2a38a7bb")
+BOUNDARY1D_CSV_SHA256 = json.loads(
+    Path(__file__).with_name("pins.json").read_text())["tests"]["BOUNDARY1D_CSV_SHA256"]
 
 
 class TestParseCommand:
@@ -179,10 +180,14 @@ class TestTheoryCommands:
         (["lemma-check", "--probes", "0"], "--probes", 1),
         (["prop1", "--cases", "0"], "--cases", 1),
         (["prop1", "--samples", "999"], "--samples", 1000),
+        (["demo-gaussian", "--seed", "-1"], "--seed", 0),
+        (["exhaustive", "--seed", "-1"], "--seed", 0),
+        (["lemma-check", "--seed", "-1"], "--seed", 0),
+        (["prop1", "--seed", "-5"], "--seed", 0),
     ])
     def test_count_below_its_floor_rejected_by_name(self, capsys, args, flag, floor):
         # a zero count made lemma-check and prop1 report a vacuous success,
-        # and a negative one ended boundary1d in a numpy traceback
+        # and a negative count or seed ended in a numpy traceback
         with pytest.raises(SystemExit) as exit_info:
             main(["theory", *args])
         assert exit_info.value.code == 2
@@ -209,6 +214,18 @@ class TestRunAndReport:
         rep_out = capsys.readouterr().out
         assert "Win counts" in rep_out
         assert "| rus |" in rep_out
+
+    @pytest.mark.parametrize("args, flag, floor", [
+        (["--seed", "-3"], "--seed", 0),
+        (["--jobs", "0"], "--jobs", 1),
+    ])
+    def test_seed_or_jobs_below_its_floor_rejected_by_name(self, capsys, args, flag, floor):
+        # both failed only in ExperimentConfig, with a traceback
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--config", "cfg.yaml", *args])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be at least {floor}, got {args[-1]}" in \
+            capsys.readouterr().err
 
     def test_seed_override_changes_nothing_when_equal(self, tmp_path):
         data = tmp_path / "toy.dat"

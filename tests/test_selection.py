@@ -553,6 +553,16 @@ class TestRankPathSearches:
                 score()
             assert spy.call_count == len(masks)
 
+    def test_fitness_sorts_no_reference_set(self):
+        # a chromosome's retained rows reach loo_predict already found and
+        # sorted, so the lookup that ignores them must not sort them again
+        masks, index = self.masks(), NeighbourIndex(self.X)
+        with mock.patch.object(knn, "_retained", wraps=knn._retained) as spy:
+            eus_fitness(self.X, self.y, masks, index)
+            eus_fitness(self.X, self.y, masks, index, sample_weight=self.weights)
+            _pso_fitness(self.X, self.y, masks, index)
+        assert spy.call_count == 0
+
     @pytest.mark.parametrize("weighted", [False, True])
     def test_eus_matches_oracle(self, weighted):
         w = self.weights if weighted else None
