@@ -129,6 +129,8 @@ class ExperimentConfig:
         for path in self.datasets:
             if not isinstance(path, (str, os.PathLike)):
                 raise ValueError(f"datasets entries must be file paths, got {path!r}")
+        if self.out_dir is not None and not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ValueError(f"out_dir must be a file path, got {self.out_dir!r}")
         sel._check_minimums(self, {"repetitions": 1, "master_seed": 0, "jobs": 1,
                                    "ensemble_size_bag": 1, "ensemble_size_boost": 1,
                                    "re_cardinality": 2, "re_trials": 1})
@@ -142,11 +144,11 @@ class ExperimentConfig:
         with open(path) as fh:
             raw = yaml.safe_load(fh) or {}
         kwargs = {}
-        for key, value in _known_keys(raw, "", _TOP_LEVEL_KEYS).items():
+        for key, value in sel._known_keys(raw, "", _TOP_LEVEL_KEYS).items():
             if key in _PARAM_KEYS:
                 name, params_cls = _PARAM_KEYS[key]
                 known = {f.name for f in fields(params_cls)}
-                kwargs[name] = params_cls(**_known_keys(value, f"{key}.", known))
+                kwargs[name] = params_cls(**sel._known_keys(value, f"{key}.", known))
             elif key in ("datasets", "methods"):
                 if not isinstance(value, list):
                     raise ValueError(f"config key {key!r} must be a list, got {value!r}")
@@ -161,16 +163,6 @@ _PARAM_KEYS = {"eus": ("eus_params", sel.EusParams),
                "pso": ("pso_params", sel.PsoParams)}
 _TOP_LEVEL_KEYS = (({f.name for f in fields(ExperimentConfig)}
                     - {name for name, _ in _PARAM_KEYS.values()}) | set(_PARAM_KEYS))
-
-
-def _known_keys(section, prefix, known) -> dict:
-    if not isinstance(section, dict):
-        raise ValueError(f"config section {prefix.rstrip('.') or 'top level'} "
-                         "must be a mapping")
-    for key in section:
-        if key not in known:
-            raise ValueError(f"unknown config key {prefix + str(key)!r}")
-    return section
 
 
 def make_synthetic_dataset(name, n_pos, imbalance_ratio, seed, d=2) -> Dataset:

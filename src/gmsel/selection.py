@@ -55,6 +55,21 @@ def _check_minimums(params, minimums):
                              f">= {low}, got {value!r}")
 
 
+def _known_keys(section, prefix, known, required=()) -> dict:
+    """``section`` of a config file, checked: a ValueError names a key not in
+    ``known`` or one of ``required`` that is missing (after ``prefix``)."""
+    if not isinstance(section, dict):
+        raise ValueError(f"config section {prefix.rstrip('.') or 'top level'} "
+                         "must be a mapping")
+    for key in section:
+        if key not in known:
+            raise ValueError(f"unknown config key {prefix + str(key)!r}")
+    for key in required:
+        if key not in section:
+            raise ValueError(f"missing config key {prefix + key!r}")
+    return section
+
+
 def _weighted_neg_sample(rng, y, n, weights=None):
     """Draw ``n`` majority indices without replacement, p proportional to weight."""
     neg_idx = np.flatnonzero(y == 0)
@@ -82,7 +97,8 @@ def rus(X, y, seed, weights=None) -> ReferenceSet:
 def tomek_links(X, y, nominal_mask=None, subset=None, index=None) -> ReferenceSet:
     """Remove majority members of Tomek links (mutual cross-class NN pairs)
     among ``subset``, or all rows, each row's neighbour found in ``index``:
-    over all rows its first leave-one-out rank, over a subset an argmin."""
+    over all rows its first leave-one-out rank, over a subset an argmin.
+    If every negative is in a link, the rows are returned unchanged."""
     X, y = _check_xy(X, y)
     idx = np.arange(len(y)) if subset is None else np.sort(np.asarray(subset))
     if index is None:
@@ -90,24 +106,26 @@ def tomek_links(X, y, nominal_mask=None, subset=None, index=None) -> ReferenceSe
     # positions in idx of each row's nearest other row of idx
     nn = index.ranks(exclude_self=True)[:, 0] if subset is None else \
         np.searchsorted(idx, index.nearest(idx, exclude_self=True, rows=idx))
-    mutual = nn[nn] == np.arange(idx.size)
-    cross = y[idx] != y[idx[nn]]
-    in_link = mutual & cross
-    drop = in_link & (y[idx] == 0)
-    return ReferenceSet(idx[~drop], method="tl")
+    in_link = (nn[nn] == np.arange(idx.size)) & (y[idx] != y[idx[nn]])  # mutual, cross-class
+    kept = idx[~(in_link & (y[idx] == 0))]
+    if not np.any(y[kept] == 0):
+        logger.warning("tomek_links: every negative is in a link; identity selection")
+        kept = idx
+    return ReferenceSet(kept, method="tl")
 
 
 def cnn_mod(X, y, seed, nominal_mask=None, subset=None, index=None) -> ReferenceSet:
     """Imbalance-adapted condensed NN: all positives plus a random majority
     seed instance; remaining majority instances are scanned once in seeded
-    shuffle order and added only if misclassified by the current store."""
+    shuffle order and added only if misclassified by the current store.
+    A ``subset`` with no negative is a ValueError."""
     X, y = _check_xy(X, y)
     rng = np.random.default_rng(seed)
     idx = np.arange(len(y)) if subset is None else np.sort(np.asarray(subset))
     pos = idx[y[idx] == 1]
     neg = idx[y[idx] == 0]
     if neg.size == 0:
-        return ReferenceSet(pos, method="cnn", seed=seed)
+        raise ValueError("cnn_mod: subset has no negative")
     order = rng.permutation(neg)
     store = list(pos) + [order[0]]
     if index is None:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .knn import _stable_top_k, classify_1nn, nearest_points, pairwise_distances
 from .metrics import confusion, gm
-from .selection import random_edit
+from .selection import _known_keys, random_edit
 
 __all__ = [
     "PiecewiseUniform1D",
@@ -45,7 +45,6 @@ __all__ = [
     "lemma_sweep",
     "exhaustive_search",
     "nonmonotone_example",
-    "search_nonmonotone_pointset",
     "cb_bb_demo",
     "model_from_config",
 ]
@@ -560,46 +559,16 @@ def exhaustive_search(points, labels, model: DensityModel, sample_count=2000, se
     return per_cardinality, (best_subset, best_gm)
 
 
-def search_nonmonotone_pointset(seed):
-    """Rejection-sample up to 200 5+10-point labelled sets from
-    :func:`nonmonotone_example`'s model until the exhaustive per-cardinality
-    best-GM curve (2000 probes per class) both beats the full set and wiggles
-    (>= 2 sign changes in its difference sequence).
-
-    Returns ``(points, labels, draw_seed)``; the recorded example pins the
-    draw seed this search produced.
-    """
-    model = example_mixture_model()
-    rng_outer = np.random.default_rng(seed)
-    for _ in range(200):
-        draw_seed = int(rng_outer.integers(0, 2**31))
-        pts, labels = _labelled_sample(model, _NONMONOTONE_POSITIVES,
-                                       _NONMONOTONE_NEGATIVES, draw_seed)
-        per_card, (_, best_gm) = exhaustive_search(pts, labels, model,
-                                                   sample_count=2000, seed=0)
-        curve = [per_card[k][1] for k in sorted(per_card)]
-        full_gm = per_card[len(labels)][1]
-        diffs = np.diff(curve)
-        signs = np.sign(diffs[diffs != 0])
-        changes = int(np.sum(signs[1:] != signs[:-1]))
-        if best_gm > full_gm + 0.01 and changes >= 2:
-            return pts, labels, draw_seed
-    raise RuntimeError("no qualifying point set in 200 draws; try another seed")
-
-
-# Pinned by running search_nonmonotone_pointset(seed=7), which returns this
-# draw seed as its third value; call it again to regenerate it.  The search
-# draws the same class counts as the example.
+# Found by a since-retired rejection search (seed 7) over draws of this model
+# for a set whose best proper subset beats the full set.
 _NONMONOTONE_DRAW_SEED = 1763574599
-_NONMONOTONE_POSITIVES, _NONMONOTONE_NEGATIVES = 5, 10
 
 
 def nonmonotone_example():
     """The recorded 15-point 2D set whose best-GM-per-cardinality curve is
     non-monotonic and beats the full set.  Returns ``(points, labels, model)``."""
     model = example_mixture_model()
-    pts, labels = _labelled_sample(model, _NONMONOTONE_POSITIVES,
-                                   _NONMONOTONE_NEGATIVES, _NONMONOTONE_DRAW_SEED)
+    pts, labels = _labelled_sample(model, 5, 10, _NONMONOTONE_DRAW_SEED)
     return pts, labels, model
 
 
@@ -674,23 +643,26 @@ def model_from_config(cfg) -> DensityModel:
         negative:
           type: gaussian_mixture
           components: [[1.0, [0, 0], [1, 1]]]   # weight, mean, variance
+
+    An unknown or missing key is a ValueError naming it.
     """
     if not isinstance(cfg, dict):
         import yaml
 
         with open(cfg) as fh:
             cfg = yaml.safe_load(fh)
+    top = ("prior_positive", "positive", "negative")
+    _known_keys(cfg, "", top, top)
+    densities = {"piecewise_uniform": ("segments", PiecewiseUniform1D),
+                 "gaussian_mixture": ("components", GaussianMixture2D)}
 
-    def build(side):
-        kind = side["type"]
-        if kind == "piecewise_uniform":
-            return PiecewiseUniform1D([tuple(s) for s in side["segments"]])
-        if kind == "gaussian_mixture":
-            return GaussianMixture2D([tuple(c) for c in side["components"]])
-        raise ValueError(f"unknown density type {kind!r}")
+    def build(key):
+        side = _known_keys(cfg[key], f"{key}.", ("type", "segments", "components"), ("type",))
+        if side["type"] not in densities:
+            raise ValueError(f"unknown density type {side['type']!r}")
+        rows, density = densities[side["type"]]
+        _known_keys(side, f"{key}.", ("type", rows), (rows,))
+        return density([tuple(r) for r in side[rows]])
 
-    return DensityModel(
-        positive=build(cfg["positive"]),
-        negative=build(cfg["negative"]),
-        prior_positive=float(cfg["prior_positive"]),
-    )
+    return DensityModel(positive=build("positive"), negative=build("negative"),
+                        prior_positive=float(cfg["prior_positive"]))

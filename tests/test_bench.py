@@ -218,6 +218,8 @@ class TestConfigYaml:
         ("datasets: a.dat\n", "'datasets' must be a list"),
         ("datasets: [5]\n", "datasets entries must be file paths, got 5"),
         ("methods: rus\n", "'methods' must be a list"),
+        ("out_dir: 5\n", "out_dir must be a file path, got 5"),
+        ("out_dir: [a, b]\n", "out_dir must be a file path"),
     ])
     def test_bad_value_rejected_by_name(self, tmp_path, text, key):
         path = tmp_path / "cfg.yaml"

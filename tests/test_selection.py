@@ -72,9 +72,10 @@ class TestTomekLinks:
         assert set(ref.retained) == {0, 3, 4}
 
     def test_one_instance_per_class(self):
+        # the lone negative is in a link, but removing it would drop the class
         X = np.array([[0.0], [1.0]])
         y = np.array([1, 0])
-        assert set(tomek_links(X, y).retained) == {0}
+        assert set(tomek_links(X, y).retained) == {0, 1}
 
     def test_no_removal_when_all_nn_same_class(self):
         X = np.array([[0.0], [0.2], [9.0], [9.1], [9.2]])
@@ -107,6 +108,11 @@ class TestCnnMod:
     def test_deterministic(self):
         X, y = clusters(5, 25, gap=3.0, seed=4)
         assert np.array_equal(cnn_mod(X, y, 7).retained, cnn_mod(X, y, 7).retained)
+
+    def test_subset_without_negative_rejected(self):
+        X, y = clusters(4, 30, gap=3.0)
+        with pytest.raises(ValueError, match="no negative"):
+            cnn_mod(X, y, 0, subset=np.flatnonzero(y == 1))
 
 
 class TestCompositions:
@@ -181,13 +187,15 @@ def subset_problems(draw):
 
 def _oracle_tomek(X, y, nominal, subset):
     """The rows of ``subset`` that are not the negative of a Tomek link, each
-    row's neighbour the argmin of the subset's own distances, its own inf."""
+    row's neighbour the argmin of the subset's own distances, its own inf;
+    all of ``subset`` if that would leave no negative."""
     idx = np.sort(subset)
     D = pairwise_distances(X[idx], X[idx], nominal)
     np.fill_diagonal(D, np.inf)
     nn = np.argmin(D, axis=1)
     link = (nn[nn] == np.arange(idx.size)) & (y[idx] != y[idx[nn]])
-    return idx[~(link & (y[idx] == 0))]
+    kept = idx[~(link & (y[idx] == 0))]
+    return kept if np.any(y[kept] == 0) else idx
 
 
 class TestSharedIndexTomekPass:
@@ -696,19 +704,21 @@ class TestRandomEditMatchesLoop:
 
 class TestInvariants:
     def test_all_methods_keep_minority_and_both_classes(self):
-        X, y = clusters(6, 30, gap=1.5, seed=8)
-        pos = set(np.flatnonzero(y == 1))
-        refs = [
-            rus(X, y, 0),
-            tomek_links(X, y),
-            cnn_mod(X, y, 0),
-            oss(X, y, 0),
-            tl_cnn(X, y, 0),
-            ncl(X, y),
-            eus(X, y, 0, EusParams(population=8, generations=3)),
-            pso_select(X, y, 0, PsoParams(swarm=8, iterations=3)),
-        ]
-        for ref in refs:
-            retained = set(ref.retained)
-            assert pos <= retained, ref.method
-            assert any(y[i] == 0 for i in retained), ref.method
+        # the second input puts every negative in a Tomek link
+        for X, y in [clusters(6, 30, gap=1.5, seed=8),
+                     (np.array([[0.0], [1.0], [10.0], [11.0]]), np.array([1, 0, 1, 0]))]:
+            pos = set(np.flatnonzero(y == 1))
+            refs = [
+                rus(X, y, 0),
+                tomek_links(X, y),
+                cnn_mod(X, y, 0),
+                oss(X, y, 0),
+                tl_cnn(X, y, 0),
+                ncl(X, y),
+                eus(X, y, 0, EusParams(population=8, generations=3)),
+                pso_select(X, y, 0, PsoParams(swarm=8, iterations=3)),
+            ]
+            for ref in refs:
+                retained = set(ref.retained)
+                assert pos <= retained, ref.method
+                assert any(y[i] == 0 for i in retained), ref.method

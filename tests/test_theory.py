@@ -28,7 +28,6 @@ from gmsel.theory import (
     model_from_config,
     nonmonotone_example,
     removal_analysis,
-    search_nonmonotone_pointset,
     voronoi_neighbors,
 )
 
@@ -386,8 +385,17 @@ class TestNonmonotoneExample:
         pts2, _, _ = nonmonotone_example()
         assert np.array_equal(pts, pts2)
 
-    def test_pinned_draw_seed_is_what_the_search_returns(self):
-        assert search_nonmonotone_pointset(7)[2] == theory._NONMONOTONE_DRAW_SEED
+    def test_curve_rises_to_one_peak_then_falls(self):
+        # at 100,000 probes per class the curve has one sign change; the extra
+        # ones at 2,000 probes are probe noise
+        pts, labels, model = nonmonotone_example()
+        for seed in (0, 1, 2):
+            per_card, (_, best_gm) = exhaustive_search(pts, labels, model,
+                                                       sample_count=100_000, seed=seed)
+            steps = np.sign(np.diff([per_card[k][1] for k in sorted(per_card)]))
+            steps = steps[steps != 0]
+            assert np.sum(steps[1:] != steps[:-1]) == 1, seed
+            assert best_gm > per_card[len(labels)][1] + 0.05, seed
 
 
 class TestBayesDemo:
@@ -445,6 +453,19 @@ class TestModelFromConfig:
         model = model_from_config(str(path))
         assert model.prior_positive == 0.111
         assert bayes_classify(model, [[5.0, 0.0]], balanced=True)[0] == 1
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c.update(extra=1), "unknown config key 'extra'"),
+        (lambda c: c["positive"].update(sgements=[]), "unknown config key 'positive.sgements'"),
+        (lambda c: c["negative"].pop("segments"), "missing config key 'negative.segments'"),
+    ])
+    def test_bad_key_rejected_by_name(self, edit, message):
+        cfg = {"prior_positive": 0.5,
+               "positive": {"type": "piecewise_uniform", "segments": [[0.0, 9.0, 1 / 9]]},
+               "negative": {"type": "piecewise_uniform", "segments": [[3.0, 10.0, 1 / 7]]}}
+        edit(cfg)
+        with pytest.raises(ValueError, match=message):
+            model_from_config(cfg)
 
     def test_unknown_type(self):
         with pytest.raises(ValueError):
