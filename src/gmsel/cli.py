@@ -31,11 +31,7 @@ def _cmd_report(args):
 
 
 def _cmd_parse(args):
-    try:
-        ds = bench.load_dataset(args.file)
-    except ValueError as exc:
-        print(f"INVALID: {exc}", file=sys.stderr)
-        return 1
+    ds = bench.load_dataset(args.file)
     print(f"{ds.name}: {ds.n_instances} instances, "
           f"{sum(a.kind == 'numeric' for a in ds.schema)} numeric + "
           f"{sum(a.kind == 'nominal' for a in ds.schema)} nominal attributes, "
@@ -177,7 +173,11 @@ def main(argv=None) -> int:
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # a bad input file, config or model: one line
+        print(f"INVALID: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

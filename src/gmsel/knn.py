@@ -41,8 +41,8 @@ __all__ = [
 # retained instance this deep fall back to an exact argmin.
 RANK_DEPTH = 32
 
-# loo_gm_best's float64 cells per block of distances (2 MB) and per chunk of
-# gathered distances (512 kB), and the sets it scores on every row first
+# float64 cells per block of distances or gathered ranks (2 MB) and per chunk of
+# loo_gm_best's gathered distances (512 kB); the sets it scores on every row first
 _BLOCK_CELLS = 2**18
 _CHUNK_CELLS = 2**16
 _PILOT = 128
@@ -81,15 +81,18 @@ def pairwise_distances(A, B, nominal_mask=None) -> np.ndarray:
     else:
         nominal_mask = np.asarray(nominal_mask, dtype=bool)
     num = ~nominal_mask
-    An, Bn = A[:, num], B[:, num]
-    # in place, in the order of ||a||^2 + ||b||^2 - 2ab: two n x m matrices live
-    sq = np.sum(An * An, axis=1)[:, None] + np.sum(Bn * Bn, axis=1)[None, :]
-    sq -= 2.0 * An @ Bn.T
-    np.maximum(sq, 0.0, out=sq)
-    if nominal_mask.any():
-        Ac, Bc = A[:, nominal_mask], B[:, nominal_mask]
-        sq += np.sum(Ac[:, None, :] != Bc[None, :, :], axis=2)
-    return np.sqrt(sq, out=sq)
+    An, Bn, Ac, Bc = A[:, num], B[:, num], A[:, nominal_mask], B[:, nominal_mask]
+    an, bn = np.sum(An * An, axis=1), np.sum(Bn * Bn, axis=1)
+    # one product: row blocks of it round otherwise.  It becomes the result in
+    # place, a block of rows at a time, as (||a||^2 + ||b||^2) - 2ab
+    sq, step = 2.0 * An @ Bn.T, max(1, _BLOCK_CELLS // max(1, B.shape[0]))
+    for r in (slice(r0, r0 + step) for r0 in range(0, A.shape[0], step)):
+        np.subtract(an[r, None] + bn, sq[r], out=sq[r])
+        np.maximum(sq[r], 0.0, out=sq[r])
+        if Ac.shape[1]:
+            sq[r] += np.sum(Ac[r, None, :] != Bc[None, :, :], axis=2)
+        np.sqrt(sq[r], out=sq[r])
+    return sq
 
 
 def nearest_points(points, queries) -> np.ndarray:
@@ -124,17 +127,21 @@ def _stable_top_k(D, k) -> np.ndarray:
     n_rows, n_cols = D.shape
     if k >= n_cols:
         return np.argsort(D, axis=1, kind="stable")
-    kth = np.partition(D, k - 1, axis=1)[:, k - 1:k].copy()
-    take = D < kth
-    room = k - take.sum(axis=1)
-    tie = D == kth
-    # rows with more ties at the k-th value than room keep the lowest-index ones
-    over = np.flatnonzero(tie.sum(axis=1) > room)
-    tie[over] &= np.cumsum(tie[over], axis=1) <= room[over, None]
-    take |= tie
-    cols = np.nonzero(take)[1].reshape(n_rows, k)  # row-major: index order
-    order = np.argsort(np.take_along_axis(D, cols, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(cols, order, axis=1)
+    top, step = np.empty((n_rows, k), dtype=np.intp), max(1, _BLOCK_CELLS // n_cols)
+    for r0 in range(0, n_rows, step):  # each row on its own, a block at a time
+        B = D[r0:r0 + step]
+        kth = np.partition(B, k - 1, axis=1)[:, k - 1:k].copy()
+        take = B < kth
+        room = k - take.sum(axis=1)
+        tie = B == kth
+        # rows with more ties at the k-th value than room keep the lowest-index ones
+        over = np.flatnonzero(tie.sum(axis=1) > room)
+        tie[over] &= np.cumsum(tie[over], axis=1) <= room[over, None]
+        take |= tie
+        cols = np.nonzero(take)[1].reshape(len(B), k)  # row-major: index order
+        order = np.argsort(np.take_along_axis(B, cols, axis=1), axis=1, kind="stable")
+        top[r0:r0 + step] = np.take_along_axis(cols, order, axis=1)
+    return top
 
 
 def _nearest_retained(D, retained, rows=None) -> np.ndarray:
@@ -163,6 +170,7 @@ class NeighbourIndex:
     ``queries`` are rows to classify, or without them the rows of ``X``, where
     ``nearest(..., exclude_self=True)`` gives leave-one-out lookups.  Memory is
     8 bytes per query per row of ``X`` (8 MB at 1,000 x 1,000) plus the ranks.
+    Building them and lookups work in 2 MB blocks (2.5-3 MB of temporaries).
     """
 
     def __init__(self, X, nominal_mask=None, queries=None):
@@ -213,13 +221,20 @@ class NeighbourIndex:
         if not ranked.shape[1]:  # one row of X, which its leave-one-out ranks leave out
             return np.array([self._argmin(np.arange(1), np.flatnonzero(m), exclude_self)
                              for m in member])
-        first = np.take(member, ranked, axis=1).argmax(axis=2)  # first True, or 0
-        # flat takes: ranked[q, first[p, q]], then member[p, nn[p, q]]
-        nn = np.take(ranked, first + np.arange(0, ranked.size, ranked.shape[1]))
-        miss = ~np.take(member, nn + np.arange(0, member.size, member.shape[1])[:, None])
-        for p in np.flatnonzero(miss.any(axis=1)):
-            rows = np.flatnonzero(miss[p])
-            nn[p, rows] = self._argmin(rows, np.flatnonzero(member[p]), exclude_self)
+        nn = np.empty((len(member), len(ranked)), dtype=np.intp)
+        # members per block: a byte per rank gathered, or 8 per lookup, fill at most a block
+        step = max(1, 8 * _BLOCK_CELLS // (len(ranked) * max(8, ranked.shape[1])))
+        for p0 in range(0, len(member), step):
+            m, out = member[p0:p0 + step], nn[p0:p0 + step]
+            first = np.take(m, ranked, axis=1).argmax(axis=2)  # first True, or 0
+            # flat takes: ranked[q, first[p, q]], then m[p, out[p, q]]; the indices
+            # are in range, so "clip" changes nothing but lets take fill out unbuffered
+            first += np.arange(0, ranked.size, ranked.shape[1])
+            np.take(ranked, first, out=out, mode="clip")
+            miss = ~np.take(m, out + np.arange(0, m.size, m.shape[1])[:, None])
+            for p in np.flatnonzero(miss.any(axis=1)):
+                rows = np.flatnonzero(miss[p])
+                out[p, rows] = self._argmin(rows, np.flatnonzero(m[p]), exclude_self)
         return nn
 
     def _argmin(self, rows, retained, exclude_self):

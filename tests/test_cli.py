@@ -115,14 +115,14 @@ class TestTheoryCommands:
         b = [float(row[0]) for row in list(csv.reader(out.open()))[1:]]
         assert b == [-2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
-    def test_boundary1d_rejects_gaussian_model(self, tmp_path):
+    def test_boundary1d_rejects_gaussian_model(self, tmp_path, capsys):
         path = tmp_path / "model.yaml"
         path.write_text(
             "prior_positive: 0.5\n"
             "positive: {type: piecewise_uniform, segments: [[0, 1, 1.0]]}\n"
             "negative: {type: gaussian_mixture, components: [[1.0, [0, 0], [1, 1]]]}\n")
-        with pytest.raises(ValueError, match="GaussianMixture2D"):
-            main(["theory", "boundary1d", "--model", str(path)])
+        assert main(["theory", "boundary1d", "--model", str(path)]) == 1
+        assert "GaussianMixture2D" in capsys.readouterr().err
 
     def test_demo_gaussian_random_editing_pinned(self, capsys):
         # the full stdout at 500 trials, as the one-loo_gm-per-trial loop
@@ -238,3 +238,25 @@ class TestRunAndReport:
         main(["run", "--config", str(cfg), "--out", str(a)])
         main(["run", "--config", str(cfg), "--seed", "5", "--out", str(b)])
         assert (a / "records.csv").read_bytes() == (b / "records.csv").read_bytes()
+
+
+class TestInputErrors:
+    # each ended in a Python traceback; now one line, as `gmsel parse` gives
+    @pytest.mark.parametrize("command, text, message", [
+        (["run", "--config"], "datasets: [toy.dat]\nmethods: [rus]\nout_dir: 5\n",
+         "out_dir must be a file path, got 5"),
+        (["theory", "boundary1d", "--model"],
+         "prior_positive: 0.5\nextra: 1\n"
+         "positive: {type: piecewise_uniform, segments: [[0, 1, 1.0]]}\n"
+         "negative: {type: piecewise_uniform, segments: [[0, 1, 1.0]]}\n",
+         "unknown config key 'extra'"),
+        (["report", "--records"],
+         "dataset,rep,fold,method,gm,tpr,tnr,retained,millis,failed\n",
+         "no complete trials to report on"),
+    ], ids=["run", "boundary1d", "report"])
+    def test_one_line_and_exit_1(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "input"
+        path.write_text(text)
+        assert main([*command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"INVALID: {message}\n")

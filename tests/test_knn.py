@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -291,10 +292,15 @@ class TestPairwise:
                 assert D[i, j] == pytest.approx(_direct_distance(A[i], B[j], mask))
 
     @given(rows_a=st.integers(1, 40), rows_b=st.integers(1, 40), d=st.integers(1, 8),
-           seed=st.integers(0, 2**32 - 1), grid=st.booleans(), nominal=st.booleans())
+           seed=st.integers(0, 2**32 - 1), grid=st.booleans(), nominal=st.booleans(),
+           rows_per_block=st.integers(1, 41))
+    # integer-grid data with nominal columns: a one-row A (a gemv product), and
+    # 4 blocks of rows
+    @example(rows_a=1, rows_b=30, d=4, seed=0, grid=True, nominal=True, rows_per_block=1)
+    @example(rows_a=40, rows_b=25, d=5, seed=0, grid=True, nominal=True, rows_per_block=13)
     @settings(max_examples=300, deadline=None)
     def test_in_place_kernel_equals_the_expression(self, rows_a, rows_b, d, seed, grid,
-                                                   nominal):
+                                                   nominal, rows_per_block):
         rng = np.random.default_rng(seed)
         draw = (lambda r: rng.integers(0, 3, (r, d)).astype(float)) if grid else \
             (lambda r: rng.standard_normal((r, d)))
@@ -303,12 +309,15 @@ class TestPairwise:
         A[:, mask] = rng.integers(0, 3, (rows_a, np.count_nonzero(mask)))
         B[:, mask] = rng.integers(0, 3, (rows_b, np.count_nonzero(mask)))
         want = _expression_distances(A, B, mask)
-        assert pairwise_distances(A, B, mask if nominal else None).tobytes() == want.tobytes()
+        with mock.patch.object(knn, "_BLOCK_CELLS", rows_per_block * rows_b):
+            got = pairwise_distances(A, B, mask if nominal else None)
+        assert got.tobytes() == want.tobytes()
 
 
 def _expression_distances(A, B, nominal_mask):
-    """``pairwise_distances`` as one expression, its first form: the oracle
-    for the in-place kernel, which must keep its order of operations."""
+    """``pairwise_distances`` as one expression over whole matrices, its first
+    form: the oracle for the kernel, which works in place, a block of rows at a
+    time, and must keep its order of operations."""
     num = ~nominal_mask
     An, Bn = A[:, num], B[:, num]
     sq = (
@@ -437,13 +446,21 @@ class TestNeighbourIndex:
         rows = np.arange(X.shape[0])[::2]
         assert np.array_equal(index.nearest(retained, exclude_self, rows), want[rows])
 
-    @given(problem=batch_problems(), exclude_self=st.booleans())
-    @example(problem=(np.array([[0.0]]), np.array([[True], [True]])), exclude_self=True)
+    @given(problem=batch_problems(), exclude_self=st.booleans(),
+           block_cells=st.sampled_from([1, 64, knn._BLOCK_CELLS]))
+    @example(problem=(np.array([[0.0]]), np.array([[True], [True]])), exclude_self=True,
+             block_cells=knn._BLOCK_CELLS)
+    # a block per member, each with queries that no ranked row answers (the
+    # line of test_batch_falls_back_past_the_ranks)
+    @example(problem=(np.arange(2 * knn.RANK_DEPTH, dtype=float)[:, None],
+                      np.arange(2 * knn.RANK_DEPTH) >= [[2 * knn.RANK_DEPTH - 1], [0]]),
+             exclude_self=True, block_cells=1)
     @settings(max_examples=300, deadline=None)
-    def test_batch_rows_match_nearest(self, problem, exclude_self):
+    def test_batch_rows_match_nearest(self, problem, exclude_self, block_cells):
         X, member = problem
         index = NeighbourIndex(X)
-        got = index.nearest_batch(member, exclude_self)
+        with mock.patch.object(knn, "_BLOCK_CELLS", block_cells):
+            got = index.nearest_batch(member, exclude_self)
         assert got.shape == member.shape
         for p, row in enumerate(member):
             retained = np.flatnonzero(row)
@@ -480,12 +497,15 @@ class TestNeighbourIndex:
         assert np.array_equal(classify_1nn(X, y, retained, Q, index=index),
                               classify_1nn(X, y, retained, Q, nominal))
 
-    @given(D=arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 12)),
+    @given(D=arrays(np.float64, st.tuples(st.integers(1, 20), st.integers(1, 12)),
                     elements=st.integers(0, 4).map(float)),
-           k=st.integers(1, 12))
-    def test_stable_top_k_is_a_stable_argsort_prefix(self, D, k):
+           k=st.integers(1, 12), rows_per_block=st.integers(1, 21))
+    # three values in six columns: ties at the k-th value, in 3 blocks of rows
+    @example(D=(np.arange(54).reshape(9, 6) * 7 % 3).astype(float), k=2, rows_per_block=3)
+    def test_stable_top_k_is_a_stable_argsort_prefix(self, D, k, rows_per_block):
         want = np.argsort(D, axis=1, kind="stable")[:, :k]
-        assert np.array_equal(_stable_top_k(D, k), want)
+        with mock.patch.object(knn, "_BLOCK_CELLS", rows_per_block * D.shape[1]):
+            assert np.array_equal(_stable_top_k(D, k), want)
 
     def test_lone_retained_self_is_its_own_leave_one_out_neighbour(self):
         # nothing else retained: the per-call argmin picks the only column
@@ -501,3 +521,41 @@ class TestNeighbourIndex:
             index.nearest([0, 1], exclude_self=True)
         with pytest.raises(ValueError):
             classify_1nn(X, np.array([1, 0]), [0, 1], X, index=index)
+
+
+def _peak_above_kept(build):
+    """``build()`` and the most bytes its temporaries held at once beyond what
+    was still allocated when it returned (numpy reports its buffers to
+    tracemalloc)."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        result = build()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - kept
+
+
+def _ranked_index(X):
+    index = NeighbourIndex(X)
+    index.ranks(exclude_self=True)
+    return index
+
+
+class TestMemory:
+    # whole-matrix temporaries took 7.3 MB above the index and 12.2 MB above
+    # the lookups' result at these sizes
+    def test_index_and_ranks_take_one_block_more_than_they_keep(self):
+        X = np.random.default_rng(0).standard_normal((1000, 8))
+        _, above = _peak_above_kept(lambda: _ranked_index(X))
+        # one 2 MB block of distances plus the ranks' small per-block arrays
+        assert above <= 3 * 2**20
+
+    def test_batch_lookup_stays_within_its_blocks(self):
+        index = _ranked_index(np.random.default_rng(0).standard_normal((1000, 8)))
+        member = np.random.default_rng(1).random((400, 1000)) < 0.3
+        nn, above = _peak_above_kept(lambda: index.nearest_batch(member, exclude_self=True))
+        assert nn.shape == member.shape
+        assert above <= 4 * 2**20  # the 3.2 MB result is kept
+
