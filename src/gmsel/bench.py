@@ -139,10 +139,7 @@ class ExperimentConfig:
     def from_yaml(path) -> "ExperimentConfig":
         """Read a config file.  An unknown key, at the top level or inside
         ``eus:`` or ``pso:``, is a ValueError naming the key."""
-        import yaml
-
-        with open(path) as fh:
-            raw = yaml.safe_load(fh) or {}
+        raw = sel._read_yaml(path) or {}
         kwargs = {}
         for key, value in sel._known_keys(raw, "", _TOP_LEVEL_KEYS).items():
             if key in _PARAM_KEYS:
@@ -308,7 +305,11 @@ def write_records(records, path) -> None:
 def read_records(path) -> list[TrialRecord]:
     records = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} lacks the records columns {missing}")
+        for row in reader:
             records.append(TrialRecord(
                 dataset=row["dataset"], rep=int(row["rep"]), fold=int(row["fold"]),
                 method=row["method"], gm=float(row["gm"]), tpr=float(row["tpr"]),

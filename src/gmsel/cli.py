@@ -175,7 +175,7 @@ def main(argv=None) -> int:
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
     try:
         return args.func(args)
-    except ValueError as exc:  # a bad input file, config or model: one line
+    except (OSError, ValueError) as exc:  # a missing or bad input file: one line
         print(f"INVALID: {exc}", file=sys.stderr)
         return 1
 

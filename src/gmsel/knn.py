@@ -244,11 +244,18 @@ class NeighbourIndex:
 
 
 def _retained(ref):
-    retained = ref.retained if isinstance(ref, ReferenceSet) else np.sort(
-        np.asarray(ref, dtype=np.intp)
-    )
-    if retained.size == 0:
-        raise ValueError("empty reference set")
+    """The sorted indices of ``ref``, a ReferenceSet or an index array, which
+    must be a non-empty vector of unique, non-negative indices, as a
+    ReferenceSet's are."""
+    if isinstance(ref, ReferenceSet):
+        return ref.retained
+    retained = np.sort(np.asarray(ref, dtype=np.intp))
+    if retained.ndim != 1 or retained.size == 0:
+        raise ValueError("reference set must be a non-empty index vector")
+    if retained[0] < 0:
+        raise ValueError("negative index in reference set")
+    if (retained[1:] == retained[:-1]).any():
+        raise ValueError("reference set indices must be unique")
     return retained
 
 

@@ -55,6 +55,18 @@ def _check_minimums(params, minimums):
                              f">= {low}, got {value!r}")
 
 
+def _read_yaml(path):
+    """The document in the YAML file ``path``; a syntax error is a ValueError
+    naming the file."""
+    import yaml
+
+    with open(path) as fh:
+        try:
+            return yaml.safe_load(fh)
+        except yaml.YAMLError as exc:  # its own text spans several lines
+            raise ValueError(f"{path} is not valid YAML: {' '.join(str(exc).split())}")
+
+
 def _known_keys(section, prefix, known, required=()) -> dict:
     """``section`` of a config file, checked: a ValueError names a key not in
     ``known`` or one of ``required`` that is missing (after ``prefix``)."""

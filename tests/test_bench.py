@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -260,10 +263,10 @@ def _mixed_keel(n_pos=10, n_neg=40, seed=2):
     return "\n".join(lines) + "\n"
 
 
-# sha256 of records.csv for the config below, as first computed; a change
-# that moves any record has to update it in pins.json, openly
-PINNED_RECORDS_SHA256 = json.loads(
-    Path(__file__).with_name("pins.json").read_text())["tests"]["PINNED_RECORDS_SHA256"]
+# sha256 of records.csv for the configs below, as first computed; a change
+# that moves any record has to update them in pins.json, openly
+PINS = json.loads(Path(__file__).with_name("pins.json").read_text())["tests"]
+PINNED_RECORDS_SHA256 = PINS["PINNED_RECORDS_SHA256"]
 
 
 def test_records_digest_pinned(tmp_path):
@@ -279,6 +282,67 @@ def test_records_digest_pinned(tmp_path):
     assert len(records) == 3 * 2 * 13 and not any(r.failed for r in records)
     digest = hashlib.sha256((tmp_path / "records.csv").read_bytes()).hexdigest()
     assert digest == PINNED_RECORDS_SHA256
+
+
+def _grid_keel(name, n_pos, imbalance_ratio, d, nominal, seed):
+    """KEEL text on the integer grid 0..8, positives from 2..8 and negatives
+    from 0..6, with a first row of 0s and a last row of 8s; ``nominal`` adds a
+    two-valued attribute."""
+    rng = np.random.default_rng(seed)
+    X = np.vstack([rng.integers(2, 9, (n_pos, d)),
+                   rng.integers(0, 7, (n_pos * imbalance_ratio, d))])
+    X[0], X[-1] = 0, 8
+    fields = [[str(v) for v in row] for row in X]
+    header = [f"@attribute x{j} real [0, 8]" for j in range(d)]
+    if nominal:
+        header.append("@attribute n0 {a, b}")
+        for row, code in zip(fields, rng.integers(0, 2, len(X))):
+            row.append("ab"[code])
+    rows = [", ".join([*row, "positive" if i < n_pos else "negative"])
+            for i, row in enumerate(fields)]
+    return "\n".join([f"@relation {name}", *header,
+                      "@attribute class {positive, negative}", "@data", *rows]) + "\n"
+
+
+@pytest.fixture(scope="module")
+def grid_config(tmp_path_factory):
+    """Config file of the full roster over three integer-grid files with 64, 99
+    and 24 duplicate rows, whose equal distances are exact ties that the
+    lowest-index rule alone breaks.  In the 8 of 12 training halves that span
+    0..8 in every column, scaling divides by 8 and every distance is exact."""
+    where = tmp_path_factory.mktemp("grid")
+    paths = []
+    for i, shape in enumerate([(20, 5, 2, False), (15, 9, 2, False), (30, 4, 3, True)]):
+        paths.append(where / f"grid{i}.dat")
+        paths[-1].write_text(_grid_keel(f"grid{i}", *shape, seed=[7, i]))
+    path = where / "config.json"  # JSON is valid YAML
+    path.write_text(json.dumps({
+        "datasets": [str(p) for p in paths], "methods": list(METHODS),
+        "repetitions": 2, "master_seed": 5, "re_trials": 100,
+        "eus": {"population": 10, "generations": 10},
+        "pso": {"swarm": 10, "iterations": 10}}))
+    return path
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_records_with_exact_ties_pinned(grid_config, tmp_path, jobs):
+    cfg = replace(ExperimentConfig.from_yaml(grid_config), jobs=jobs, out_dir=str(tmp_path))
+    records = run_experiment(cfg)
+    assert len(records) == 3 * 2 * 2 * 13 and not any(r.failed for r in records)
+    digest = hashlib.sha256((tmp_path / "records.csv").read_bytes()).hexdigest()
+    assert digest == PINS["PINNED_TIES_SHA256"]
+
+
+def test_records_with_exact_ties_pinned_at_two_blas_threads(grid_config, tmp_path):
+    # CI runs every other check at one BLAS thread; the records must not move
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "gmsel.cli", "run", "--config", str(grid_config),
+                    "--jobs", "2", "--out", str(tmp_path)], env=env, check=True,
+                   capture_output=True)
+    digest = hashlib.sha256((tmp_path / "records.csv").read_bytes()).hexdigest()
+    assert digest == PINS["PINNED_TIES_SHA256"]
 
 
 # the full roster at small budgets on one file of 140 rows with a nominal

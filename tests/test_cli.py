@@ -260,3 +260,32 @@ class TestInputErrors:
         assert main([*command, str(path)]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"INVALID: {message}\n")
+
+    # a missing file or a directory, a YAML syntax error or a CSV without the
+    # records columns
+    @pytest.mark.parametrize("command, text, message", [
+        (["run", "--config"], None, "No such file or directory"),
+        (["report", "--records"], None, "No such file or directory"),
+        (["parse"], None, "No such file or directory"),
+        (["theory", "boundary1d", "--model"], None, "No such file or directory"),
+        (["run", "--config"], "datasets: [{dir}/missing.dat]\nmethods: [rus]\n",
+         "No such file or directory"),
+        (["run", "--config"], "<directory>", "Is a directory"),
+        (["run", "--config"], "methods: [1nn\n", "is not valid YAML: while parsing"),
+        (["theory", "boundary1d", "--model"], "positive: [1nn\n",
+         "is not valid YAML: while parsing"),
+        (["report", "--records"], "a,b\n1,2\n",
+         "lacks the records columns ['dataset', 'rep', 'fold', 'method'"),
+    ], ids=["run-missing", "report-missing", "parse-missing", "boundary1d-missing",
+            "run-missing-dataset", "run-directory", "run-yaml", "boundary1d-yaml",
+            "report-columns"])
+    def test_bad_file_one_line_and_exit_1(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "input"
+        if text == "<directory>":
+            path.mkdir()
+        elif text is not None:
+            path.write_text(text.format(dir=tmp_path))
+        assert main([*command, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("INVALID: ") and err.count("\n") == 1
+        assert message in err

@@ -106,6 +106,29 @@ class TestClassify1NN:
         assert np.array_equal(a, b)
 
 
+class TestIndexArrays:
+    # an index array means what a ReferenceSet of it means, on every lookup path
+    X = np.array([[0.0], [0.1], [1.0], [1.1]])
+    y = np.array([1, 1, 0, 0])
+
+    def test_repeated_index_rejected_on_the_column_path(self):
+        # a repeat let row 0 be predicted from its own copy
+        with pytest.raises(ValueError, match="unique"):
+            loo_predict(self.X, self.y, [0, 0, 1, 2, 3])
+
+    @pytest.mark.parametrize("ref, match", [
+        ([-1, 1], "negative"),  # -1 read the last row
+        ([[0, 2]], "index vector"),
+    ])
+    def test_bad_index_array_rejected(self, ref, match):
+        with pytest.raises(ValueError, match=match):
+            classify_1nn(self.X, self.y, ref, [[0.0]])
+
+    def test_repeated_index_rejected_by_the_index(self):
+        with pytest.raises(ValueError, match="unique"):
+            NeighbourIndex(self.X).nearest([0, 0, 1])
+
+
 class TestClassifyKNN:
     def test_k1_equals_1nn(self):
         rng = np.random.default_rng(1)
