@@ -23,7 +23,7 @@ from . import ensemble as ens
 from . import selection as sel
 from .data import Dataset, apply_scaler, fit_scaler, parse_csv, parse_keel, \
     stratified_two_fold
-from .knn import NeighbourIndex, ReferenceSet, classify_1nn
+from .knn import NeighbourIndex, ReferenceSet
 from .metrics import bonferroni, confusion, gm, sign_test, tnr, tpr, win_counts
 
 logger = logging.getLogger(__name__)
@@ -224,12 +224,12 @@ class _Fold:
 
 
 def _run_method(method, fold: _Fold, seed, cfg: ExperimentConfig):
-    """Train one method on the fold; returns (test-half predictions, retained count)."""
+    """Train one method on the fold; returns (test-half predictions, distinct
+    training rows retained).  A reference set votes as a one-member ensemble."""
     model = METHODS[method][1](fold, seed, cfg)
     if isinstance(model, ReferenceSet):
-        return classify_1nn(fold.X, fold.y, model, fold.X_test, fold.nominal,
-                            index=fold.index(test=True)), len(model)
-    retained = len(set().union(*(set(m.retained.tolist()) for m in model.members)))
+        model = ens.EnsembleModel((model,), np.ones(1))
+    retained = np.count_nonzero(np.bincount(np.concatenate([m.retained for m in model.members])))
     return ens.predict_ensemble(model, fold.X, fold.y, fold.X_test, fold.nominal,
                                 index=fold.index(test=True)), retained
 

@@ -71,8 +71,9 @@ def bag_1nn(X, y, size=100, seed=0) -> EnsembleModel:
             draw = rng.integers(0, n, size=n)
             if np.any(y[draw] == 1) and np.any(y[draw] == 0):
                 break
-        # 1-NN over a multiset equals 1-NN over the distinct indices
-        members.append(ReferenceSet(np.unique(draw), method="bag1nn", seed=s))
+        # 1-NN over a multiset equals 1-NN over the distinct indices, here sorted
+        members.append(ReferenceSet(np.flatnonzero(np.bincount(draw, minlength=n)),
+                                    method="bag1nn", seed=s))
     return EnsembleModel(tuple(members), np.ones(size))
 
 
@@ -162,6 +163,8 @@ def predict_ensemble(model: EnsembleModel, X, y, queries, nominal_mask=None,
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if index is None:
         index = NeighbourIndex(X, nominal_mask, queries=queries)
+    elif index.distances.shape[0] != queries.shape[0]:
+        raise ValueError("index was built for other queries")
     member = np.zeros((model.size, index.distances.shape[1]), dtype=bool)
     for row, ref in zip(member, model.members):
         row[ref.retained] = True

@@ -3,14 +3,15 @@
 Distances are Euclidean over numeric attributes with nominal attributes
 contributing overlap distance (0 if equal, 1 otherwise) in quadrature.
 Nearest-neighbour distance ties are broken toward the lowest retained index;
-k-NN vote ties are broken toward the positive class.
+k-NN vote ties are broken toward the positive class.  Retained rows are an
+integer index vector, checked by :class:`ReferenceSet` on every path.
 
 Callers that look up nearest retained neighbours many times over one training
 matrix (subset searches, condensing, Tomek links, boosting) build a
 :class:`NeighbourIndex` once and pass it as ``index``; the benchmark builds
-two per fold, over its training half and from its test half to it, and every
-lookup of the fold's methods and predictions reads them.  One-shot calls
-without an index compute only the distance columns of the retained instances;
+two per fold, over its training half for its methods and from its test half
+for every prediction, an ensemble vote (of one member for a reference set).
+One-shot calls without an index compute only the retained distance columns;
 EUS and PSO look up a whole generation, and ensemble voting all its members,
 in one ``nearest_batch`` call (the searches then score the generation from its
 hit matrix, not by :func:`loo_gm`), NCL and a Tomek pass over all rows read
@@ -57,14 +58,16 @@ class ReferenceSet:
     seed: int | None = None
 
     def __post_init__(self):
-        retained = np.asarray(self.retained, dtype=np.intp)
-        if retained.ndim != 1 or retained.size == 0:
-            raise ValueError("reference set must be a non-empty index vector")
-        if len(np.unique(retained)) != retained.size:
-            raise ValueError("reference set indices must be unique")
-        if np.any(retained < 0):
+        # the one check of a set of training rows: a mask or floats are not row numbers
+        retained = np.asarray(self.retained)
+        if retained.dtype.kind not in "iu" or retained.ndim != 1 or retained.size == 0:
+            raise ValueError("reference set must be a non-empty integer index vector")
+        retained = np.sort(retained.astype(np.intp, copy=False))
+        if retained[0] < 0:
             raise ValueError("negative index in reference set")
-        object.__setattr__(self, "retained", np.sort(retained))
+        if (retained[1:] == retained[:-1]).any():
+            raise ValueError("reference set indices must be unique")
+        object.__setattr__(self, "retained", retained)
 
     def __len__(self):
         return self.retained.size
@@ -244,19 +247,8 @@ class NeighbourIndex:
 
 
 def _retained(ref):
-    """The sorted indices of ``ref``, a ReferenceSet or an index array, which
-    must be a non-empty vector of unique, non-negative indices, as a
-    ReferenceSet's are."""
-    if isinstance(ref, ReferenceSet):
-        return ref.retained
-    retained = np.sort(np.asarray(ref, dtype=np.intp))
-    if retained.ndim != 1 or retained.size == 0:
-        raise ValueError("reference set must be a non-empty index vector")
-    if retained[0] < 0:
-        raise ValueError("negative index in reference set")
-    if (retained[1:] == retained[:-1]).any():
-        raise ValueError("reference set indices must be unique")
-    return retained
+    """The sorted indices of ``ref``: a ReferenceSet, or an index array checked as one."""
+    return (ref if isinstance(ref, ReferenceSet) else ReferenceSet(ref)).retained
 
 
 def classify_1nn(X, y, ref, queries, nominal_mask=None, index=None) -> np.ndarray:
@@ -382,7 +374,7 @@ def loo_gm(X, y, retained, nominal_mask=None) -> float:
     optimisers can penalise degenerate selections naturally.  EUS scores its
     populations from the same predictions in ``selection.eus_fitness``.
     """
-    retained = np.asarray(retained, dtype=np.intp)
+    retained = _retained(retained)
     yr = y[retained]
     if not (np.count_nonzero(yr == 1) and np.count_nonzero(yr == 0)):
         return 0.0

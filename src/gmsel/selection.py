@@ -112,7 +112,7 @@ def tomek_links(X, y, nominal_mask=None, subset=None, index=None) -> ReferenceSe
     over all rows its first leave-one-out rank, over a subset an argmin.
     If every negative is in a link, the rows are returned unchanged."""
     X, y = _check_xy(X, y)
-    idx = np.arange(len(y)) if subset is None else np.sort(np.asarray(subset))
+    idx = np.arange(len(y)) if subset is None else ReferenceSet(subset).retained
     if index is None:
         index = NeighbourIndex(X, nominal_mask)
     # positions in idx of each row's nearest other row of idx
@@ -133,7 +133,7 @@ def cnn_mod(X, y, seed, nominal_mask=None, subset=None, index=None) -> Reference
     A ``subset`` with no negative is a ValueError."""
     X, y = _check_xy(X, y)
     rng = np.random.default_rng(seed)
-    idx = np.arange(len(y)) if subset is None else np.sort(np.asarray(subset))
+    idx = np.arange(len(y)) if subset is None else ReferenceSet(subset).retained
     pos = idx[y[idx] == 1]
     neg = idx[y[idx] == 0]
     if neg.size == 0:
@@ -241,18 +241,14 @@ def eus_fitness(X, y, masks, index, lam=0.2, sample_weight=None) -> np.ndarray:
     lambda * |1 - n_selected/n_pos|.  ``index`` is a
     :class:`~gmsel.knn.NeighbourIndex` over ``X``, shared across generations.
     The GM is :func:`~gmsel.knn.loo_gm`'s, from one :func:`_hits` matrix: TP
-    and TN are counts, or one ``sample_weight`` sum per row; a row without
-    negatives, or a class of weight 0, scores 0.0."""
+    and TN are one ``sample_weight`` sum per row, of 1.0s without weights, so
+    exact counts; a row without negatives, or a class of weight 0, scores 0.0."""
     pos = y == 1
+    w = np.ones(len(y)) if sample_weight is None else sample_weight
     hits = _hits(X, y, masks, index)
-    tp_rows, tn_rows = hits & pos, hits & ~pos
-    if sample_weight is None:
-        tp, tn = np.count_nonzero(tp_rows, axis=1), np.count_nonzero(tn_rows, axis=1)
-        wp, wn = np.count_nonzero(pos), np.count_nonzero(~pos)
-    else:
-        tp = np.array([sample_weight[r].sum() for r in tp_rows])
-        tn = np.array([sample_weight[r].sum() for r in tn_rows])
-        wp, wn = sample_weight[pos].sum(), sample_weight[~pos].sum()
+    tp = np.array([w[r].sum() for r in hits & pos])
+    tn = np.array([w[r].sum() for r in hits & ~pos])
+    wp, wn = w[pos].sum(), w[~pos].sum()
     g = np.zeros(len(masks))
     if wp != 0 and wn != 0:
         both = masks.any(axis=1)

@@ -302,6 +302,12 @@ def _box_probes(points, probe_count, seed):
     return points, rng.uniform(lo - pad, hi + pad, size=(probe_count, points.shape[1]))
 
 
+def _check_point(points, i):
+    """ValueError unless ``i`` numbers a row of ``points`` (-1 would be the last)."""
+    if not 0 <= i < len(points):
+        raise ValueError(f"point i={i} is not one of the {len(points)} points")
+
+
 def _nearest_without(points, i, queries):
     """Index into ``points`` of the nearest point other than ``i`` to each
     query: each distance is summed from its own pair, so it is the one the
@@ -315,6 +321,7 @@ def voronoi_neighbors(points, i, probe_count=10_000, seed=0):
     cell report their second-nearest point.  A probabilistic
     under-approximation; recall grows with ``probe_count``."""
     points, probes = _box_probes(points, probe_count, seed)
+    _check_point(points, i)
     in_cell = probes[nearest_points(points, probes) == i]
     return set(np.unique(_nearest_without(points, i, in_cell)).tolist())
 
@@ -331,6 +338,7 @@ def lemma_check(points, i, probe_count=10_000, seed=0) -> LemmaReport:
     (violations must always be 0).  The points that take over i's cell are
     :func:`voronoi_neighbors` on the same probes."""
     points, probes = _box_probes(points, probe_count, seed)
+    _check_point(points, i)
     nearest = nearest_points(points, probes)
     # every probe is looked up again: that no outside probe moves is the check
     nearest_wo = _nearest_without(points, i, probes)
@@ -381,6 +389,7 @@ def removal_analysis(points, labels, i, model: DensityModel, sample_count=10_000
     negative removal)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     labels = np.asarray(labels)
+    _check_point(points, i)
     keep = np.delete(labels, i)
     if not (np.any(keep == 1) and np.any(keep == 0)):
         raise ValueError("removal would leave a class unrepresented")
@@ -579,19 +588,19 @@ def _sample_joint(model, n, rng):
     return X[perm], y[perm]
 
 
-def cb_bb_demo(test_size=9000, seed=0, re_trials=10_000, include_re=True):
+def cb_bb_demo(seed=0, re_trials=10_000, include_re=True):
     """Compare classical Bayes, balanced Bayes and (optionally) random editing
     on the imbalanced Gaussian-mixture example.
 
     Training data is used only by random editing, which picks 25 of 300 + 200
     positives (one count per positive mixture component) and 4000 negatives;
     CB and BB classify straight from the densities.  GM is estimated on a
-    fresh test sample drawn from the joint distribution.  Returns a dict with
-    keys ``cb``, ``bb`` and, when requested, ``re``.
+    fresh test sample of 9,000 rows drawn from the joint distribution.
+    Returns a dict with keys ``cb``, ``bb`` and, when requested, ``re``.
     """
     model = example_mixture_model()
     rng = np.random.default_rng(seed)
-    X_test, y_test = _sample_joint(model, test_size, rng)
+    X_test, y_test = _sample_joint(model, 9000, rng)
     out = {
         "cb": gm(confusion(y_test, bayes_classify(model, X_test))),
         "bb": gm(confusion(y_test, bayes_classify(model, X_test, balanced=True))),

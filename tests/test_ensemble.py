@@ -36,6 +36,13 @@ class TestPredictEnsemble:
             classify_1nn(self.X, self.y, ref, q),
         )
 
+    def test_index_for_other_queries_rejected(self):
+        # an index from one query row had its one vote broadcast to both
+        model = EnsembleModel((ReferenceSet(np.array([0, 1])),), np.ones(1))
+        index = NeighbourIndex(self.X, queries=[[0.9]])
+        with pytest.raises(ValueError, match="other queries"):
+            predict_ensemble(model, self.X, self.y, [[0.2], [0.8]], index=index)
+
     def test_unanimous_members(self):
         ref = ReferenceSet(np.array([0]))
         model = EnsembleModel((ref, ref, ref), np.ones(3))

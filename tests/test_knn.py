@@ -119,14 +119,38 @@ class TestIndexArrays:
     @pytest.mark.parametrize("ref, match", [
         ([-1, 1], "negative"),  # -1 read the last row
         ([[0, 2]], "index vector"),
+        (np.array([True, False, True, False]), "integer"),  # the mask was read as rows 0, 1
+        (np.array([0.9, 2.2]), "integer"),  # floats were truncated to rows
     ])
     def test_bad_index_array_rejected(self, ref, match):
-        with pytest.raises(ValueError, match=match):
-            classify_1nn(self.X, self.y, ref, [[0.0]])
+        # on every lookup path
+        for call in (
+            lambda: ReferenceSet(ref),
+            lambda: classify_1nn(self.X, self.y, ref, [[0.0]]),
+            lambda: classify_1nn(self.X, self.y, ref, [[0.0]],
+                                 index=NeighbourIndex(self.X, queries=[[0.0]])),
+            lambda: NeighbourIndex(self.X).nearest(ref),
+            lambda: loo_predict(self.X, self.y, ref),
+            lambda: loo_predict(self.X, self.y, ref, index=NeighbourIndex(self.X)),
+            lambda: loo_gm(self.X, self.y, ref),  # floats scored rows 0 and 2
+        ):
+            with pytest.raises(ValueError, match=match):
+                call()
 
     def test_repeated_index_rejected_by_the_index(self):
         with pytest.raises(ValueError, match="unique"):
             NeighbourIndex(self.X).nearest([0, 0, 1])
+
+    @given(a=arrays(st.sampled_from([np.int8, np.int32, np.int64]), st.integers(1, 12),
+                    elements=st.integers(-3, 20)))
+    @settings(max_examples=200, deadline=None)
+    def test_reference_set_is_the_sorted_rows_or_an_error(self, a):
+        if a.min() >= 0 and np.unique(a).size == a.size:
+            assert np.array_equal(ReferenceSet(a).retained, np.unique(a))
+            assert ReferenceSet(a).retained.dtype == np.intp
+        else:
+            with pytest.raises(ValueError, match="negative|unique"):
+                ReferenceSet(a)
 
 
 class TestClassifyKNN:

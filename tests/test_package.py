@@ -1,6 +1,7 @@
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,3 +40,13 @@ print(sorted(loaded - set(sys.stdlib_module_names) - {"gmsel", "numpy", "yaml", 
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_only_knn_orders_distances():
+    # equal distances go to the lowest index only because every ordering of
+    # distances is knn's, so no other module calls an argmin, a sort of
+    # positions or a partition.  np.argmax over fitnesses and np.sort of row
+    # numbers order no distances, so they are not searched for.
+    ordering = re.compile(r"\b(argmin|argsort|argpartition|partition|lexsort)\(")
+    modules = Path(gmsel.__file__).parent.glob("*.py")
+    assert {p.name for p in modules if ordering.search(p.read_text())} == {"knn.py"}

@@ -58,7 +58,21 @@ class TestRus:
         assert np.array_equal(rus(X, y, 9).retained, rus(X, y, 9).retained)
 
 
+# subsets that are not a set of rows: each was read as some other set
+BAD_SUBSETS = pytest.mark.parametrize("subset, match", [
+    ([0, 1, 5, 5, 6], "unique"),  # cnn_mod dropped the repeat
+    ([0, 1, 5, 6, -1], "negative"),  # cnn_mod read -1 as the last row
+    (np.arange(34) % 2 == 0, "integer index vector"),  # the mask read as rows 0 and 1
+], ids=["repeat", "negative", "mask"])
+
+
 class TestTomekLinks:
+    @BAD_SUBSETS
+    def test_bad_subset_rejected(self, subset, match):
+        X, y = clusters(4, 30, gap=3.0)
+        with pytest.raises(ValueError, match=match):
+            tomek_links(X, y, subset=subset)
+
     def test_separated_clusters_untouched(self):
         X, y = clusters()
         assert len(tomek_links(X, y)) == len(y)
@@ -113,6 +127,12 @@ class TestCnnMod:
         X, y = clusters(4, 30, gap=3.0)
         with pytest.raises(ValueError, match="no negative"):
             cnn_mod(X, y, 0, subset=np.flatnonzero(y == 1))
+
+    @BAD_SUBSETS
+    def test_bad_subset_rejected(self, subset, match):
+        X, y = clusters(4, 30, gap=3.0)
+        with pytest.raises(ValueError, match=match):
+            cnn_mod(X, y, 0, subset=subset)
 
 
 class TestCompositions:

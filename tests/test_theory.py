@@ -211,6 +211,12 @@ class TestVoronoiNeighbors:
         with pytest.raises(ValueError):
             voronoi_neighbors([[0.0]], 0)
 
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_point_outside_rejected(self, i):
+        # -1 has no probe in its cell, so it had no neighbour
+        with pytest.raises(ValueError, match="i=.* not one of the 3 points"):
+            voronoi_neighbors([[0.0], [1.0], [2.0]], i)
+
     def test_facet_neighbours_missed_at_low_probe_counts(self):
         # the centre of a 3x3 grid has four facet neighbours; 100 probes put
         # about 6 in its cell, too few for every neighbour to get one
@@ -252,6 +258,13 @@ class TestLemmaCheck:
         assert rep.inclusion_violations == 0
         assert rep.probes_in_cell > 0
 
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_point_outside_rejected(self, i):
+        # -1 removed the last point, and the probes of its cell counted as
+        # violations of the lemma
+        with pytest.raises(ValueError, match="i=.* not one of the 3 points"):
+            lemma_check([[0.0], [1.0], [2.0]], i, probe_count=5000)
+
 
 class TestRemovalAnalysis:
     def test_duplicate_removal_is_neutral(self):
@@ -285,6 +298,13 @@ class TestRemovalAnalysis:
     def test_class_elimination_rejected(self):
         with pytest.raises(ValueError):
             removal_analysis([[0.0], [5.0]], [1, 0], 0, gap_model())
+
+    @pytest.mark.parametrize("i", [-1, 4])
+    def test_point_outside_rejected(self, i):
+        # -1 took the last label out but no point, and reported no effect
+        with pytest.raises(ValueError, match="i=.* not one of the 4 points"):
+            removal_analysis([[2.5], [9.5], [7.5], [8.5]], [1, 1, 0, 0], i,
+                             example_uniform_model())
 
 
 def exhaustive_by_subset(points, labels, model, sample_count, seed):
@@ -417,7 +437,7 @@ class TestBayesDemo:
         assert bayes_classify(model, X, balanced=False)[0] == 0
 
     def test_balanced_bayes_beats_classical_on_gm(self):
-        out = cb_bb_demo(test_size=9000, seed=0, include_re=False)
+        out = cb_bb_demo(seed=0, include_re=False)
         assert set(out) == {"cb", "bb"}
         assert out["bb"] > out["cb"]
         assert 0.0 < out["cb"] < out["bb"] <= 1.0
@@ -432,8 +452,8 @@ class TestBayesDemo:
         assert out["re"] == 0.7926445706958797
 
     def test_deterministic(self):
-        a = cb_bb_demo(test_size=2000, seed=3, include_re=False)
-        b = cb_bb_demo(test_size=2000, seed=3, include_re=False)
+        a = cb_bb_demo(seed=3, include_re=False)
+        b = cb_bb_demo(seed=3, include_re=False)
         assert a == b
 
 
