@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knn import NeighbourIndex, ReferenceSet, classify_1nn
+from .knn import NeighbourIndex, ReferenceSet, _retained, classify_1nn
 from .selection import EusParams, eus, rus
 
 logger = logging.getLogger(__name__)
@@ -167,7 +167,7 @@ def predict_ensemble(model: EnsembleModel, X, y, queries, nominal_mask=None,
         raise ValueError("index was built for other queries")
     member = np.zeros((model.size, index.distances.shape[1]), dtype=bool)
     for row, ref in zip(member, model.members):
-        row[ref.retained] = True
+        row[_retained(ref, len(row))] = True
     votes = np.where(y[index.nearest_batch(member)] == 1, 1.0, -1.0)
     score = np.zeros(queries.shape[0])
     for vote, weight in zip(votes, model.weights):

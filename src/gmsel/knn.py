@@ -14,10 +14,11 @@ for every prediction, an ensemble vote (of one member for a reference set).
 One-shot calls without an index compute only the retained distance columns;
 EUS and PSO look up a whole generation, and ensemble voting all its members,
 in one ``nearest_batch`` call (the searches then score the generation from its
-hit matrix, not by :func:`loo_gm`), NCL and a Tomek pass over all rows read
-``ranks``, random editing finds its best set in one ``loo_gm_best`` call over
-its own blocks of distances, and the theory lab's probes take
-:func:`nearest_points`.  Every ordering of distances is here.
+hit matrix, not by :func:`loo_gm`), NCL reads ``ranks``, a Tomek pass is one
+``nearest`` lookup and condensing one ``condense`` call, random editing finds
+its best set in one ``loo_gm_best`` call over its own blocks of distances, and
+the theory lab's probes take :func:`nearest_points`.  Every ordering of
+distances is here.
 """
 
 from __future__ import annotations
@@ -167,8 +168,8 @@ class NeighbourIndex:
     index order; a lookup (:meth:`nearest`, or :meth:`nearest_batch` for many
     reference sets at once) is then the first ranked row that is retained,
     which is the argmin over the retained columns with ties to the lowest
-    retained index.  Queries with no retained row ranked, and ``nearest`` for
-    given ``rows``, take that argmin over the stored distances.
+    retained index.  Queries with no retained row ranked take that argmin
+    over the stored distances, and :meth:`condense` reads only those.
 
     ``queries`` are rows to classify, or without them the rows of ``X``, where
     ``nearest(..., exclude_self=True)`` gives leave-one-out lookups.  Memory is
@@ -200,18 +201,11 @@ class NeighbourIndex:
                 self._ranks[True] = ranks[~own].reshape(n, -1)
         return self._ranks[exclude_self]
 
-    def nearest(self, retained, exclude_self=False, rows=None) -> np.ndarray:
-        """Index into ``X`` of the nearest retained row, for every query, or
-        for the queries numbered in ``rows``.  With ``exclude_self`` a row of
-        ``X`` is never its own neighbour."""
-        if exclude_self and not self._square:
-            raise ValueError("exclude_self needs an index whose queries are X")
-        retained = _retained(retained)
-        if rows is not None:
-            # ranking every query would cost more than these few argmins
-            return self._argmin(np.asarray(rows, dtype=np.intp), retained, exclude_self)
+    def nearest(self, retained, exclude_self=False) -> np.ndarray:
+        """Index into ``X`` of the nearest retained row, for every query.  With
+        ``exclude_self`` a row of ``X`` is never its own neighbour."""
         n = self.distances.shape[1]
-        return self.nearest_batch(np.bincount(retained, minlength=n)[None] > 0,
+        return self.nearest_batch(np.bincount(_retained(retained, n), minlength=n)[None] > 0,
                                   exclude_self)[0]
 
     def nearest_batch(self, member, exclude_self=False) -> np.ndarray:
@@ -240,15 +234,30 @@ class NeighbourIndex:
                 out[p, rows] = self._argmin(rows, np.flatnonzero(m[p]), exclude_self)
         return nn
 
+    def condense(self, y, store, scan) -> np.ndarray:
+        """``store`` plus, in scan order, each row of ``scan`` whose nearest row in
+        the store so far (ties to the lowest index) has another label in ``y``,
+        each scanned row's nearest stored row a running minimum of distances."""
+        near, t = self._argmin(scan, np.sort(store), False), 0
+        while (wrong := np.flatnonzero(y[near[t:]] != y[scan[t:]])).size:
+            t += wrong[0]
+            d, best = self.distances[scan, scan[t]], self.distances[scan, near]
+            near[(d < best) | ((d == best) & (scan[t] < near))] = scan[t]
+            store, t = np.append(store, scan[t]), t + 1
+        return store
+
     def _argmin(self, rows, retained, exclude_self):
         """Argmin over the stored distances for the queries in ``rows``."""
         D = self.distances[np.ix_(rows, retained)]
         return _nearest_retained(D, retained, rows if exclude_self else None)
 
 
-def _retained(ref):
-    """The sorted indices of ``ref``: a ReferenceSet, or an index array checked as one."""
-    return (ref if isinstance(ref, ReferenceSet) else ReferenceSet(ref)).retained
+def _retained(ref, n):
+    """The sorted rows of ``ref``, a ReferenceSet or an index array checked as one, below n."""
+    retained = (ref if isinstance(ref, ReferenceSet) else ReferenceSet(ref)).retained
+    if retained[-1] >= n:
+        raise ValueError(f"row {retained[-1]} out of range for {n} training rows")
+    return retained
 
 
 def classify_1nn(X, y, ref, queries, nominal_mask=None, index=None) -> np.ndarray:
@@ -259,7 +268,7 @@ def classify_1nn(X, y, ref, queries, nominal_mask=None, index=None) -> np.ndarra
     :class:`NeighbourIndex` from ``queries`` to ``X``, turns the lookup into
     a rank lookup instead of a distance computation.
     """
-    retained = _retained(ref)
+    retained = _retained(ref, len(X))
     if index is not None:
         if index.distances.shape[0] != len(queries):
             raise ValueError("index was built for other queries")
@@ -270,7 +279,7 @@ def classify_1nn(X, y, ref, queries, nominal_mask=None, index=None) -> np.ndarra
 
 def classify_knn(X, y, ref, queries, k, nominal_mask=None) -> np.ndarray:
     """Majority label among the k nearest retained instances; vote ties -> positive."""
-    retained = _retained(ref)
+    retained = _retained(ref, len(X))
     if k < 1 or k > retained.size:
         raise ValueError(f"k={k} out of range for reference set of size {retained.size}")
     D = pairwise_distances(queries, X[retained], nominal_mask)
@@ -287,7 +296,7 @@ def loo_predict(X, y, retained, nominal_mask=None, index=None) -> np.ndarray:
     """
     if index is not None:
         return y[index.nearest(retained, exclude_self=True)]
-    retained = _retained(retained)
+    retained = _retained(retained, len(X))
     D = pairwise_distances(X, X[retained], nominal_mask)
     return y[_nearest_retained(D, retained, np.arange(D.shape[0]))]
 
@@ -374,7 +383,7 @@ def loo_gm(X, y, retained, nominal_mask=None) -> float:
     optimisers can penalise degenerate selections naturally.  EUS scores its
     populations from the same predictions in ``selection.eus_fitness``.
     """
-    retained = _retained(retained)
+    retained = _retained(retained, len(X))
     yr = y[retained]
     if not (np.count_nonzero(yr == 1) and np.count_nonzero(yr == 0)):
         return 0.0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knn import NeighbourIndex, ReferenceSet, loo_gm_best, loo_predict
+from .knn import NeighbourIndex, ReferenceSet, _retained, loo_gm_best, loo_predict
 from .knn import pairwise_distances  # noqa: F401  (perfbench/test_perfbench.py traces it here)
 
 logger = logging.getLogger(__name__)
@@ -108,16 +108,15 @@ def rus(X, y, seed, weights=None) -> ReferenceSet:
 
 def tomek_links(X, y, nominal_mask=None, subset=None, index=None) -> ReferenceSet:
     """Remove majority members of Tomek links (mutual cross-class NN pairs)
-    among ``subset``, or all rows, each row's neighbour found in ``index``:
-    over all rows its first leave-one-out rank, over a subset an argmin.
+    among ``subset``, or all rows, each row's neighbour found by one
+    leave-one-out ``nearest`` lookup in ``index`` over the rows considered.
     If every negative is in a link, the rows are returned unchanged."""
     X, y = _check_xy(X, y)
-    idx = np.arange(len(y)) if subset is None else ReferenceSet(subset).retained
+    idx = np.arange(len(y)) if subset is None else _retained(subset, len(y))
     if index is None:
         index = NeighbourIndex(X, nominal_mask)
     # positions in idx of each row's nearest other row of idx
-    nn = index.ranks(exclude_self=True)[:, 0] if subset is None else \
-        np.searchsorted(idx, index.nearest(idx, exclude_self=True, rows=idx))
+    nn = np.searchsorted(idx, index.nearest(idx, exclude_self=True)[idx])
     in_link = (nn[nn] == np.arange(idx.size)) & (y[idx] != y[idx[nn]])  # mutual, cross-class
     kept = idx[~(in_link & (y[idx] == 0))]
     if not np.any(y[kept] == 0):
@@ -129,23 +128,20 @@ def tomek_links(X, y, nominal_mask=None, subset=None, index=None) -> ReferenceSe
 def cnn_mod(X, y, seed, nominal_mask=None, subset=None, index=None) -> ReferenceSet:
     """Imbalance-adapted condensed NN: all positives plus a random majority
     seed instance; remaining majority instances are scanned once in seeded
-    shuffle order and added only if misclassified by the current store.
-    A ``subset`` with no negative is a ValueError."""
+    shuffle order and added only if misclassified by the current store (one
+    ``index.condense`` call).  A ``subset`` with no negative is a ValueError."""
     X, y = _check_xy(X, y)
     rng = np.random.default_rng(seed)
-    idx = np.arange(len(y)) if subset is None else ReferenceSet(subset).retained
+    idx = np.arange(len(y)) if subset is None else _retained(subset, len(y))
     pos = idx[y[idx] == 1]
     neg = idx[y[idx] == 0]
     if neg.size == 0:
         raise ValueError("cnn_mod: subset has no negative")
     order = rng.permutation(neg)
-    store = list(pos) + [order[0]]
     if index is None:
         index = NeighbourIndex(X, nominal_mask)
-    for i in order[1:]:
-        if y[index.nearest(store, rows=[i])[0]] != y[i]:
-            store.append(i)
-    return ReferenceSet(np.array(store), method="cnn", seed=seed)
+    store = index.condense(y, np.append(pos, order[0]), order[1:])
+    return ReferenceSet(store, method="cnn", seed=seed)
 
 
 def oss(X, y, seed, nominal_mask=None, index=None) -> ReferenceSet:

@@ -43,6 +43,13 @@ class TestPredictEnsemble:
         with pytest.raises(ValueError, match="other queries"):
             predict_ensemble(model, self.X, self.y, [[0.2], [0.8]], index=index)
 
+    def test_member_past_the_training_rows_rejected(self):
+        # row 9 of 2 was dropped from the membership matrix without a word
+        model = EnsembleModel((ReferenceSet(np.array([0, 9])),), np.ones(1))
+        for index in (None, NeighbourIndex(self.X, queries=[[0.2]])):
+            with pytest.raises(ValueError, match="row 9 out of range for 2 "):
+                predict_ensemble(model, self.X, self.y, [[0.2]], index=index)
+
     def test_unanimous_members(self):
         ref = ReferenceSet(np.array([0]))
         model = EnsembleModel((ref, ref, ref), np.ones(3))

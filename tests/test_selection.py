@@ -63,7 +63,8 @@ BAD_SUBSETS = pytest.mark.parametrize("subset, match", [
     ([0, 1, 5, 5, 6], "unique"),  # cnn_mod dropped the repeat
     ([0, 1, 5, 6, -1], "negative"),  # cnn_mod read -1 as the last row
     (np.arange(34) % 2 == 0, "integer index vector"),  # the mask read as rows 0 and 1
-], ids=["repeat", "negative", "mask"])
+    ([0, 1, 5, 6, 34], "row 34 out of range for 34 "),  # an IndexError from numpy
+], ids=["repeat", "negative", "mask", "past the end"])
 
 
 class TestTomekLinks:
@@ -245,6 +246,59 @@ class TestSharedIndexTomekPass:
         with mock.patch.object(NeighbourIndex, "_argmin", side_effect=AssertionError):
             assert np.array_equal(tomek_links(X, y, nominal, index=index).retained, want)
             assert np.array_equal(tomek_links(X, y, nominal).retained, want)
+
+
+def _oracle_cnn(y, seed, subset, index):
+    """cnn_mod's store, each scanned row's nearest stored row the first argmin
+    of its stored distances to the sorted store."""
+    idx = np.arange(len(y)) if subset is None else np.sort(subset)
+    order = np.random.default_rng(seed).permutation(idx[y[idx] == 0])
+    store = [*idx[y[idx] == 1], order[0]]
+    for i in order[1:]:
+        cols = np.sort(store)
+        if y[cols[np.argmin(index.distances[i, cols])]] != y[i]:
+            store.append(i)
+    return np.sort(store)
+
+
+@st.composite
+def cnn_problems(draw):
+    """A subset_problems draw whose subset is all rows, the drawn subset, or
+    its positives and one negative (nothing left to scan)."""
+    X, y, nominal, subset, seed = draw(subset_problems())
+    kind = draw(st.sampled_from(["all", "subset", "one negative"]))
+    if kind == "one negative":
+        subset = np.append(subset[y[subset] == 1], draw(st.sampled_from(subset[y[subset] == 0])))
+    return X, y, nominal, None if kind == "all" else subset, seed
+
+
+class TestCondensing:
+    @given(problem=cnn_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_row_oracle(self, problem):
+        X, y, nominal, subset, seed = problem
+        index = NeighbourIndex(X, nominal)
+        want = _oracle_cnn(y, seed, subset, index)
+        assert np.array_equal(cnn_mod(X, y, seed, nominal, subset, index).retained, want)
+        assert np.array_equal(cnn_mod(X, y, seed, nominal, subset).retained, want)
+
+    def test_makes_no_nearest_lookup(self):
+        X, y = clusters(5, 40, gap=0.5, seed=2)
+        with mock.patch.object(NeighbourIndex, "nearest", autospec=True,
+                               side_effect=NeighbourIndex.nearest) as spy:
+            got = [cnn_mod(X, y, 3), cnn_mod(X, y, 3, subset=np.arange(2, 45),
+                                              index=NeighbourIndex(X))]
+        assert spy.call_count == 0
+        assert [len(r) for r in got] == [12, 10]  # past the first stores, of 6 and 4 rows
+
+    def test_a_stored_row_answers_the_later_scan(self):
+        # rows 0+, 1-, 2-, 3+ at 0, 4, 5, 1.5, scanned 2 then 1: row 2's nearest
+        # stored row is 3, a positive, so 2 joins the store and is then row 1's
+        # nearest; against the first store alone row 1 would join too
+        X = np.array([[0.0], [4.0], [5.0], [1.5]])
+        y = np.array([1, 0, 0, 1])
+        assert NeighbourIndex(X).condense(y, np.array([3, 0]), np.array([2, 1])).tolist() \
+            == [3, 0, 2]
 
 
 class TestNcl:
