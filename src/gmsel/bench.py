@@ -48,8 +48,8 @@ CSV_COLUMNS = ["dataset", "rep", "fold", "method", "gm", "tpr", "tnr",
 # method uses random selection, balances the class distribution (fully or
 # partially), explicitly evaluates GM, or is an ensemble.  A trainer maps
 # (fold, seed, cfg) to a ReferenceSet or an EnsembleModel, trained on the
-# fold's training half.  A fold runs its methods in this order and builds each
-# of its two neighbour indexes once, for the first method that reads it (_Fold).
+# fold's training half.  A fold trains its methods in this order, then predicts
+# with each model in the same order (_run_fold), one neighbour index at a time.
 METHODS = {
     "rus": ({"random", "balance"}, lambda f, seed, cfg: sel.rus(f.X, f.y, seed)),
     "re": ({"random", "explicit-gm"},
@@ -201,9 +201,9 @@ class _Fold:
 
     :meth:`index` builds the index over the training half, or from the test
     half to it, on first use, and keeps it for the fold's other methods.  The
-    training index answers every method's lookups but random editing's, and
-    the test index every prediction, so a fold computes these two matrices of
-    distances (8 MB each at 1,000 x 1,000) and no other.
+    training index answers every method's lookups but random editing's, and is
+    released before the test index answers every prediction: a fold computes
+    two matrices of distances (8 MB each at 1,000 x 1,000), one at a time.
     """
 
     def __init__(self, ds, rep, fold, train_idx, test_idx):
@@ -224,42 +224,55 @@ class _Fold:
 
 
 def _run_method(method, fold: _Fold, seed, cfg: ExperimentConfig):
-    """Train one method on the fold; returns (test-half predictions, distinct
-    training rows retained).  A reference set votes as a one-member ensemble."""
+    """Train one method on the fold; returns (model, distinct training rows
+    retained).  A reference set votes as a one-member ensemble."""
     model = METHODS[method][1](fold, seed, cfg)
     if isinstance(model, ReferenceSet):
         model = ens.EnsembleModel((model,), np.ones(1))
     retained = np.count_nonzero(np.bincount(np.concatenate([m.retained for m in model.members])))
-    return ens.predict_ensemble(model, fold.X, fold.y, fold.X_test, fold.nominal,
-                                index=fold.index(test=True)), retained
+    return model, retained
 
 
-def _run_trial(fold: _Fold, method, cfg: ExperimentConfig) -> TrialRecord:
-    """One method on one fold; an exception fails this trial alone."""
-    seed = derive_seed(cfg.master_seed, *fold.key, method)
+def _run_trial(fold: _Fold, method, cfg: ExperimentConfig):
+    """Train one method on the fold: ``(model, retained)``, or None when
+    training raised, which fails this trial alone."""
     try:
-        pred, retained = _run_method(method, fold, seed, cfg)
-        c = confusion(fold.y_test, pred)
-        scores, failed = (gm(c), tpr(c), tnr(c), retained), False
+        return _run_method(method, fold, derive_seed(cfg.master_seed, *fold.key, method), cfg)
     except Exception:
         logger.exception("trial failed: %s rep=%d fold=%d method=%s", *fold.key, method)
-        scores, failed = (0.0, 0.0, 0.0, 0), True
+        return None
+
+
+def _record(fold: _Fold, method, trained) -> TrialRecord:
+    """Score a trained method on the test half; a failure fails this trial alone."""
+    scores, failed = (0.0, 0.0, 0.0, 0), True
+    if trained is not None:
+        model, retained = trained
+        try:
+            c = confusion(fold.y_test, ens.predict_ensemble(
+                model, fold.X, fold.y, fold.X_test, fold.nominal, index=fold.index(test=True)))
+            scores, failed = (gm(c), tpr(c), tnr(c), retained), False
+        except Exception:
+            logger.exception("trial failed: %s rep=%d fold=%d method=%s", *fold.key, method)
     return TrialRecord(*fold.key, method, *scores, 0, failed)
 
 
 def _run_fold(args) -> list[TrialRecord]:
-    """Every trial of one fold, in ``METHODS`` order."""
+    """Every trial of one fold, in ``METHODS`` order: train every method over
+    the training index, release it, then score every model over the test index."""
     *where, cfg = args
     fold = _Fold(*where)
-    return [_run_trial(fold, method, cfg) for method in METHODS if method in cfg.methods]
+    trained = {m: _run_trial(fold, m, cfg) for m in METHODS if m in cfg.methods}
+    fold._indexes.clear()
+    return [_record(fold, m, t) for m, t in trained.items()]
 
 
 def run_experiment(cfg: ExperimentConfig, datasets=None) -> list[TrialRecord]:
     """Run the full protocol: per dataset one shared fold plan; for every
-    (repetition, fold) scale the halves once and, for every method, train on
-    one half and test on the other.  One task runs a fold's methods, which
-    share its neighbour index (:class:`_Fold`).
-    ``datasets``, Dataset objects, replaces the files of ``cfg.datasets``.
+    (repetition, fold) scale the halves once, train every method on one half,
+    then test each on the other.  One task runs a fold's methods, which share
+    its neighbour indexes (:class:`_Fold`).  ``datasets``, Dataset objects with
+    distinct names, replaces the files of ``cfg.datasets``.
 
     Returns records sorted by (dataset, rep, fold, method).  When
     ``cfg.out_dir`` is set they are also written to ``records.csv`` there.
@@ -268,6 +281,10 @@ def run_experiment(cfg: ExperimentConfig, datasets=None) -> list[TrialRecord]:
         datasets = [load_dataset(path) for path in cfg.datasets]
     if not datasets:
         raise ValueError("datasets is empty: there is nothing to run")
+    names = [ds.name for ds in datasets]
+    twice = sorted({name for name in names if names.count(name) > 1})
+    if twice:
+        raise ValueError(f"datasets are named twice: {twice}")
     tasks = []
     for ds in datasets:
         plan = stratified_two_fold(ds, derive_seed(cfg.master_seed, ds.name, -1, -1,
@@ -324,7 +341,10 @@ def _gm_matrix(records):
     methods = sorted({r.method for r in records})
     by_key = {}
     for r in records:
-        by_key.setdefault((r.dataset, r.rep, r.fold), {})[r.method] = r
+        row = by_key.setdefault((r.dataset, r.rep, r.fold), {})
+        if r.method in row:
+            raise ValueError(f"records hold {(r.dataset, r.rep, r.fold, r.method)} twice")
+        row[r.method] = r
     complete = [k for k, row in sorted(by_key.items())
                 if all(m in row and not row[m].failed for m in methods)]
     if len(complete) < len(by_key):

@@ -9,8 +9,8 @@ integer index vector, checked by :class:`ReferenceSet` on every path.
 Callers that look up nearest retained neighbours many times over one training
 matrix (subset searches, condensing, Tomek links, boosting) build a
 :class:`NeighbourIndex` once and pass it as ``index``; the benchmark builds
-two per fold, over its training half for its methods and from its test half
-for every prediction, an ensemble vote (of one member for a reference set).
+two per fold in turn, over its training half for its methods, then from its
+test half for every prediction: an ensemble vote, of one for a reference set.
 One-shot calls without an index compute only the retained distance columns;
 EUS and PSO look up a whole generation, and ensemble voting all its members,
 in one ``nearest_batch`` call (the searches then score the generation from its

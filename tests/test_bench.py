@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -99,32 +100,61 @@ class TestRunExperiment:
             outs.append((tmp_path / f"j{jobs}" / "records.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_failure_is_isolated(self, tiny_datasets, monkeypatch):
+    def test_failure_is_isolated(self, tiny_datasets, monkeypatch, caplog):
+        # a method that raises in training, or whose model raises in
+        # prediction, fails its own trials and no other
         import gmsel.bench as bench
 
-        real = bench._run_method
+        real_train, real_predict = bench._run_method, ens.predict_ensemble
+        cfg = ExperimentConfig(methods=("1nn", "ncl", "rus"), repetitions=1)
+        expected = {(r.rep, r.fold, r.method): r for r in run_experiment(
+            replace(cfg, methods=("1nn", "rus")), datasets=tiny_datasets[:1])}
+        for phase in ("training", "prediction"):
+            ncl_models = []
 
-        def flaky(method, fold, seed, cfg):
-            if method == "ncl":
-                raise RuntimeError("boom")
-            return real(method, fold, seed, cfg)
+            def flaky_train(method, fold, seed, cfg):
+                if method == "ncl" and phase == "training":
+                    raise RuntimeError("boom")
+                model, retained = real_train(method, fold, seed, cfg)
+                if method == "ncl":
+                    ncl_models.append(model)
+                return model, retained
 
-        monkeypatch.setattr(bench, "_run_method", flaky)
-        cfg = ExperimentConfig(methods=("1nn", "ncl"), repetitions=1)
-        records = run_experiment(cfg, datasets=tiny_datasets[:1])
-        ncl_recs = [r for r in records if r.method == "ncl"]
-        ok_recs = [r for r in records if r.method == "1nn"]
-        assert all(r.failed and r.gm == 0.0 for r in ncl_recs)
-        assert all(not r.failed for r in ok_recs)
+            def flaky_predict(model, *args, **kwargs):
+                if any(model is m for m in ncl_models):
+                    raise RuntimeError("boom")
+                return real_predict(model, *args, **kwargs)
+
+            monkeypatch.setattr(bench, "_run_method", flaky_train)
+            monkeypatch.setattr(bench.ens, "predict_ensemble", flaky_predict)
+            caplog.clear()
+            records = run_experiment(cfg, datasets=tiny_datasets[:1])
+            assert len(ncl_models) == (2 if phase == "prediction" else 0)
+            assert len(records) == 6
+            for r in records:
+                if r.method == "ncl":
+                    assert r.failed and (r.gm, r.tpr, r.tnr, r.retained) == (0.0, 0.0, 0.0, 0)
+                else:
+                    assert r == expected[r.rep, r.fold, r.method]
+            failures = [m for m in caplog.messages if m.startswith("trial failed")]
+            assert failures == [f"trial failed: syn-a rep=0 fold={f} method=ncl" for f in (0, 1)]
 
     def test_empty_method_roster_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(methods=())
 
-    def test_no_dataset_rejected(self, tmp_path):
+    def test_no_dataset_rejected(self, tmp_path, monkeypatch):
+        import gmsel.bench as bench
+
+        monkeypatch.setattr(bench, "_run_fold", lambda args: pytest.fail("a fold ran"))
         cfg = ExperimentConfig(methods=("1nn",), out_dir=str(tmp_path))
         with pytest.raises(ValueError, match="datasets is empty"):
             run_experiment(cfg)
+        # two datasets of one name would share their trial keys and fold seeds
+        same_name = [make_synthetic_dataset(name, 10, 3, seed=seed)
+                     for name, seed in [("dup", 1), ("other", 1), ("dup", 2)]]
+        with pytest.raises(ValueError, match=r"^datasets are named twice: \['dup'\]$"):
+            run_experiment(cfg, datasets=same_name)
         assert not (tmp_path / "records.csv").exists()
 
     def test_unknown_method_rejected(self):
@@ -428,9 +458,12 @@ def test_fold_computes_only_its_two_index_matrices(monkeypatch):
 
 
 def test_fold_builds_each_index_once(monkeypatch):
+    # and releases its training index before it builds its test index, so it
+    # never holds both distance matrices
     import gmsel.bench as bench
 
     folds = []  # per fold: the kind of each index built, in order
+    training = []  # per fold: a weak reference to its training index
 
     class SpyFold(bench._Fold):
         def __init__(self, *args):
@@ -439,7 +472,12 @@ def test_fold_builds_each_index_once(monkeypatch):
 
     class SpyIndex(NeighbourIndex):
         def __init__(self, X, nominal_mask=None, queries=None):
-            folds[-1].append("train" if queries is None else "test")
+            if queries is not None:
+                held = any(ref() is not None for ref in training)
+                folds[-1].append("test while the training index is held" if held else "test")
+            else:
+                training.append(weakref.ref(self))
+                folds[-1].append("train")
             super().__init__(X, nominal_mask, queries)
 
     monkeypatch.setattr(bench, "_Fold", SpyFold)
@@ -447,9 +485,9 @@ def test_fold_builds_each_index_once(monkeypatch):
     ds = parse_keel(_mixed_keel(n_pos=20, n_neg=120, seed=4))
     records = run_experiment(FOLD_CFG, datasets=[ds])
     assert not any(r.failed for r in records)
-    assert len(folds) == 4
+    assert len(folds) == len(training) == 4
     for built in folds:
-        assert built.count("train") == 1 and built.count("test") <= 1
+        assert built == ["train", "test"]
 
 
 class TestReport:
@@ -468,6 +506,11 @@ class TestReport:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             report([])
+
+    def test_trial_twice_rejected(self, tiny_records):
+        # was counted as one trial, with the later record's scores
+        with pytest.raises(ValueError, match=r"^records hold \('syn-a', 0, 0, '1nn'\) twice$"):
+            report([*tiny_records, replace(tiny_records[0], gm=0.5)])
 
     def test_category_summary(self, tiny_records):
         cats = report(tiny_records)["categories"]

@@ -253,10 +253,19 @@ class TestInputErrors:
         (["report", "--records"],
          "dataset,rep,fold,method,gm,tpr,tnr,retained,millis,failed\n",
          "no complete trials to report on"),
-    ], ids=["run", "boundary1d", "report"])
+        # one file listed twice, or two files of one @relation, ran every
+        # trial twice under one key
+        (["run", "--config"], "datasets: [<dir>/toy.dat, <dir>/toy.dat]\nmethods: [rus]\n",
+         "datasets are named twice: ['toy']"),
+        (["report", "--records"],
+         "dataset,rep,fold,method,gm,tpr,tnr,retained,millis,failed\n"
+         "toy,0,1,rus,0.5,0.5,0.5,4,0,0\ntoy,0,1,rus,0.7,0.7,0.7,4,0,0\n",
+         "records hold ('toy', 0, 1, 'rus') twice"),
+    ], ids=["run", "boundary1d", "report", "run-same-name", "report-trial-twice"])
     def test_one_line_and_exit_1(self, tmp_path, capsys, command, text, message):
+        (tmp_path / "toy.dat").write_text(KEEL)
         path = tmp_path / "input"
-        path.write_text(text)
+        path.write_text(text.replace("<dir>", str(tmp_path)))
         assert main([*command, str(path)]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"INVALID: {message}\n")
