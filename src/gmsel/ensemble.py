@@ -3,8 +3,9 @@
 Members are reference sets over a common training matrix.  Bagging-type
 ensembles vote with equal weights; boosting members vote with ln(1/beta_t).
 Prediction ties are broken toward the positive class.  A function given
-``index``, a :class:`~gmsel.knn.NeighbourIndex` over ``X`` (from ``queries``
-to ``X`` for :func:`predict_ensemble`), reads it instead of building its own.
+``index``, a :class:`~gmsel.knn.NeighbourIndex` over ``X`` (from ``queries`` for
+:func:`predict_ensemble`), reads it as built, whatever ``nominal_mask``, instead
+of building its own; one over other rows or queries is a ValueError.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knn import NeighbourIndex, ReferenceSet, _retained, classify_1nn
-from .selection import EusParams, eus, rus
+from .knn import ReferenceSet, _index_over, _labels, _retained, classify_1nn
+from .selection import EusParams, _check_xy, eus, rus
 
 logger = logging.getLogger(__name__)
 
@@ -63,6 +64,7 @@ def bag_1nn(X, y, size=100, seed=0) -> EnsembleModel:
 
     Bootstrap draws missing a class are redrawn from the same member stream.
     """
+    X, y = _check_xy(X, y)
     n = len(y)
     members = []
     for s in _member_seeds(seed, size):
@@ -126,9 +128,7 @@ def rusboost(X, y, size=10, seed=0, nominal_mask=None, index=None) -> EnsembleMo
     def build(member_seed, weights):
         return rus(X, y, member_seed, weights=weights)
 
-    if index is None:
-        index = NeighbourIndex(X, nominal_mask)
-    return _boost(X, y, size, seed, build, index, "rusboost")
+    return _boost(X, y, size, seed, build, _index_over(X, nominal_mask, index), "rusboost")
 
 
 def eusboost(X, y, size=10, seed=0, params: EusParams | None = None,
@@ -140,8 +140,7 @@ def eusboost(X, y, size=10, seed=0, params: EusParams | None = None,
     the beta/weight arithmetic is shared with rusboost.  One neighbour index
     serves every member search and the boosting error.
     """
-    if index is None:
-        index = NeighbourIndex(X, nominal_mask)
+    index = _index_over(X, nominal_mask, index)
 
     def build(member_seed, weights):
         return eus(X, y, member_seed, params=params, nominal_mask=nominal_mask,
@@ -159,12 +158,9 @@ def predict_ensemble(model: EnsembleModel, X, y, queries, nominal_mask=None,
     lookup over the members-by-rows membership matrix.  The votes are added
     member by member, so the float sums keep the members' order.
     """
-    y = np.asarray(y)
+    y = _labels(X, y)
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    if index is None:
-        index = NeighbourIndex(X, nominal_mask, queries=queries)
-    elif index.distances.shape[0] != queries.shape[0]:
-        raise ValueError("index was built for other queries")
+    index = _index_over(X, nominal_mask, index, queries)
     member = np.zeros((model.size, index.distances.shape[1]), dtype=bool)
     for row, ref in zip(member, model.members):
         row[_retained(ref, len(row))] = True

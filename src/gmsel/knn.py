@@ -8,9 +8,11 @@ integer index vector, checked by :class:`ReferenceSet` on every path.
 
 Callers that look up nearest retained neighbours many times over one training
 matrix (subset searches, condensing, Tomek links, boosting) build a
-:class:`NeighbourIndex` once and pass it as ``index``; the benchmark builds
-two per fold in turn, over its training half for its methods, then from its
-test half for every prediction: an ensemble vote, of one for a reference set.
+:class:`NeighbourIndex` once and pass it as ``index``, read as built (whatever
+``nominal_mask``) and rejected if over other rows or queries by ``_index_over``,
+which builds one when none is passed, on every path but :func:`loo_predict`'s.
+The benchmark builds two per fold in turn, over its training half for its
+methods, then from its test half for every prediction: an ensemble vote.
 One-shot calls without an index compute only the retained distance columns;
 EUS and PSO look up a whole generation, and ensemble voting all its members,
 in one ``nearest_batch`` call (the searches then score the generation from its
@@ -252,6 +254,26 @@ class NeighbourIndex:
         return _nearest_retained(D, retained, rows if exclude_self else None)
 
 
+def _index_over(X, nominal_mask=None, index=None, queries=None) -> NeighbourIndex:
+    """``index``, else a new :class:`NeighbourIndex` from ``queries`` (or ``X``) to
+    ``X``.  A passed index is read as built, whatever ``nominal_mask``; one over
+    other rows or queries is a ValueError."""
+    if index is None:
+        return NeighbourIndex(X, nominal_mask, queries)
+    shape, got = (len(X if queries is None else queries), len(X)), index.distances.shape
+    if got != shape:
+        raise ValueError(f"index was built for other queries or rows: {got}, not {shape}")
+    return index
+
+
+def _labels(X, y) -> np.ndarray:
+    """``y`` as an array, a ValueError unless it has one label per row of ``X``."""
+    y = np.asarray(y)
+    if len(y) != len(X):
+        raise ValueError(f"{len(y)} labels for {len(X)} rows")
+    return y
+
+
 def _retained(ref, n):
     """The sorted rows of ``ref``, a ReferenceSet or an index array checked as one, below n."""
     retained = (ref if isinstance(ref, ReferenceSet) else ReferenceSet(ref)).retained
@@ -268,18 +290,16 @@ def classify_1nn(X, y, ref, queries, nominal_mask=None, index=None) -> np.ndarra
     :class:`NeighbourIndex` from ``queries`` to ``X``, turns the lookup into
     a rank lookup instead of a distance computation.
     """
-    retained = _retained(ref, len(X))
+    retained, y = _retained(ref, len(X)), _labels(X, y)
     if index is not None:
-        if index.distances.shape[0] != len(queries):
-            raise ValueError("index was built for other queries")
-        return y[index.nearest(retained)]
+        return y[_index_over(X, index=index, queries=queries).nearest(retained)]
     D = pairwise_distances(queries, X[retained], nominal_mask)
     return y[_nearest_retained(D, retained)]
 
 
 def classify_knn(X, y, ref, queries, k, nominal_mask=None) -> np.ndarray:
     """Majority label among the k nearest retained instances; vote ties -> positive."""
-    retained = _retained(ref, len(X))
+    retained, y = _retained(ref, len(X)), _labels(X, y)
     if k < 1 or k > retained.size:
         raise ValueError(f"k={k} out of range for reference set of size {retained.size}")
     D = pairwise_distances(queries, X[retained], nominal_mask)

@@ -5,8 +5,9 @@ All functions take a scaled data matrix ``X`` and a 0/1 label vector ``y``
 retained indices.  Every method except random editing retains all minority
 instances by construction; every returned set contains both classes.
 Stochastic methods are pure functions of (inputs, seed).  A method given
-``index``, a :class:`~gmsel.knn.NeighbourIndex` over ``X``, reads it instead
-of building its own; NCL reads its leave-one-out ranks.
+``index``, a :class:`~gmsel.knn.NeighbourIndex` over ``X``, reads it as built,
+whatever ``nominal_mask``, instead of building its own; one over other rows is
+a ValueError.  NCL reads its leave-one-out ranks.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knn import NeighbourIndex, ReferenceSet, _retained, loo_gm_best, loo_predict
+from .knn import ReferenceSet, _index_over, _retained, loo_gm_best, loo_predict
 from .knn import pairwise_distances  # noqa: F401  (perfbench/test_perfbench.py traces it here)
 
 logger = logging.getLogger(__name__)
@@ -82,27 +83,17 @@ def _known_keys(section, prefix, known, required=()) -> dict:
     return section
 
 
-def _weighted_neg_sample(rng, y, n, weights=None):
-    """Draw ``n`` majority indices without replacement, p proportional to weight."""
-    neg_idx = np.flatnonzero(y == 0)
-    if weights is None:
-        p = np.full(neg_idx.size, 1.0 / neg_idx.size)
-    else:
-        w = np.asarray(weights, dtype=float)[neg_idx]
-        p = w / w.sum()
-    return rng.choice(neg_idx, size=n, replace=False, p=p, shuffle=False)
-
-
 def rus(X, y, seed, weights=None) -> ReferenceSet:
-    """Random undersampling: keep all positives plus a size-N+ majority sample."""
+    """Random undersampling: all positives plus N+ negatives, p proportional to ``weights``."""
     X, y = _check_xy(X, y)
     rng = np.random.default_rng(seed)
-    pos_idx = np.flatnonzero(y == 1)
-    n_pos, n_neg = pos_idx.size, int(np.sum(y == 0))
-    if n_neg < n_pos:
+    pos_idx, neg_idx = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
+    if neg_idx.size < pos_idx.size:
         logger.warning("rus: majority smaller than minority; retaining all negatives")
         return ReferenceSet(np.arange(len(y)), method="rus", seed=seed)
-    neg_sample = _weighted_neg_sample(rng, y, n_pos, weights)
+    w = (np.ones(len(y)) if weights is None else np.asarray(weights, dtype=float))[neg_idx]
+    neg_sample = rng.choice(neg_idx, size=pos_idx.size, replace=False, p=w / w.sum(),
+                            shuffle=False)
     return ReferenceSet(np.concatenate([pos_idx, neg_sample]), method="rus", seed=seed)
 
 
@@ -113,8 +104,7 @@ def tomek_links(X, y, nominal_mask=None, subset=None, index=None) -> ReferenceSe
     If every negative is in a link, the rows are returned unchanged."""
     X, y = _check_xy(X, y)
     idx = np.arange(len(y)) if subset is None else _retained(subset, len(y))
-    if index is None:
-        index = NeighbourIndex(X, nominal_mask)
+    index = _index_over(X, nominal_mask, index)
     # positions in idx of each row's nearest other row of idx
     nn = np.searchsorted(idx, index.nearest(idx, exclude_self=True)[idx])
     in_link = (nn[nn] == np.arange(idx.size)) & (y[idx] != y[idx[nn]])  # mutual, cross-class
@@ -138,16 +128,13 @@ def cnn_mod(X, y, seed, nominal_mask=None, subset=None, index=None) -> Reference
     if neg.size == 0:
         raise ValueError("cnn_mod: subset has no negative")
     order = rng.permutation(neg)
-    if index is None:
-        index = NeighbourIndex(X, nominal_mask)
-    store = index.condense(y, np.append(pos, order[0]), order[1:])
+    store = _index_over(X, nominal_mask, index).condense(y, np.append(pos, order[0]), order[1:])
     return ReferenceSet(store, method="cnn", seed=seed)
 
 
 def oss(X, y, seed, nominal_mask=None, index=None) -> ReferenceSet:
     """One-sided selection: condensing (cnn_mod) followed by Tomek-link removal."""
-    if index is None:
-        index = NeighbourIndex(X, nominal_mask)
+    index = _index_over(X, nominal_mask, index)
     condensed = cnn_mod(X, y, seed, nominal_mask, index=index)
     cleaned = tomek_links(X, y, nominal_mask, subset=condensed.retained, index=index)
     return ReferenceSet(cleaned.retained, method="oss", seed=seed)
@@ -155,8 +142,7 @@ def oss(X, y, seed, nominal_mask=None, index=None) -> ReferenceSet:
 
 def tl_cnn(X, y, seed, nominal_mask=None, index=None) -> ReferenceSet:
     """Tomek-link removal, then condensing (Batista's ordering), over one index."""
-    if index is None:
-        index = NeighbourIndex(X, nominal_mask)
+    index = _index_over(X, nominal_mask, index)
     cleaned = tomek_links(X, y, nominal_mask, index=index)
     condensed = cnn_mod(X, y, seed, nominal_mask, subset=cleaned.retained, index=index)
     return ReferenceSet(condensed.retained, method="tlcnn", seed=seed)
@@ -174,9 +160,7 @@ def ncl(X, y, nominal_mask=None, index=None) -> ReferenceSet:
     if n < 4:
         logger.warning("ncl: fewer than 4 instances; identity selection")
         return ReferenceSet(np.arange(n), method="ncl")
-    if index is None:
-        index = NeighbourIndex(X, nominal_mask)
-    nn3 = index.ranks(exclude_self=True)[:, :3]
+    nn3 = _index_over(X, nominal_mask, index).ranks(exclude_self=True)[:, :3]
     votes = y[nn3].sum(axis=1)
     pred = (2 * votes >= 3).astype(y.dtype)  # vote ties toward positive (k=3: no tie)
     mis = pred != y
@@ -305,8 +289,7 @@ def eus(X, y, seed, params: EusParams | None = None, nominal_mask=None,
     rng = np.random.default_rng(seed)
     pos_idx, neg_idx = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
     n_neg, size = neg_idx.size, params.population
-    if index is None:
-        index = NeighbourIndex(X, nominal_mask)
+    index = _index_over(X, nominal_mask, index)
 
     pop = rng.random((size, n_neg)) < 0.5
     fits = eus_fitness(X, y, pop, index, params.balance_penalty, sample_weight)
@@ -369,8 +352,7 @@ def pso_select(X, y, seed, params: PsoParams | None = None,
     pos_idx = np.flatnonzero(y == 1)
     neg_idx = np.flatnonzero(y == 0)
     n_neg = neg_idx.size
-    if index is None:
-        index = NeighbourIndex(X, nominal_mask)
+    index = _index_over(X, nominal_mask, index)
 
     pos_mask = rng.random((params.swarm, n_neg)) < 0.5
     vel = rng.uniform(-1, 1, size=(params.swarm, n_neg))

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .knn import _stable_top_k, classify_1nn, nearest_points, pairwise_distances
+from .knn import _labels, _stable_top_k, classify_1nn, nearest_points, pairwise_distances
 from .metrics import confusion, gm
 from .selection import _known_keys, _read_yaml, random_edit
 
@@ -272,7 +272,7 @@ def asymptotic_gm(points, labels, model: DensityModel, sample_count=10_000, seed
     ground-truth densities.  A reference set missing a class has GM exactly 0.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    labels = np.asarray(labels)
+    labels = _labels(points, labels)
     if not (np.any(labels == 1) and np.any(labels == 0)):
         return 0.0, 0.0
     if sample_count < 1000:
@@ -388,7 +388,7 @@ def removal_analysis(points, labels, i, model: DensityModel, sample_count=10_000
     improvement condition (TPR - l)(TNR + g) > TPR * TNR (or its mirror for a
     negative removal)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    labels = np.asarray(labels)
+    labels = _labels(points, labels)
     _check_point(points, i)
     keep = np.delete(labels, i)
     if not (np.any(keep == 1) and np.any(keep == 0)):
@@ -521,7 +521,7 @@ def exhaustive_search(points, labels, model: DensityModel, sample_count=2000, se
     :func:`_hits_per_subset`) and are exact, as are the GMs.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    labels = np.asarray(labels)
+    labels = _labels(points, labels)
     n = points.shape[0]
     if n > _EXHAUSTIVE_MAX_POINTS:
         raise ValueError(

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gmsel
 from gmsel.ensemble import (
     EnsembleModel,
     _boost,
@@ -130,6 +136,23 @@ class TestBagging:
             predict_ensemble(model, X, y, q),
             classify_1nn(X, y, model.members[0], q),
         )
+
+    def test_one_class_rejected(self):
+        # one class was redrawn for ever; a child process bounds the wait
+        code = ("import numpy as np\nfrom gmsel.ensemble import bag_1nn\n"
+                "try:\n    bag_1nn(np.zeros((3, 1)), np.zeros(3, dtype=int), size=1)\n"
+                "except ValueError as exc:\n    print(exc)\n")
+        src = str(Path(gmsel.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=30, check=True)
+        assert out.stdout.strip() == "both classes must be present"
+
+    def test_labels_of_another_length_rejected(self):
+        # 3 rows and 5 labels gave a member [0, 1, 2, 4]
+        with pytest.raises(ValueError, match="length mismatch"):
+            bag_1nn(np.zeros((3, 1)), np.array([1, 0, 1, 0, 1]), size=4)
 
 
 class TestErus:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gmsel import knn
+from gmsel.ensemble import EnsembleModel, predict_ensemble
 from gmsel.knn import (
     NeighbourIndex,
     ReferenceSet,
@@ -138,6 +139,21 @@ class TestIndexArrays:
         for call in lookups if "range" in match else (lambda: ReferenceSet(ref), *lookups):
             with pytest.raises(ValueError, match=match):
                 call()
+
+    @pytest.mark.parametrize("n_labels", [3, 6])
+    def test_labels_of_another_length_rejected(self, n_labels):
+        # 6 labels for 4 rows were read as if they matched; 3 ended in an IndexError
+        y, ref, q = np.arange(n_labels) % 2, [0, 3], [[0.0], [1.1]]
+        model = EnsembleModel((ReferenceSet(np.array(ref)),), np.ones(1))
+        predictions = (
+            lambda: classify_1nn(self.X, y, ref, q),
+            lambda: classify_1nn(self.X, y, ref, q, index=NeighbourIndex(self.X, queries=q)),
+            lambda: classify_knn(self.X, y, ref, q, 1),
+            lambda: predict_ensemble(model, self.X, y, q),
+        )
+        for predict in predictions:
+            with pytest.raises(ValueError, match=f"^{n_labels} labels for 4 rows$"):
+                predict()
 
     def test_repeated_index_rejected_by_the_index(self):
         with pytest.raises(ValueError, match="unique"):

@@ -42,6 +42,16 @@ print(sorted(loaded - set(sys.stdlib_module_names) - {"gmsel", "numpy", "yaml", 
     assert out.stdout.strip() == "[]"
 
 
+def test_only_knn_and_bench_build_a_neighbour_index():
+    # every other module's index goes through knn._index_over, which builds
+    # one when none is passed and rejects one over other rows or queries; bench
+    # builds each fold's two
+    texts = {p.name: p.read_text() for p in Path(gmsel.__file__).parent.glob("*.py")}
+    assert {n for n, t in texts.items() if re.search(r"\bNeighbourIndex\(", t)} \
+        == {"knn.py", "bench.py"}
+    assert {n for n, t in texts.items() if "if index is None" in t} == {"knn.py"}
+
+
 def test_only_knn_orders_distances():
     # equal distances go to the lowest index only because every ordering of
     # distances is knn's, so no other module calls an argmin, a sort of

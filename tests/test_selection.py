@@ -158,10 +158,48 @@ class TestCompositions:
 
     def test_tl_cnn_builds_one_index(self):
         X, y = clusters(5, 25, gap=3.0, seed=4)
-        with mock.patch.object(selection, "NeighbourIndex", wraps=NeighbourIndex) as built:
+        with mock.patch.object(knn, "NeighbourIndex", wraps=NeighbourIndex) as built:
             got = tl_cnn(X, y, 7).retained
         assert built.call_count == 1
         assert np.array_equal(got, tl_cnn(X, y, 7, index=NeighbourIndex(X)).retained)
+
+
+class TestIndexOverOtherRows:
+    # 40 rows given an index over 60: tomek_links and cnn_mod read the wrong
+    # rows without a word, ncl, eus and pso_select ended in an IndexError
+    X60, y60 = clusters(10, 50, gap=3.0, seed=2)
+    X, y = X60[:40], y60[:40]
+    model = ensemble.EnsembleModel((ReferenceSet(np.array([0, 39])),), np.ones(1))
+    CALLS = {
+        "tomek_links": lambda X, y, index: tomek_links(X, y, index=index),
+        "cnn_mod": lambda X, y, index: cnn_mod(X, y, 0, index=index),
+        "oss": lambda X, y, index: oss(X, y, 0, index=index),
+        "tl_cnn": lambda X, y, index: tl_cnn(X, y, 0, index=index),
+        "ncl": lambda X, y, index: ncl(X, y, index=index),
+        "eus": lambda X, y, index: eus(X, y, 0, EusParams(4, 2), index=index),
+        "pso_select": lambda X, y, index: pso_select(X, y, 0, PsoParams(4, 2), index=index),
+        "rusboost": lambda X, y, index: ensemble.rusboost(X, y, 2, index=index),
+        "eusboost": lambda X, y, index: ensemble.eusboost(X, y, 2, params=EusParams(4, 2),
+                                                          index=index),
+        # from the right queries, but to 60 training rows
+        "classify_1nn": lambda X, y, index: knn.classify_1nn(X, y, [0, 39], X, index=index),
+        "predict_ensemble": lambda X, y, index: ensemble.predict_ensemble(
+            TestIndexOverOtherRows.model, X, y, X, index=index),
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_rejected(self, name):
+        queries = self.X if name in ("classify_1nn", "predict_ensemble") else None
+        index = NeighbourIndex(self.X60, queries=queries)
+        with pytest.raises(ValueError, match=r"other queries or rows: \(\d+, 60\), not \(40, 40"):
+            self.CALLS[name](self.X, self.y, index)
+        self.CALLS[name](self.X, self.y, NeighbourIndex(self.X, queries=queries))
+
+    def test_a_passed_index_wins_over_nominal_mask(self):
+        # as nominal, every pair of rows is 1 apart, so row 0's link is with row 1
+        X, y, every = np.array([[0.0], [5.0], [5.1], [0.1]]), np.array([1, 0, 0, 0]), [True]
+        assert tomek_links(X, y, every).retained.tolist() == [0, 2, 3]
+        assert tomek_links(X, y, every, index=NeighbourIndex(X)).retained.tolist() == [0, 1, 2]
 
 
 @st.composite
@@ -226,7 +264,7 @@ class TestSharedIndexTomekPass:
         X, y, nominal, subset, seed = problem
         index = NeighbourIndex(X, nominal)
         condensed = cnn_mod(X, y, seed, nominal).retained
-        with mock.patch.object(selection, "NeighbourIndex", side_effect=AssertionError):
+        with mock.patch.object(knn, "NeighbourIndex", side_effect=AssertionError):
             got = tomek_links(X, y, nominal, subset=subset, index=index).retained
             got_oss = oss(X, y, seed, nominal, index=index).retained
         assert np.array_equal(got, _oracle_tomek(X, y, nominal, subset))

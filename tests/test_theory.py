@@ -307,6 +307,18 @@ class TestRemovalAnalysis:
                              example_uniform_model())
 
 
+@pytest.mark.parametrize("n_labels", [2, 5])
+def test_labels_of_another_length_rejected(n_labels):
+    # 5 labels for 3 points gave a GM and a removal analysis; 2 ended in an IndexError
+    points, labels = [[0.5], [9.5], [0.7]], [1, 0, 1, 0, 0][:n_labels]
+    calls = (lambda: asymptotic_gm(points, labels, gap_model()),
+             lambda: removal_analysis(points, labels, 0, gap_model()),
+             lambda: exhaustive_search(points, labels, gap_model(), sample_count=50))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{n_labels} labels for 3 rows$"):
+            call()
+
+
 def exhaustive_by_subset(points, labels, model, sample_count, seed):
     """Reference search: every combination in lexicographic order, scored by
     one nearest-point lookup per probe class; a tie keeps the first subset,
