@@ -4,7 +4,6 @@
 from .data import (
     Attribute,
     Dataset,
-    FoldPlan,
     Scaler,
     apply_scaler,
     fit_scaler,

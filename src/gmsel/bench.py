@@ -172,11 +172,7 @@ def make_synthetic_dataset(name, n_pos, imbalance_ratio, seed, d=2) -> Dataset:
     Xn = rng.standard_normal((n_neg, d))
     X = np.vstack([Xp, Xn])
     labels = ["pos"] * n_pos + ["neg"] * n_neg
-    schema = tuple(
-        Attribute(name=f"x{j}", kind="numeric",
-                  lo=float(X[:, j].min()), hi=float(X[:, j].max()))
-        for j in range(d)
-    )
+    schema = tuple(Attribute(name=f"x{j}", kind="numeric") for j in range(d))
     class_attr = Attribute(name="class", kind="nominal", categories=("pos", "neg"))
     return _build_dataset(name, schema, X, labels, class_attr)
 
@@ -289,7 +285,7 @@ def run_experiment(cfg: ExperimentConfig, datasets=None) -> list[TrialRecord]:
     for ds in datasets:
         plan = stratified_two_fold(ds, derive_seed(cfg.master_seed, ds.name, -1, -1,
                                                    "folds"), cfg.repetitions)
-        for rep, (half1, half2) in enumerate(plan.repetitions):
+        for rep, (half1, half2) in enumerate(plan):
             for fold, (train_idx, test_idx) in enumerate([(half1, half2),
                                                           (half2, half1)]):
                 tasks.append((ds, rep, fold, train_idx, test_idx, cfg))

@@ -3,6 +3,8 @@
 Numeric attribute values are stored as float64; nominal values are stored as
 integer codes into the attribute's category list, so the whole data matrix is
 a single 2-D float array.  The minority class is always designated positive.
+A KEEL ``[lo, hi]`` range is checked but not kept: scaling reads each training
+half's own min and max.  A fold plan is a plain tuple of index-array pairs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 __all__ = [
     "Attribute",
     "Dataset",
-    "FoldPlan",
     "Scaler",
     "KeelParseError",
     "KeelValidationError",
@@ -43,24 +44,19 @@ class KeelValidationError(ValueError):
 
 @dataclass(frozen=True)
 class Attribute:
-    """One column of the schema: numeric with a declared range, or nominal."""
+    """One column of the schema: numeric, or nominal with its categories."""
 
     name: str
     kind: str  # "numeric" | "nominal"
-    lo: float | None = None
-    hi: float | None = None
     categories: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.kind == "numeric":
-            if self.lo is not None and self.hi is not None and self.lo > self.hi:
-                raise ValueError(f"attribute {self.name}: declared min > max")
-        elif self.kind == "nominal":
+        if self.kind == "nominal":
             if not self.categories:
                 raise ValueError(f"attribute {self.name}: empty category list")
             if len(set(self.categories)) != len(self.categories):
                 raise ValueError(f"attribute {self.name}: duplicate categories")
-        else:
+        elif self.kind != "numeric":
             raise ValueError(f"attribute {self.name}: unknown kind {self.kind!r}")
 
 
@@ -126,19 +122,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class FoldPlan:
-    """Five repetitions of a stratified two-fold split.
-
-    ``repetitions[r]`` is a pair of disjoint index arrays covering the whole
-    dataset; class proportions in each half match the full set within the
-    integer rounding forced by odd class counts (surplus goes to the first
-    half).
-    """
-
-    repetitions: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-
-@dataclass(frozen=True)
 class Scaler:
     """Per-numeric-attribute training min and max for [0, 1] scaling."""
 
@@ -171,15 +154,14 @@ def _parse_attribute(body: str, line_no: int) -> Attribute:
     m = _ATTR_NUMERIC_RE.match(body)
     if m:
         name, lo, hi = m.groups()
-        try:
-            lo_f = float(lo) if lo is not None else None
-            hi_f = float(hi) if hi is not None else None
-        except ValueError as exc:
-            raise KeelParseError(f"bad numeric range in attribute {name}", line_no) from exc
-        try:
-            return Attribute(name=name, kind="numeric", lo=lo_f, hi=hi_f)
-        except ValueError as exc:
-            raise KeelParseError(str(exc), line_no) from exc
+        if lo is not None:
+            try:
+                lo_f, hi_f = float(lo), float(hi)
+            except ValueError as exc:
+                raise KeelParseError(f"bad numeric range in attribute {name}", line_no) from exc
+            if lo_f > hi_f:
+                raise KeelParseError(f"attribute {name}: declared min > max", line_no)
+        return Attribute(name=name, kind="numeric")
     raise KeelParseError(f"cannot parse attribute declaration: {body!r}", line_no)
 
 
@@ -299,8 +281,6 @@ def _build_dataset(name, schema, X, labels, class_attr) -> Dataset:
         if lab not in counts:
             raise KeelValidationError(f"label {lab!r} is not a declared class")
         counts[lab] += 1
-    if min(counts.values()) < 1:
-        raise KeelValidationError("fewer than one instance per class")
     # Minority class is positive; exact tie broken by lexicographic order.
     pos_label = min(counts, key=lambda c: (counts[c], c))
     neg_label = next(c for c in class_attr.categories if c != pos_label)
@@ -341,8 +321,7 @@ def parse_csv(text, name="csv") -> Dataset:
     for col_name, col in zip(header[:-1], columns[:-1]):
         try:
             vals = np.array([float(v) for v in col])
-            schema.append(Attribute(name=col_name, kind="numeric",
-                                    lo=float(vals.min()), hi=float(vals.max())))
+            schema.append(Attribute(name=col_name, kind="numeric"))
         except ValueError:
             cats = tuple(dict.fromkeys(col))
             schema.append(Attribute(name=col_name, kind="nominal", categories=cats))
@@ -361,12 +340,15 @@ def _split_class(indices: np.ndarray, rng: np.random.Generator):
     return perm[:half], perm[half:]
 
 
-def stratified_two_fold(ds: Dataset, seed: int, repetitions: int = 5) -> FoldPlan:
+def stratified_two_fold(ds: Dataset, seed: int,
+                        repetitions: int = 5) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Plan ``repetitions`` stratified two-fold splits of ``ds``.
 
-    Each class is shuffled and halved independently so the imbalance ratio is
-    mirrored in both halves; odd class counts put the extra instance in the
-    first half.  The plan is a pure function of ``(ds, seed)``.
+    Returns a tuple of ``repetitions`` pairs ``(half1, half2)``: sorted,
+    disjoint index arrays that together cover ``ds``.  Each class is shuffled
+    and halved independently so the imbalance ratio is mirrored in both
+    halves; odd class counts put the extra instance in the first half.  The
+    plan is a pure function of ``(ds, seed, repetitions)``.
     """
     if ds.n_pos < 2 or ds.n_neg < 2:
         raise KeelValidationError("need at least 2 instances per class to stratify")
@@ -380,7 +362,7 @@ def stratified_two_fold(ds: Dataset, seed: int, repetitions: int = 5) -> FoldPla
         half1 = np.sort(np.concatenate([p1, n1]))
         half2 = np.sort(np.concatenate([p2, n2]))
         reps.append((half1, half2))
-    return FoldPlan(repetitions=tuple(reps))
+    return tuple(reps)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knn import ReferenceSet, _index_over, _retained, loo_gm_best, loo_predict
+from .knn import ReferenceSet, _index_over, _labels, _retained, loo_gm_best, loo_predict
 from .knn import pairwise_distances  # noqa: F401  (perfbench/test_perfbench.py traces it here)
 
 logger = logging.getLogger(__name__)
@@ -39,9 +39,7 @@ __all__ = [
 
 def _check_xy(X, y):
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("X and y length mismatch")
+    y = _labels(X, y)
     if not (np.any(y == 1) and np.any(y == 0)):
         raise ValueError("both classes must be present")
     return X, y
@@ -156,11 +154,11 @@ def ncl(X, y, nominal_mask=None, index=None) -> ReferenceSet:
     instead.  All marks are applied simultaneously in a single pass.
     """
     X, y = _check_xy(X, y)
-    n = len(y)
+    n, index = len(y), _index_over(X, nominal_mask, index)
     if n < 4:
         logger.warning("ncl: fewer than 4 instances; identity selection")
         return ReferenceSet(np.arange(n), method="ncl")
-    nn3 = _index_over(X, nominal_mask, index).ranks(exclude_self=True)[:, :3]
+    nn3 = index.ranks(exclude_self=True)[:, :3]
     votes = y[nn3].sum(axis=1)
     pred = (2 * votes >= 3).astype(y.dtype)  # vote ties toward positive (k=3: no tie)
     mis = pred != y

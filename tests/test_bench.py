@@ -409,7 +409,7 @@ def _trial_by_trial(cfg, ds):
                                cfg.repetitions)
     nom = ds.nominal_mask if ds.nominal_mask.any() else None
     records = []
-    for rep, (half1, half2) in enumerate(plan.repetitions):
+    for rep, (half1, half2) in enumerate(plan):
         for fold, (train, test) in enumerate([(half1, half2), (half2, half1)]):
             for method in cfg.methods:
                 scaler = fit_scaler(ds, train)
@@ -450,7 +450,7 @@ def test_fold_computes_only_its_two_index_matrices(monkeypatch):
     monkeypatch.setattr(knn, "pairwise_distances", spy)
     ds = parse_keel(_mixed_keel(n_pos=20, n_neg=120, seed=4))
     cfg = replace(FOLD_CFG, methods=tuple(m for m in METHODS if m != "re"))
-    train, test = stratified_two_fold(ds, 0, 1).repetitions[0]
+    train, test = stratified_two_fold(ds, 0, 1)[0]
     records = bench._run_fold((ds, 0, 0, train, test, cfg))
     assert len(records) == 12 and not any(r.failed for r in records)
     assert sorted(calls) == [("test", len(test), len(train)),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,61 @@ class TestParseKeel:
         assert parse_keel(text.split("@data\n")[0] + "@data\n" + written) == ds
 
 
+def _keel_with(old, new):
+    assert old in KEEL_SMALL
+    return lambda: parse_keel(KEEL_SMALL.replace(old, new))
+
+
+@pytest.mark.parametrize("call, exc_type, fragment, line_no", [
+    pytest.param(_keel_with("@inputs", "inputs"), KeelParseError,
+                 "expected @keyword", 5, id="no-at-sign"),
+    pytest.param(_keel_with("@inputs", "@input"), KeelParseError,
+                 "unknown keyword @input", 5, id="unknown-keyword"),
+    pytest.param(_keel_with("@relation toy\n", ""), KeelParseError,
+                 "missing @relation", None, id="no-relation"),
+    pytest.param(lambda: parse_keel("@relation t\n@data\n1, a\n"), KeelParseError,
+                 "missing @attribute", None, id="no-attribute"),
+    pytest.param(lambda: parse_keel(KEEL_SMALL.split("@data")[0]), KeelParseError,
+                 "missing @data", None, id="no-data"),
+    pytest.param(_keel_with("{red, green, blue}", "{red, , blue}"), KeelParseError,
+                 "empty category name", 3, id="empty-category"),
+    pytest.param(_keel_with("{red, green, blue}", "{red, green, red}"), KeelParseError,
+                 "attribute colour: duplicate categories", 3, id="duplicate-category"),
+    pytest.param(_keel_with("[0.0, 2.0]", "[a, 2.0]"), KeelParseError,
+                 "bad numeric range in attribute height", 2, id="range-not-a-number"),
+    pytest.param(_keel_with("[0.0, 2.0]", "[5, 1]"), KeelParseError,
+                 "attribute height: declared min > max", 2, id="range-reversed"),
+    pytest.param(_keel_with("@outputs class", "@outputs class, colour"), KeelValidationError,
+                 "exactly one output attribute", None, id="two-outputs"),
+    pytest.param(_keel_with("@outputs class", "@outputs klass"), KeelParseError,
+                 "unknown output attribute 'klass'", None, id="unknown-output"),
+    pytest.param(_keel_with("@inputs height, colour", "@inputs height, shade"), KeelParseError,
+                 "unknown input attribute 'shade'", None, id="unknown-input"),
+    pytest.param(_keel_with("{yes, no}", "{yes, no, maybe}"), KeelValidationError,
+                 "output attribute must be nominal with exactly two classes", None,
+                 id="three-classes"),
+    pytest.param(_keel_with("1.5, green", "1.5x, green"), KeelParseError,
+                 "bad numeric value '1.5x' for height", 9, id="bad-number"),
+    pytest.param(_keel_with("1.0, blue, no", "1.0, blue, maybe"), KeelValidationError,
+                 "label 'maybe' is not a declared class", None, id="undeclared-label"),
+    pytest.param(_keel_with("0.5, red, yes", "0.5, red, no"), KeelValidationError,
+                 "both classes must be represented", None, id="one-class"),
+    pytest.param(lambda: parse_csv("x,label\n"), KeelValidationError,
+                 "CSV needs a header and at least one row", None, id="csv-header-only"),
+    pytest.param(lambda: parse_csv("x,label\n1,a\n2,b,c\n"), KeelParseError,
+                 "expected 2 fields", 3, id="csv-field-count"),
+    pytest.param(lambda: fit_scaler(parse_keel(KEEL_SMALL), np.arange(0)), ValueError,
+                 "cannot fit a scaler on an empty selection", None, id="scaler-empty"),
+])
+def test_rejection(call, exc_type, fragment, line_no):
+    with pytest.raises(exc_type, match=re.escape(fragment)) as exc:
+        call()
+    assert type(exc.value) is exc_type
+    if exc_type is KeelParseError:
+        assert exc.value.line_no == line_no
+        assert str(exc.value).startswith("" if line_no is None else f"line {line_no}: ")
+
+
 class TestParseCsv:
     def test_basic(self):
         ds = parse_csv("x,y,label\n1.0,2.0,a\n3.0,4.0,b\n5.0,6.0,b\n")
@@ -149,7 +206,7 @@ class TestStratifiedTwoFold:
     def test_even_counts_split_exactly(self):
         ds = self.dataset(10, 90)
         plan = stratified_two_fold(ds, seed=0)
-        for half1, half2 in plan.repetitions:
+        for half1, half2 in plan:
             assert np.sum(ds.y[half1] == 1) == 5
             assert np.sum(ds.y[half2] == 1) == 5
             assert len(half1) == len(half2) == 50
@@ -157,7 +214,7 @@ class TestStratifiedTwoFold:
     def test_odd_count_surplus_to_first_half(self):
         ds = self.dataset(7, 20)
         plan = stratified_two_fold(ds, seed=1)
-        for half1, half2 in plan.repetitions:
+        for half1, half2 in plan:
             assert np.sum(ds.y[half1] == 1) == 4
             assert np.sum(ds.y[half2] == 1) == 3
 
@@ -165,7 +222,7 @@ class TestStratifiedTwoFold:
         ds = self.dataset(9, 31)
         plan = stratified_two_fold(ds, seed=5)
         full = set(range(ds.n_instances))
-        for half1, half2 in plan.repetitions:
+        for half1, half2 in plan:
             assert set(half1) | set(half2) == full
             assert set(half1) & set(half2) == set()
 
@@ -173,7 +230,7 @@ class TestStratifiedTwoFold:
         ds = self.dataset(6, 14)
         a = stratified_two_fold(ds, seed=42)
         b = stratified_two_fold(ds, seed=42)
-        for (a1, a2), (b1, b2) in zip(a.repetitions, b.repetitions):
+        for (a1, a2), (b1, b2) in zip(a, b):
             assert np.array_equal(a1, b1) and np.array_equal(a2, b2)
 
     def test_too_few_per_class(self):

@@ -151,7 +151,7 @@ class TestBagging:
 
     def test_labels_of_another_length_rejected(self):
         # 3 rows and 5 labels gave a member [0, 1, 2, 4]
-        with pytest.raises(ValueError, match="length mismatch"):
+        with pytest.raises(ValueError, match="^5 labels for 3 rows$"):
             bag_1nn(np.zeros((3, 1)), np.array([1, 0, 1, 0, 1]), size=4)
 
 

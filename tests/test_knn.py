@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gmsel import knn
+from gmsel import ensemble, knn, selection
 from gmsel.ensemble import EnsembleModel, predict_ensemble
 from gmsel.knn import (
     NeighbourIndex,
@@ -151,9 +151,26 @@ class TestIndexArrays:
             lambda: classify_knn(self.X, y, ref, q, 1),
             lambda: predict_ensemble(model, self.X, y, q),
         )
-        for predict in predictions:
+        # every selection method and ensemble builder said "X and y length mismatch"
+        X, tiny = self.X, selection.EusParams(2, 1)
+        selections = (
+            lambda: selection.rus(X, y, 0),
+            lambda: selection.tomek_links(X, y),
+            lambda: selection.cnn_mod(X, y, 0),
+            lambda: selection.oss(X, y, 0),
+            lambda: selection.tl_cnn(X, y, 0),
+            lambda: selection.ncl(X, y),
+            lambda: selection.eus(X, y, 0, tiny),
+            lambda: selection.pso_select(X, y, 0, selection.PsoParams(2, 1)),
+            lambda: selection.random_edit(X, y, 2, 1, 0),
+            lambda: ensemble.bag_1nn(X, y, 2),
+            lambda: ensemble.erus(X, y, 2),
+            lambda: ensemble.rusboost(X, y, 2),
+            lambda: ensemble.eusboost(X, y, 2, params=tiny),
+        )
+        for call in predictions + selections:
             with pytest.raises(ValueError, match=f"^{n_labels} labels for 4 rows$"):
-                predict()
+                call()
 
     def test_repeated_index_rejected_by_the_index(self):
         with pytest.raises(ValueError, match="unique"):

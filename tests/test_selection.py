@@ -176,6 +176,7 @@ class TestIndexOverOtherRows:
         "oss": lambda X, y, index: oss(X, y, 0, index=index),
         "tl_cnn": lambda X, y, index: tl_cnn(X, y, 0, index=index),
         "ncl": lambda X, y, index: ncl(X, y, index=index),
+        "ncl_3_rows": lambda X, y, index: ncl(X, y, index=index),  # identity below 4 rows
         "eus": lambda X, y, index: eus(X, y, 0, EusParams(4, 2), index=index),
         "pso_select": lambda X, y, index: pso_select(X, y, 0, PsoParams(4, 2), index=index),
         "rusboost": lambda X, y, index: ensemble.rusboost(X, y, 2, index=index),
@@ -189,11 +190,14 @@ class TestIndexOverOtherRows:
 
     @pytest.mark.parametrize("name", list(CALLS))
     def test_rejected(self, name):
-        queries = self.X if name in ("classify_1nn", "predict_ensemble") else None
+        rows = [0, 1, 39] if name == "ncl_3_rows" else slice(None)
+        X, y = self.X[rows], self.y[rows]
+        queries = X if name in ("classify_1nn", "predict_ensemble") else None
         index = NeighbourIndex(self.X60, queries=queries)
-        with pytest.raises(ValueError, match=r"other queries or rows: \(\d+, 60\), not \(40, 40"):
-            self.CALLS[name](self.X, self.y, index)
-        self.CALLS[name](self.X, self.y, NeighbourIndex(self.X, queries=queries))
+        with pytest.raises(ValueError,
+                           match=rf"other queries or rows: \(\d+, 60\), not \({len(X)}, {len(X)}"):
+            self.CALLS[name](X, y, index)
+        self.CALLS[name](X, y, NeighbourIndex(X, queries=queries))
 
     def test_a_passed_index_wins_over_nominal_mask(self):
         # as nominal, every pair of rows is 1 apart, so row 0's link is with row 1

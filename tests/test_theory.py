@@ -127,6 +127,12 @@ class TestBoundary1D:
         assert tnr == 1.0
         assert g == pytest.approx(math.sqrt(1 / 3))
 
+    def test_bayes_rules_switch_at_the_pdf_intersection(self):
+        # demo 01: the densities cross at b = 3; equal priors make both rules agree
+        for balanced in (False, True):
+            got = bayes_classify(example_uniform_model(), [[2.9], [3.1]], balanced=balanced)
+            assert got.tolist() == [1, 0]
+
     def test_optimum_is_past_the_intersection(self):
         b, g = best_boundary_1d(example_uniform_model())
         assert b == 5.0
