@@ -12,7 +12,7 @@ from .data import (
     stratified_two_fold,
 )
 from .ensemble import EnsembleModel, bag_1nn, erus, eusboost, predict_ensemble, rusboost
-from .knn import ReferenceSet, classify_1nn, classify_knn, loo_gm
+from .knn import NeighbourIndex, ReferenceSet, classify_1nn, classify_knn, loo_gm
 from .metrics import (
     ConfusionCounts,
     SignTestResult,

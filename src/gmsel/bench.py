@@ -55,22 +55,17 @@ METHODS = {
     "re": ({"random", "explicit-gm"},
            lambda f, seed, cfg: sel.random_edit(f.X, f.y, cfg.re_cardinality,
                                                 cfg.re_trials, seed, f.nominal)),
-    "tl": ({"balance"}, lambda f, seed, cfg: sel.tomek_links(f.X, f.y, f.nominal,
-                                                             index=f.index())),
-    "oss": ({"balance"}, lambda f, seed, cfg: sel.oss(f.X, f.y, seed, f.nominal,
-                                                      index=f.index())),
-    "tlcnn": ({"balance"}, lambda f, seed, cfg: sel.tl_cnn(f.X, f.y, seed, f.nominal,
-                                                           index=f.index())),
-    "ncl": ({"balance"}, lambda f, seed, cfg: sel.ncl(f.X, f.y, f.nominal, index=f.index())),
+    "tl": ({"balance"}, lambda f, seed, cfg: sel.tomek_links(f.X, f.y, index=f.index())),
+    "oss": ({"balance"}, lambda f, seed, cfg: sel.oss(f.X, f.y, seed, index=f.index())),
+    "tlcnn": ({"balance"}, lambda f, seed, cfg: sel.tl_cnn(f.X, f.y, seed, index=f.index())),
+    "ncl": ({"balance"}, lambda f, seed, cfg: sel.ncl(f.X, f.y, index=f.index())),
     "eus": ({"random", "balance", "explicit-gm"},
-            lambda f, seed, cfg: sel.eus(f.X, f.y, seed, cfg.eus_params, f.nominal,
-                                         index=f.index())),
+            lambda f, seed, cfg: sel.eus(f.X, f.y, seed, cfg.eus_params, index=f.index())),
     "pso": ({"random", "explicit-gm"},
-            lambda f, seed, cfg: sel.pso_select(f.X, f.y, seed, cfg.pso_params, f.nominal,
-                                                index=f.index())),
+            lambda f, seed, cfg: sel.pso_select(f.X, f.y, seed, cfg.pso_params, index=f.index())),
     "rusboost": ({"random", "balance", "ensemble"},
                  lambda f, seed, cfg: ens.rusboost(f.X, f.y, cfg.ensemble_size_boost, seed,
-                                                   f.nominal, index=f.index())),
+                                                   index=f.index())),
     "1nn": (set(), lambda f, seed, cfg: ReferenceSet(np.arange(len(f.y)), method="1nn")),
     "bag1nn": ({"random", "ensemble"},
                lambda f, seed, cfg: ens.bag_1nn(f.X, f.y, cfg.ensemble_size_bag, seed)),
@@ -78,8 +73,7 @@ METHODS = {
              lambda f, seed, cfg: ens.erus(f.X, f.y, cfg.ensemble_size_bag, seed)),
     "eusboost": ({"random", "balance", "explicit-gm", "ensemble"},
                  lambda f, seed, cfg: ens.eusboost(f.X, f.y, cfg.ensemble_size_boost, seed,
-                                                   cfg.eus_params, f.nominal,
-                                                   index=f.index())),
+                                                   cfg.eus_params, index=f.index())),
 }
 
 
@@ -246,7 +240,7 @@ def _record(fold: _Fold, method, trained) -> TrialRecord:
         model, retained = trained
         try:
             c = confusion(fold.y_test, ens.predict_ensemble(
-                model, fold.X, fold.y, fold.X_test, fold.nominal, index=fold.index(test=True)))
+                model, fold.X, fold.y, fold.X_test, index=fold.index(test=True)))
             scores, failed = (gm(c), tpr(c), tnr(c), retained), False
         except Exception:
             logger.exception("trial failed: %s rep=%d fold=%d method=%s", *fold.key, method)

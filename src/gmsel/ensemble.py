@@ -4,8 +4,8 @@ Members are reference sets over a common training matrix.  Bagging-type
 ensembles vote with equal weights; boosting members vote with ln(1/beta_t).
 Prediction ties are broken toward the positive class.  A function given
 ``index``, a :class:`~gmsel.knn.NeighbourIndex` over ``X`` (from ``queries`` for
-:func:`predict_ensemble`), reads it as built, whatever ``nominal_mask``, instead
-of building its own; one over other rows or queries is a ValueError.
+:func:`predict_ensemble`), takes its metric from it; without one it builds an
+all-numeric one, and one over other rows or queries is a ValueError.
 """
 
 from __future__ import annotations
@@ -121,18 +121,18 @@ def _boost(X, y, size, seed, build_member, index, method):
     return EnsembleModel(tuple(members), np.array(alphas))
 
 
-def rusboost(X, y, size=10, seed=0, nominal_mask=None, index=None) -> EnsembleModel:
+def rusboost(X, y, size=10, seed=0, *, index=None) -> EnsembleModel:
     """Boosting of RUS: weighted undersampling of the majority class in each
     iteration, with AdaBoost-style reweighting of the full training set."""
 
     def build(member_seed, weights):
         return rus(X, y, member_seed, weights=weights)
 
-    return _boost(X, y, size, seed, build, _index_over(X, nominal_mask, index), "rusboost")
+    return _boost(X, y, size, seed, build, _index_over(X, index), "rusboost")
 
 
-def eusboost(X, y, size=10, seed=0, params: EusParams | None = None,
-             nominal_mask=None, index=None) -> EnsembleModel:
+def eusboost(X, y, size=10, seed=0, params: EusParams | None = None, *,
+             index=None) -> EnsembleModel:
     """AdaBoost-like ensemble of EUS.
 
     Each iteration runs the evolutionary search with the current boosting
@@ -140,17 +140,15 @@ def eusboost(X, y, size=10, seed=0, params: EusParams | None = None,
     the beta/weight arithmetic is shared with rusboost.  One neighbour index
     serves every member search and the boosting error.
     """
-    index = _index_over(X, nominal_mask, index)
+    index = _index_over(X, index)
 
     def build(member_seed, weights):
-        return eus(X, y, member_seed, params=params, nominal_mask=nominal_mask,
-                   sample_weight=weights, index=index)
+        return eus(X, y, member_seed, params, sample_weight=weights, index=index)
 
     return _boost(X, y, size, seed, build, index, "eusboost")
 
 
-def predict_ensemble(model: EnsembleModel, X, y, queries, nominal_mask=None,
-                     index=None) -> np.ndarray:
+def predict_ensemble(model: EnsembleModel, X, y, queries, *, index=None) -> np.ndarray:
     """Weighted vote over member 1-NN predictions; ties go to the positive class.
 
     The query-to-training distances are computed once, and every member's
@@ -160,7 +158,7 @@ def predict_ensemble(model: EnsembleModel, X, y, queries, nominal_mask=None,
     """
     y = _labels(X, y)
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    index = _index_over(X, nominal_mask, index, queries)
+    index = _index_over(X, index, queries)
     member = np.zeros((model.size, index.distances.shape[1]), dtype=bool)
     for row, ref in zip(member, model.members):
         row[_retained(ref, len(row))] = True

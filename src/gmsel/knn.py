@@ -8,9 +8,9 @@ integer index vector, checked by :class:`ReferenceSet` on every path.
 
 Callers that look up nearest retained neighbours many times over one training
 matrix (subset searches, condensing, Tomek links, boosting) build a
-:class:`NeighbourIndex` once and pass it as ``index``, read as built (whatever
-``nominal_mask``) and rejected if over other rows or queries by ``_index_over``,
-which builds one when none is passed, on every path but :func:`loo_predict`'s.
+:class:`NeighbourIndex` once and pass it as ``index``, the one carrier of the
+metric there: ``_index_over`` rejects one over other rows or queries, on every
+path but :func:`loo_predict`'s, and builds an all-numeric one when none is passed.
 The benchmark builds two per fold in turn, over its training half for its
 methods, then from its test half for every prediction: an ensemble vote.
 One-shot calls without an index compute only the retained distance columns;
@@ -254,12 +254,11 @@ class NeighbourIndex:
         return _nearest_retained(D, retained, rows if exclude_self else None)
 
 
-def _index_over(X, nominal_mask=None, index=None, queries=None) -> NeighbourIndex:
-    """``index``, else a new :class:`NeighbourIndex` from ``queries`` (or ``X``) to
-    ``X``.  A passed index is read as built, whatever ``nominal_mask``; one over
-    other rows or queries is a ValueError."""
+def _index_over(X, index=None, queries=None) -> NeighbourIndex:
+    """``index``, else a new all-numeric :class:`NeighbourIndex` from ``queries``
+    (or ``X``) to ``X``; one over other rows or queries is a ValueError."""
     if index is None:
-        return NeighbourIndex(X, nominal_mask, queries)
+        return NeighbourIndex(X, queries=queries)
     shape, got = (len(X if queries is None else queries), len(X)), index.distances.shape
     if got != shape:
         raise ValueError(f"index was built for other queries or rows: {got}, not {shape}")
@@ -286,9 +285,9 @@ def classify_1nn(X, y, ref, queries, nominal_mask=None, index=None) -> np.ndarra
     """Label each query row by its nearest retained instance.
 
     ``ref`` is a :class:`ReferenceSet` or an index array into ``X``/``y``.
-    Ties go to the lowest retained index.  ``index``, a
-    :class:`NeighbourIndex` from ``queries`` to ``X``, turns the lookup into
-    a rank lookup instead of a distance computation.
+    Ties go to the lowest retained index.  ``index``, a :class:`NeighbourIndex`
+    from ``queries`` to ``X``, turns the lookup into a rank lookup instead of a
+    distance computation; ``nominal_mask`` applies only without one.
     """
     retained, y = _retained(ref, len(X)), _labels(X, y)
     if index is not None:
@@ -312,7 +311,8 @@ def loo_predict(X, y, retained, nominal_mask=None, index=None) -> np.ndarray:
     """1-NN prediction for every row of ``X`` over ``retained`` minus itself.
 
     ``index``, a :class:`NeighbourIndex` over ``X``, answers from its ranks;
-    without it only the retained columns of the distance matrix are computed.
+    without it only the retained columns of the distances by ``nominal_mask``
+    (which applies only then) are computed.
     """
     if index is not None:
         return y[index.nearest(retained, exclude_self=True)]

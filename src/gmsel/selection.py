@@ -5,8 +5,8 @@ All functions take a scaled data matrix ``X`` and a 0/1 label vector ``y``
 retained indices.  Every method except random editing retains all minority
 instances by construction; every returned set contains both classes.
 Stochastic methods are pure functions of (inputs, seed).  A method given
-``index``, a :class:`~gmsel.knn.NeighbourIndex` over ``X``, reads it as built,
-whatever ``nominal_mask``, instead of building its own; one over other rows is
+``index``, a :class:`~gmsel.knn.NeighbourIndex` over ``X``, takes its metric
+from it; without one it builds an all-numeric one, and one over other rows is
 a ValueError.  NCL reads its leave-one-out ranks.
 """
 
@@ -95,14 +95,14 @@ def rus(X, y, seed, weights=None) -> ReferenceSet:
     return ReferenceSet(np.concatenate([pos_idx, neg_sample]), method="rus", seed=seed)
 
 
-def tomek_links(X, y, nominal_mask=None, subset=None, index=None) -> ReferenceSet:
+def tomek_links(X, y, *, subset=None, index=None) -> ReferenceSet:
     """Remove majority members of Tomek links (mutual cross-class NN pairs)
     among ``subset``, or all rows, each row's neighbour found by one
     leave-one-out ``nearest`` lookup in ``index`` over the rows considered.
     If every negative is in a link, the rows are returned unchanged."""
     X, y = _check_xy(X, y)
     idx = np.arange(len(y)) if subset is None else _retained(subset, len(y))
-    index = _index_over(X, nominal_mask, index)
+    index = _index_over(X, index)
     # positions in idx of each row's nearest other row of idx
     nn = np.searchsorted(idx, index.nearest(idx, exclude_self=True)[idx])
     in_link = (nn[nn] == np.arange(idx.size)) & (y[idx] != y[idx[nn]])  # mutual, cross-class
@@ -113,7 +113,7 @@ def tomek_links(X, y, nominal_mask=None, subset=None, index=None) -> ReferenceSe
     return ReferenceSet(kept, method="tl")
 
 
-def cnn_mod(X, y, seed, nominal_mask=None, subset=None, index=None) -> ReferenceSet:
+def cnn_mod(X, y, seed, *, subset=None, index=None) -> ReferenceSet:
     """Imbalance-adapted condensed NN: all positives plus a random majority
     seed instance; remaining majority instances are scanned once in seeded
     shuffle order and added only if misclassified by the current store (one
@@ -126,27 +126,27 @@ def cnn_mod(X, y, seed, nominal_mask=None, subset=None, index=None) -> Reference
     if neg.size == 0:
         raise ValueError("cnn_mod: subset has no negative")
     order = rng.permutation(neg)
-    store = _index_over(X, nominal_mask, index).condense(y, np.append(pos, order[0]), order[1:])
+    store = _index_over(X, index).condense(y, np.append(pos, order[0]), order[1:])
     return ReferenceSet(store, method="cnn", seed=seed)
 
 
-def oss(X, y, seed, nominal_mask=None, index=None) -> ReferenceSet:
+def oss(X, y, seed, *, index=None) -> ReferenceSet:
     """One-sided selection: condensing (cnn_mod) followed by Tomek-link removal."""
-    index = _index_over(X, nominal_mask, index)
-    condensed = cnn_mod(X, y, seed, nominal_mask, index=index)
-    cleaned = tomek_links(X, y, nominal_mask, subset=condensed.retained, index=index)
+    index = _index_over(X, index)
+    condensed = cnn_mod(X, y, seed, index=index)
+    cleaned = tomek_links(X, y, subset=condensed.retained, index=index)
     return ReferenceSet(cleaned.retained, method="oss", seed=seed)
 
 
-def tl_cnn(X, y, seed, nominal_mask=None, index=None) -> ReferenceSet:
+def tl_cnn(X, y, seed, *, index=None) -> ReferenceSet:
     """Tomek-link removal, then condensing (Batista's ordering), over one index."""
-    index = _index_over(X, nominal_mask, index)
-    cleaned = tomek_links(X, y, nominal_mask, index=index)
-    condensed = cnn_mod(X, y, seed, nominal_mask, subset=cleaned.retained, index=index)
+    index = _index_over(X, index)
+    cleaned = tomek_links(X, y, index=index)
+    condensed = cnn_mod(X, y, seed, subset=cleaned.retained, index=index)
     return ReferenceSet(condensed.retained, method="tlcnn", seed=seed)
 
 
-def ncl(X, y, nominal_mask=None, index=None) -> ReferenceSet:
+def ncl(X, y, *, index=None) -> ReferenceSet:
     """Neighbourhood cleaning rule.
 
     Majority instances misclassified by their own 3-NN are marked; for every
@@ -154,7 +154,7 @@ def ncl(X, y, nominal_mask=None, index=None) -> ReferenceSet:
     instead.  All marks are applied simultaneously in a single pass.
     """
     X, y = _check_xy(X, y)
-    n, index = len(y), _index_over(X, nominal_mask, index)
+    n, index = len(y), _index_over(X, index)
     if n < 4:
         logger.warning("ncl: fewer than 4 instances; identity selection")
         return ReferenceSet(np.arange(n), method="ncl")
@@ -271,8 +271,8 @@ def _child_draws(rng, size, n_neg):
     return tuple(np.array(d) for d in zip(*draws))
 
 
-def eus(X, y, seed, params: EusParams | None = None, nominal_mask=None,
-        sample_weight=None, index=None) -> ReferenceSet:
+def eus(X, y, seed, params: EusParams | None = None, *, sample_weight=None,
+        index=None) -> ReferenceSet:
     """Evolutionary undersampling: a generational GA over the majority mask.
 
     Binary tournaments, uniform crossover and bit-flip mutation at rate
@@ -287,7 +287,7 @@ def eus(X, y, seed, params: EusParams | None = None, nominal_mask=None,
     rng = np.random.default_rng(seed)
     pos_idx, neg_idx = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
     n_neg, size = neg_idx.size, params.population
-    index = _index_over(X, nominal_mask, index)
+    index = _index_over(X, index)
 
     pop = rng.random((size, n_neg)) < 0.5
     fits = eus_fitness(X, y, pop, index, params.balance_penalty, sample_weight)
@@ -336,8 +336,8 @@ def _pso_fitness(X, y, masks, index) -> np.ndarray:
     return np.where(masks.any(axis=1), fits, 0.0)
 
 
-def pso_select(X, y, seed, params: PsoParams | None = None,
-               nominal_mask=None, index=None) -> ReferenceSet:
+def pso_select(X, y, seed, params: PsoParams | None = None, *,
+               index=None) -> ReferenceSet:
     """Binary PSO over the majority mask with sigmoid-velocity bit sampling.
 
     Fitness is the equal-weight mean of balanced AUC, F-measure and GM, one
@@ -350,7 +350,7 @@ def pso_select(X, y, seed, params: PsoParams | None = None,
     pos_idx = np.flatnonzero(y == 1)
     neg_idx = np.flatnonzero(y == 0)
     n_neg = neg_idx.size
-    index = _index_over(X, nominal_mask, index)
+    index = _index_over(X, index)
 
     pos_mask = rng.random((params.swarm, n_neg)) < 0.5
     vel = rng.uniform(-1, 1, size=(params.swarm, n_neg))

@@ -385,23 +385,27 @@ FOLD_CFG = ExperimentConfig(methods=tuple(METHODS), repetitions=2,
 
 
 def _trial_by_trial(cfg, ds):
-    """Records of ``cfg`` on ``ds``, each trial on its own: every method's
-    public function builds its own neighbour index, and every prediction its
-    own distances.  The oracle for the fold tasks of ``run_experiment``."""
+    """Records of ``cfg`` on ``ds``, each trial on its own: every method gets
+    its own neighbour index over the training half, and every prediction its
+    own from the test half.  The oracle for the fold tasks of ``run_experiment``."""
     trainers = {
         "1nn": lambda X, y, s, nom: ReferenceSet(np.arange(len(y))),
         "bag1nn": lambda X, y, s, nom: ens.bag_1nn(X, y, cfg.ensemble_size_bag, s),
         "rus": lambda X, y, s, nom: sel.rus(X, y, s),
         "erus": lambda X, y, s, nom: ens.erus(X, y, cfg.ensemble_size_bag, s),
-        "rusboost": lambda X, y, s, nom: ens.rusboost(X, y, cfg.ensemble_size_boost, s, nom),
+        "rusboost": lambda X, y, s, nom: ens.rusboost(X, y, cfg.ensemble_size_boost, s,
+                                                      index=NeighbourIndex(X, nom)),
         "eusboost": lambda X, y, s, nom: ens.eusboost(X, y, cfg.ensemble_size_boost, s,
-                                                      cfg.eus_params, nom),
-        "eus": lambda X, y, s, nom: sel.eus(X, y, s, cfg.eus_params, nom),
-        "pso": lambda X, y, s, nom: sel.pso_select(X, y, s, cfg.pso_params, nom),
-        "tl": lambda X, y, s, nom: sel.tomek_links(X, y, nom),
-        "oss": lambda X, y, s, nom: sel.oss(X, y, s, nom),
-        "tlcnn": lambda X, y, s, nom: sel.tl_cnn(X, y, s, nom),
-        "ncl": lambda X, y, s, nom: sel.ncl(X, y, nom),
+                                                      cfg.eus_params,
+                                                      index=NeighbourIndex(X, nom)),
+        "eus": lambda X, y, s, nom: sel.eus(X, y, s, cfg.eus_params,
+                                            index=NeighbourIndex(X, nom)),
+        "pso": lambda X, y, s, nom: sel.pso_select(X, y, s, cfg.pso_params,
+                                                   index=NeighbourIndex(X, nom)),
+        "tl": lambda X, y, s, nom: sel.tomek_links(X, y, index=NeighbourIndex(X, nom)),
+        "oss": lambda X, y, s, nom: sel.oss(X, y, s, index=NeighbourIndex(X, nom)),
+        "tlcnn": lambda X, y, s, nom: sel.tl_cnn(X, y, s, index=NeighbourIndex(X, nom)),
+        "ncl": lambda X, y, s, nom: sel.ncl(X, y, index=NeighbourIndex(X, nom)),
         "re": lambda X, y, s, nom: sel.random_edit(X, y, cfg.re_cardinality, cfg.re_trials,
                                                    s, nom),
     }
@@ -420,7 +424,8 @@ def _trial_by_trial(cfg, ds):
                 if isinstance(model, ReferenceSet):
                     pred, kept = classify_1nn(X, y, model, Q, nom), len(model)
                 else:
-                    pred = ens.predict_ensemble(model, X, y, Q, nom)
+                    pred = ens.predict_ensemble(model, X, y, Q,
+                                                index=NeighbourIndex(X, nom, Q))
                     kept = np.unique(np.concatenate([m.retained for m in model.members])).size
                 c = confusion(ds.y[test], pred)
                 records.append(TrialRecord(ds.name, rep, fold, method, gm(c), tpr(c), tnr(c),

@@ -92,7 +92,7 @@ class TestPredictEnsemble:
         model = EnsembleModel(members, weights)
         score = sum(w * np.where(classify_1nn(X, y, m, q, mask) == 1, 1.0, -1.0)
                     for m, w in zip(members, weights))
-        assert np.array_equal(predict_ensemble(model, X, y, q, mask),
+        assert np.array_equal(predict_ensemble(model, X, y, q, index=NeighbourIndex(X, mask, q)),
                               (score >= 0).astype(y.dtype))
 
     @pytest.mark.parametrize("n_queries", [1, 60])

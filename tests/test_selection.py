@@ -199,11 +199,22 @@ class TestIndexOverOtherRows:
             self.CALLS[name](X, y, index)
         self.CALLS[name](X, y, NeighbourIndex(X, queries=queries))
 
-    def test_a_passed_index_wins_over_nominal_mask(self):
+    def test_the_index_carries_the_metric(self):
         # as nominal, every pair of rows is 1 apart, so row 0's link is with row 1
-        X, y, every = np.array([[0.0], [5.0], [5.1], [0.1]]), np.array([1, 0, 0, 0]), [True]
-        assert tomek_links(X, y, every).retained.tolist() == [0, 2, 3]
-        assert tomek_links(X, y, every, index=NeighbourIndex(X)).retained.tolist() == [0, 1, 2]
+        X, y = np.array([[0.0], [5.0], [5.1], [0.1]]), np.array([1, 0, 0, 0])
+        assert tomek_links(X, y, index=NeighbourIndex(X, [True])).retained.tolist() == [0, 2, 3]
+        assert tomek_links(X, y).retained.tolist() == [0, 1, 2]
+
+    def test_a_stale_positional_mask_is_a_type_error(self):
+        # the mask went from every function that takes an index: it would
+        # otherwise bind to the index, or to eus's sample_weight
+        X, y, mask = self.X, self.y, np.zeros(self.X.shape[1], dtype=bool)
+        model, params = self.model, EusParams(4, 2)
+        for call in (lambda: tomek_links(X, y, mask), lambda: ncl(X, y, mask),
+                     lambda: eus(X, y, 0, params, mask),
+                     lambda: ensemble.predict_ensemble(model, X, y, X, mask)):
+            with pytest.raises(TypeError):
+                call()
 
 
 @st.composite
@@ -267,13 +278,14 @@ class TestSharedIndexTomekPass:
     def test_subset_read_from_the_index_equals_its_own_distances(self, problem):
         X, y, nominal, subset, seed = problem
         index = NeighbourIndex(X, nominal)
-        condensed = cnn_mod(X, y, seed, nominal).retained
+        condensed = cnn_mod(X, y, seed, index=index).retained
         with mock.patch.object(knn, "NeighbourIndex", side_effect=AssertionError):
-            got = tomek_links(X, y, nominal, subset=subset, index=index).retained
-            got_oss = oss(X, y, seed, nominal, index=index).retained
+            got = tomek_links(X, y, subset=subset, index=index).retained
+            got_oss = oss(X, y, seed, index=index).retained
         assert np.array_equal(got, _oracle_tomek(X, y, nominal, subset))
         assert np.array_equal(got_oss, _oracle_tomek(X, y, nominal, condensed))
-        assert np.array_equal(oss(X, y, seed, nominal).retained, got_oss)
+        if nominal is None:  # one built from X alone is all-numeric
+            assert np.array_equal(oss(X, y, seed).retained, got_oss)
 
     @given(problem=ncl_problems())
     @settings(max_examples=100, deadline=None)
@@ -286,8 +298,9 @@ class TestSharedIndexTomekPass:
         assert np.array_equal(index.ranks(exclude_self=True)[:, 0], np.argmin(D, axis=1))
         want = _oracle_tomek(X, y, nominal, np.arange(len(y)))
         with mock.patch.object(NeighbourIndex, "_argmin", side_effect=AssertionError):
-            assert np.array_equal(tomek_links(X, y, nominal, index=index).retained, want)
-            assert np.array_equal(tomek_links(X, y, nominal).retained, want)
+            assert np.array_equal(tomek_links(X, y, index=index).retained, want)
+            if nominal is None:
+                assert np.array_equal(tomek_links(X, y).retained, want)
 
 
 def _oracle_cnn(y, seed, subset, index):
@@ -321,8 +334,9 @@ class TestCondensing:
         X, y, nominal, subset, seed = problem
         index = NeighbourIndex(X, nominal)
         want = _oracle_cnn(y, seed, subset, index)
-        assert np.array_equal(cnn_mod(X, y, seed, nominal, subset, index).retained, want)
-        assert np.array_equal(cnn_mod(X, y, seed, nominal, subset).retained, want)
+        assert np.array_equal(cnn_mod(X, y, seed, subset=subset, index=index).retained, want)
+        if nominal is None:
+            assert np.array_equal(cnn_mod(X, y, seed, subset=subset).retained, want)
 
     def test_makes_no_nearest_lookup(self):
         X, y = clusters(5, 40, gap=0.5, seed=2)
@@ -387,9 +401,9 @@ class TestNcl:
         want = _oracle_ncl_neighbours(X, nominal)
         index = NeighbourIndex(X, nominal)
         assert np.array_equal(index.ranks(exclude_self=True)[:, :3], want)
-        assert np.array_equal(ncl(X, y, nominal, index=index).retained,
-                              _oracle_ncl(X, y, want).retained)
-        assert np.array_equal(ncl(X, y, nominal).retained, _oracle_ncl(X, y, want).retained)
+        assert np.array_equal(ncl(X, y, index=index).retained, _oracle_ncl(X, y, want).retained)
+        if nominal is None:
+            assert np.array_equal(ncl(X, y).retained, _oracle_ncl(X, y, want).retained)
 
 
 class TestEus:
