@@ -244,17 +244,16 @@ def parse_keel(text) -> Dataset:
             raise KeelParseError(
                 f"expected {len(attributes)} values, got {len(fields)}", idx + 1
             )
+        if "?" in fields:
+            raise KeelParseError("missing values are not supported", idx + 1)
+        labels.append(fields.pop(class_col))
         row = np.empty(len(feature_attrs))
-        j = 0
-        for col, (attr, value) in enumerate(zip(attributes, fields)):
-            if value == "?":
-                raise KeelParseError("missing values are not supported", idx + 1)
-            if col == class_col:
-                labels.append(value)
-                continue
+        for j, (attr, value) in enumerate(zip(feature_attrs, fields)):
             if attr.kind == "numeric":
                 try:
-                    row[j] = float(value)
+                    row[j] = number = float(value)
+                    if not abs(number) < np.inf:  # nan or +-inf
+                        raise ValueError(value)
                 except ValueError as exc:
                     raise KeelParseError(
                         f"bad numeric value {value!r} for {attr.name}", idx + 1
@@ -266,7 +265,6 @@ def parse_keel(text) -> Dataset:
                     raise KeelParseError(
                         f"unknown nominal value {value!r} for {attr.name}", idx + 1
                     ) from exc
-            j += 1
         rows.append(row)
 
     if not rows:
@@ -301,14 +299,15 @@ def parse_csv(text, name="csv") -> Dataset:
     Columns whose values all parse as floats are numeric; the rest nominal
     (categories in order of first appearance).
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2:
+    numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if len(numbered) < 2:
         raise KeelValidationError("CSV needs a header and at least one row")
+    line_no, lines = zip(*numbered)  # errors name a row by its line in the text
     header = [h.strip() for h in lines[0].split(",")]
     raw = [[f.strip() for f in ln.split(",")] for ln in lines[1:]]
     for i, row in enumerate(raw):
         if len(row) != len(header):
-            raise KeelParseError(f"expected {len(header)} fields", i + 2)
+            raise KeelParseError(f"expected {len(header)} fields", line_no[i + 1])
     columns = list(zip(*raw))
     labels = list(columns[-1])
     class_cats = tuple(dict.fromkeys(labels))
@@ -326,6 +325,10 @@ def parse_csv(text, name="csv") -> Dataset:
             cats = tuple(dict.fromkeys(col))
             schema.append(Attribute(name=col_name, kind="nominal", categories=cats))
             vals = np.array([cats.index(v) for v in col], dtype=float)
+        bad = np.flatnonzero(~np.isfinite(vals)).tolist()  # nan, inf: codes are finite
+        if bad:
+            raise KeelParseError(f"bad numeric value {col[bad[0]]!r} for {col_name}",
+                                 line_no[bad[0] + 1])
         data_cols.append(vals)
     X = np.column_stack(data_cols) if data_cols else np.empty((len(raw), 0))
     return _build_dataset(name, tuple(schema), X, labels, class_attr)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 
@@ -162,8 +163,9 @@ class DensityModel:
     prior_positive: float
 
     def __post_init__(self):
-        if not 0.0 < self.prior_positive < 1.0:
-            raise ValueError("prior must be strictly between 0 and 1")
+        p = self.prior_positive  # a bool is 0 or 1, so out of range
+        if not (isinstance(p, Real) and 0.0 < p < 1.0):
+            raise ValueError(f"prior_positive must be a real number in (0, 1), got {p!r}")
 
     @property
     def prior_negative(self) -> float:
@@ -635,7 +637,7 @@ def model_from_config(cfg) -> DensityModel:
           type: gaussian_mixture
           components: [[1.0, [0, 0], [1, 1]]]   # weight, mean, variance
 
-    An unknown or missing key is a ValueError naming it.
+    An unknown or missing key, or a bad value, is a ValueError naming the key.
     """
     if not isinstance(cfg, dict):
         cfg = _read_yaml(cfg)
@@ -646,11 +648,14 @@ def model_from_config(cfg) -> DensityModel:
 
     def build(key):
         side = _known_keys(cfg[key], f"{key}.", ("type", "segments", "components"), ("type",))
-        if side["type"] not in densities:
-            raise ValueError(f"unknown density type {side['type']!r}")
+        if not isinstance(side["type"], str) or side["type"] not in densities:
+            raise ValueError(f"{key}.type: unknown density type {side['type']!r}")
         rows, density = densities[side["type"]]
         _known_keys(side, f"{key}.", ("type", rows), (rows,))
-        return density([tuple(r) for r in side[rows]])
+        try:
+            return density([tuple(r) for r in side[rows]])
+        except (TypeError, ValueError) as exc:  # not rows, or rows of other values
+            raise ValueError(f"{key}.{rows}: {exc}") from None
 
     return DensityModel(positive=build("positive"), negative=build("negative"),
-                        prior_positive=float(cfg["prior_positive"]))
+                        prior_positive=cfg["prior_positive"])

@@ -240,6 +240,12 @@ class TestRunAndReport:
         assert (a / "records.csv").read_bytes() == (b / "records.csv").read_bytes()
 
 
+# a valid density model, whose values the cases below edit
+MODEL = ("prior_positive: 0.5\n"
+         "positive: {type: piecewise_uniform, segments: [[0, 1, 1.0]]}\n"
+         "negative: {type: piecewise_uniform, segments: [[0, 1, 1.0]]}\n")
+
+
 class TestInputErrors:
     # each ended in a Python traceback; now one line, as `gmsel parse` gives
     @pytest.mark.parametrize("command, text, message", [
@@ -261,7 +267,22 @@ class TestInputErrors:
          "dataset,rep,fold,method,gm,tpr,tnr,retained,millis,failed\n"
          "toy,0,1,rus,0.5,0.5,0.5,4,0,0\ntoy,0,1,rus,0.7,0.7,0.7,4,0,0\n",
          "records hold ('toy', 0, 1, 'rus') twice"),
-    ], ids=["run", "boundary1d", "report", "run-same-name", "report-trial-twice"])
+        # a bad value in a density model ended in a TypeError, or a ValueError
+        # that did not name its key
+        (["theory", "boundary1d", "--model"], MODEL.replace("0.5", "null"),
+         "prior_positive must be a real number in (0, 1), got None"),
+        (["theory", "boundary1d", "--model"], MODEL.replace("0.5", "abc"),
+         "prior_positive must be a real number in (0, 1), got 'abc'"),
+        (["theory", "boundary1d", "--model"],
+         MODEL.replace("type: piecewise_uniform", "type: [1]", 1),
+         "positive.type: unknown density type [1]"),
+        (["theory", "boundary1d", "--model"], MODEL.replace("[[0, 1, 1.0]]", "5", 1),
+         "positive.segments: 'int' object is not iterable"),
+        (["theory", "boundary1d", "--model"], MODEL.replace("[[0, 1, 1.0]]", "[[0, 9]]", 1),
+         "positive.segments: not enough values to unpack (expected 3, got 2)"),
+    ], ids=["run", "boundary1d", "report", "run-same-name", "report-trial-twice",
+            "boundary1d-prior-null", "boundary1d-prior-text", "boundary1d-type-list",
+            "boundary1d-segments-number", "boundary1d-segment-pair"])
     def test_one_line_and_exit_1(self, tmp_path, capsys, command, text, message):
         (tmp_path / "toy.dat").write_text(KEEL)
         path = tmp_path / "input"

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from gmsel.data import (
+    Attribute,
+    Dataset,
     KeelParseError,
     KeelValidationError,
     apply_scaler,
@@ -125,6 +127,11 @@ class TestParseKeel:
         assert parse_keel(text.split("@data\n")[0] + "@data\n" + written) == ds
 
 
+def _dataset(X, y):
+    """A one-attribute Dataset built directly, not parsed."""
+    return Dataset("d", (Attribute("x", "numeric"),), X, np.array(y), "p", "n")
+
+
 def _keel_with(old, new):
     assert old in KEEL_SMALL
     return lambda: parse_keel(KEEL_SMALL.replace(old, new))
@@ -170,6 +177,27 @@ def _keel_with(old, new):
                  "expected 2 fields", 3, id="csv-field-count"),
     pytest.param(lambda: fit_scaler(parse_keel(KEEL_SMALL), np.arange(0)), ValueError,
                  "cannot fit a scaler on an empty selection", None, id="scaler-empty"),
+    # a non-finite value failed in Dataset, without its line
+    pytest.param(_keel_with("1.5, green", "nan, green"), KeelParseError,
+                 "bad numeric value 'nan' for height", 9, id="nan"),
+    pytest.param(_keel_with("1.0, blue", "inf, blue"), KeelParseError,
+                 "bad numeric value 'inf' for height", 10, id="inf"),
+    pytest.param(lambda: parse_csv("x,label\n1,a\ninf,b\n2,b\n"), KeelParseError,
+                 "bad numeric value 'inf' for x", 3, id="csv-inf"),
+    # a blank line above a bad row moved its line number up one
+    pytest.param(lambda: parse_csv("x,label\n1,a\n\ninf,b\n2,b\n"), KeelParseError,
+                 "bad numeric value 'inf' for x", 4, id="csv-inf-after-blank"),
+    pytest.param(lambda: parse_csv("x,label\n\n1,a\n2,b,c\n"), KeelParseError,
+                 "expected 2 fields", 4, id="csv-field-count-after-blank"),
+    # a Dataset built directly
+    pytest.param(lambda: _dataset(np.zeros((3, 1)), [1, 0]), ValueError,
+                 "X and y length mismatch", None, id="dataset-length"),
+    pytest.param(lambda: _dataset(np.zeros((3, 2)), [1, 0, 0]), ValueError,
+                 "value count does not match schema length", None, id="dataset-width"),
+    pytest.param(lambda: _dataset(np.full((3, 1), np.nan), [1, 0, 0]), ValueError,
+                 "non-finite attribute value", None, id="dataset-non-finite"),
+    pytest.param(lambda: _dataset(np.zeros((3, 1)), [1, 1, 0]), ValueError,
+                 "positive class must be the minority", None, id="dataset-minority"),
 ])
 def test_rejection(call, exc_type, fragment, line_no):
     with pytest.raises(exc_type, match=re.escape(fragment)) as exc:

@@ -92,7 +92,8 @@ class TestPredictEnsemble:
         model = EnsembleModel(members, weights)
         score = sum(w * np.where(classify_1nn(X, y, m, q, mask) == 1, 1.0, -1.0)
                     for m, w in zip(members, weights))
-        assert np.array_equal(predict_ensemble(model, X, y, q, index=NeighbourIndex(X, mask, q)),
+        index = NeighbourIndex(X, mask, q)  # the index carries the metric
+        assert np.array_equal(predict_ensemble(model, X, y, q, index=index),
                               (score >= 0).astype(y.dtype))
 
     @pytest.mark.parametrize("n_queries", [1, 60])
@@ -171,6 +172,21 @@ class TestErus:
         for m in model.members:
             assert np.sum(y[m.retained] == 1) == 5
             assert np.sum(y[m.retained] == 0) == 5
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: EnsembleModel((), np.ones(0)), "ensemble must have at least one member"),
+    (lambda: EnsembleModel((ReferenceSet([0]),), np.ones(2)), "one weight per member required"),
+    (lambda: EnsembleModel((ReferenceSet([0]),), [0.0]), "must be positive and finite"),
+    (lambda: EnsembleModel((ReferenceSet([0]),), [np.inf]), "must be positive and finite"),
+    # identical rows, positives first: row 0 is every row's neighbour, so
+    # every member errs on the eight negatives
+    (lambda: rusboost(np.zeros((10, 2)), [1, 1] + [0] * 8, 3, 0),
+     "rusboost: no usable member could be built"),
+], ids=["no-member", "weight-count", "zero-weight", "infinite-weight", "no-usable-member"])
+def test_bad_input_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestBoostHarness:

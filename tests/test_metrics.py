@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -161,3 +162,14 @@ class TestBonferroni:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             bonferroni(1.5, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ConfusionCounts(1, -1, 0, 0), "confusion counts must be nonnegative"),
+    (lambda: win_counts([]), "gm_matrix must be a nonempty 2-D array"),
+    (lambda: win_counts([0.5, 0.7]), "gm_matrix must be a nonempty 2-D array"),
+    (lambda: bonferroni(0.5, 0), "m must be a positive integer"),
+], ids=["negative-count", "empty-gm-matrix", "1d-gm-matrix", "zero-tests"])
+def test_bad_input_rejected(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -57,6 +57,23 @@ class TestRus:
         X, y = clusters(5, 40)
         assert np.array_equal(rus(X, y, 9).retained, rus(X, y, 9).retained)
 
+    def test_fewer_negatives_than_positives_keeps_all_rows(self, caplog):
+        X, y = clusters(6, 4)
+        assert rus(X, y, seed=0).retained.tolist() == list(range(10))
+        assert "majority smaller than minority" in caplog.text
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda X, y: rus(X, np.ones_like(y), 0), "both classes must be present"),
+    (lambda X, y: tomek_links(X, np.zeros_like(y)), "both classes must be present"),
+    (lambda X, y: random_edit(X, y, M=len(y) + 1, T=5, seed=0),
+     "cardinality M exceeds the training set size"),
+], ids=["one-class-rus", "one-class-tomek", "random-edit-m-over-n"])
+def test_bad_input_rejected(call, match):
+    X, y = clusters()
+    with pytest.raises(ValueError, match=match):
+        call(X, y)
+
 
 # subsets that are not a set of rows: each was read as some other set
 BAD_SUBSETS = pytest.mark.parametrize("subset, match", [

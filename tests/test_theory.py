@@ -505,6 +505,21 @@ class TestModelFromConfig:
         (lambda c: c.update(extra=1), "unknown config key 'extra'"),
         (lambda c: c["positive"].update(sgements=[]), "unknown config key 'positive.sgements'"),
         (lambda c: c["negative"].pop("segments"), "missing config key 'negative.segments'"),
+        # a bad value is named by its key too
+        (lambda c: c.update(prior_positive=1.0),
+         r"prior_positive must be a real number in \(0, 1\), got 1\.0"),
+        (lambda c: c["positive"].update(segments=[[9.0, 0.0, 1 / 9]]),
+         "positive.segments: segment with non-positive length"),
+        (lambda c: c["positive"].update(segments=[[0.0, 9.0, -1 / 9]]),
+         "positive.segments: negative density"),
+        (lambda c: c.update(negative={"type": "gaussian_mixture", "components": []}),
+         "negative.components: empty mixture"),
+        (lambda c: c.update(negative={"type": "gaussian_mixture", "components": [
+            [0.0, [0, 0], [1, 1]], [1.0, [0, 0], [1, 1]]]}),
+         "negative.components: component weights must be positive"),
+        (lambda c: c.update(negative={"type": "gaussian_mixture",
+                                      "components": [[1.0, [0, 0], [1, 0]]]}),
+         "negative.components: variances must be positive"),
     ])
     def test_bad_key_rejected_by_name(self, edit, message):
         cfg = {"prior_positive": 0.5,
