@@ -12,13 +12,20 @@ Gaussian-mixture 2D) provide asymptotic-GM oracles.  On top of them:
 * exhaustive subset search over small point sets with common random numbers;
 * the classical-Bayes / balanced-Bayes / random-editing comparison on a
   heavily imbalanced Gaussian mixture.
+
+:func:`prop1_check` and :func:`lemma_sweep` return what one process would, but
+use a forked helper (:func:`_two_processes`): it analyses prop1's next case and
+a passing case's GM after removal, and checks lemma-check's odd configurations.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from numbers import Real
 
 import numpy as np
@@ -28,26 +35,11 @@ from .metrics import confusion, gm
 from .selection import _known_keys, _read_yaml, random_edit
 
 __all__ = [
-    "PiecewiseUniform1D",
-    "GaussianMixture2D",
-    "DensityModel",
-    "RemovalAnalysis",
-    "LemmaReport",
-    "example_uniform_model",
-    "example_mixture_model",
-    "gm_boundary_1d",
-    "best_boundary_1d",
-    "sweep_boundary_1d",
-    "asymptotic_gm",
-    "voronoi_neighbors",
-    "removal_analysis",
-    "prop1_check",
-    "lemma_check",
-    "lemma_sweep",
-    "exhaustive_search",
-    "nonmonotone_example",
-    "cb_bb_demo",
-    "model_from_config",
+    "PiecewiseUniform1D", "GaussianMixture2D", "DensityModel", "RemovalAnalysis",
+    "LemmaReport", "example_uniform_model", "example_mixture_model", "gm_boundary_1d",
+    "best_boundary_1d", "sweep_boundary_1d", "asymptotic_gm", "voronoi_neighbors",
+    "removal_analysis", "prop1_check", "lemma_check", "lemma_sweep", "exhaustive_search",
+    "nonmonotone_example", "cb_bb_demo", "model_from_config",
 ]
 
 
@@ -123,6 +115,9 @@ class GaussianMixture2D:
             raise ValueError("component weights must be positive")
         if abs(sum(w for w, _, _ in comps) - 1.0) > 1e-9:
             raise ValueError("component weights must sum to 1")
+        for k, (_, m, v) in enumerate(comps):
+            if m.shape != (2,) or v.shape != (2,):
+                raise ValueError(f"component {k}: mean and variance must be 2-vectors")
         if any(np.any(v <= 0) for _, _, v in comps):
             raise ValueError("variances must be positive")
         self.components = comps
@@ -262,6 +257,57 @@ def sweep_boundary_1d(model: DensityModel, steps):
 # ---------------------------------------------------------------------------
 # Monte Carlo machinery
 
+def _check_count(name, value, low):
+    """ValueError naming ``name`` unless ``value`` is at least ``low``."""
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
+def _serve(conn, parent_end):
+    """The helper process: answer each call ``(True, result)`` or ``(False, exception)``."""
+    parent_end.close()  # this fork's copy of it would keep the pipe open
+    with suppress(EOFError):  # from recv, once the parent's end closes
+        while True:
+            call = conn.recv()
+            try:
+                conn.send((True, call()))
+            except Exception as exc:  # re-raised in the parent
+                conn.send((False, exc))
+
+
+@contextmanager
+def _two_processes():
+    """``both(here, there)`` for the block: run the call ``here`` in this
+    process and ``there`` in one forked helper process, and return both
+    results.  Without fork or a second usable CPU both run here in turn."""
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:  # or fork
+        yield lambda here, there: (here(), there())
+        return
+    import multiprocessing  # here, so that importing gmsel.theory loads nothing more
+    ctx = multiprocessing.get_context("fork")
+    mine, theirs = ctx.Pipe()
+    helper = ctx.Process(target=_serve, args=(theirs, mine), daemon=True)
+    helper.start()
+    theirs.close()
+
+    def both(here, there):
+        mine.send(there)
+        result = here()
+        ok, other = mine.recv()
+        if not ok:
+            raise other
+        return result, other
+
+    try:
+        yield both
+    except BaseException:
+        helper.terminate()
+        raise
+    finally:
+        mine.close()
+        helper.join()
+
+
 def _class_probes(model, n, seed):
     rng = np.random.default_rng(seed)
     return model.positive.sample(n, rng), model.negative.sample(n, rng)
@@ -273,12 +319,11 @@ def asymptotic_gm(points, labels, model: DensityModel, sample_count=10_000, seed
     Returns ``(gm, standard_error)``.  Per-class samples are drawn from the
     ground-truth densities.  A reference set missing a class has GM exactly 0.
     """
+    _check_count("sample_count", sample_count, 1000)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     labels = _labels(points, labels)
     if not (np.any(labels == 1) and np.any(labels == 0)):
         return 0.0, 0.0
-    if sample_count < 1000:
-        raise ValueError("sample_count must be at least 1000")
     Xp, Xn = _class_probes(model, sample_count, seed)
     p = np.mean(labels[nearest_points(points, Xp)] == 1)
     q = np.mean(labels[nearest_points(points, Xn)] == 0)
@@ -295,6 +340,7 @@ def asymptotic_gm(points, labels, model: DensityModel, sample_count=10_000, seed
 def _box_probes(points, probe_count, seed):
     """The points (at least 2) and uniform probes over their padded bounding
     box."""
+    _check_count("probe_count", probe_count, 1)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 2:
         raise ValueError("need at least 2 points")
@@ -351,21 +397,27 @@ def lemma_check(points, i, probe_count=10_000, seed=0) -> LemmaReport:
     )
 
 
+def _lemma_violations(configs, probe_count):
+    """Inclusion violations summed over ``configs``, each ``(points, i, seed)``."""
+    return sum(lemma_check(points, i, probe_count, seed).inclusion_violations
+               for points, i, seed in configs)
+
+
 def lemma_sweep(configs, probe_count, seed) -> int:
     """Total inclusion violations of :func:`lemma_check` over ``configs``
     random configurations: 5-30 standard-normal points in 1-4 dimensions,
-    with a random point removed."""
+    with a random point removed.  All are drawn first; this process checks
+    the even ones and the helper process the odd ones."""
+    _check_count("configs", configs, 1)
     rng = np.random.default_rng(seed)
-    violations = 0
+    drawn = []
     for _ in range(configs):
-        n = int(rng.integers(5, 31))
-        d = int(rng.integers(1, 5))
+        n, d = int(rng.integers(5, 31)), int(rng.integers(1, 5))
         points = rng.standard_normal((n, d))
-        i = int(rng.integers(0, n))
-        rep = lemma_check(points, i, probe_count=probe_count,
-                          seed=int(rng.integers(0, 2**31)))
-        violations += rep.inclusion_violations
-    return violations
+        drawn.append((points, int(rng.integers(0, n)), int(rng.integers(0, 2**31))))
+    with _two_processes() as both:
+        return sum(both(partial(_lemma_violations, drawn[::2], probe_count),
+                        partial(_lemma_violations, drawn[1::2], probe_count)))
 
 
 @dataclass(frozen=True)
@@ -389,6 +441,7 @@ def removal_analysis(points, labels, i, model: DensityModel, sample_count=10_000
     flips when point ``i`` is removed, and evaluate the product-rate
     improvement condition (TPR - l)(TNR + g) > TPR * TNR (or its mirror for a
     negative removal)."""
+    _check_count("sample_count", sample_count, 1000)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     labels = _labels(points, labels)
     _check_point(points, i)
@@ -424,22 +477,14 @@ def removal_analysis(points, labels, i, model: DensityModel, sample_count=10_000
     u = q2 * a_after - q * a_before
     v = p2 * b_after - p * b_before
     margin_se = math.sqrt(np.var(u) / len(u) + np.var(v) / len(v))
-    return RemovalAnalysis(
-        gain=gain,
-        loss=loss,
-        tpr_before=float(p),
-        tnr_before=float(q),
-        tpr_after=float(p2),
-        tnr_after=float(q2),
-        margin=float(margin),
-        margin_se=float(margin_se),
-        predicted_improvement=bool(margin > 0),
-    )
+    return RemovalAnalysis(gain=gain, loss=loss, tpr_before=float(p), tnr_before=float(q),
+                           tpr_after=float(p2), tnr_after=float(q2), margin=float(margin),
+                           margin_se=float(margin_se), predicted_improvement=bool(margin > 0))
 
 
 def _labelled_sample(model, n_pos, n_neg, seed):
-    """``n_pos`` positives then ``n_neg`` negatives drawn from ``model``,
-    with their labels."""
+    """``n_pos`` positives then ``n_neg`` negatives drawn from ``model``
+    with ``seed`` (a seed or a Generator), and their labels."""
     rng = np.random.default_rng(seed)
     points = np.vstack([model.positive.sample(n_pos, rng),
                         model.negative.sample(n_neg, rng)])
@@ -455,28 +500,43 @@ def prop1_check(cases, sample_count, seed):
     errors is checked by estimating GM with and without the point on fresh
     probes, and confirmed when GM rises.  Returns ``(confirmed, checked)``
     once ``cases`` removals have been checked.
+
+    While this process analyses a case, the helper analyses the next, drawn
+    as if this one fails the filter, as most do.  When it passes, the draws
+    rewind to just after it, and its GM is estimated before removal here and
+    after removal in the helper.
     """
+    _check_count("sample_count", sample_count, 1000)
+    _check_count("cases", cases, 1)
     model = example_mixture_model()
     rng = np.random.default_rng(seed)
-    checked = confirmed = 0
-    while checked < cases:
-        n_pos = int(rng.integers(2, 6))
-        n_neg = int(rng.integers(3, 10))
-        pts, labels = _labelled_sample(model, n_pos, n_neg,
-                                       int(rng.integers(0, 2**31)))
+
+    def draw():
+        """A case's points, labels and point to remove, and its analysis."""
+        n_pos, n_neg = int(rng.integers(2, 6)), int(rng.integers(3, 10))
+        pts, labels = _labelled_sample(model, n_pos, n_neg, int(rng.integers(0, 2**31)))
         i = int(rng.integers(0, len(labels)))
-        ra = removal_analysis(pts, labels, i, model, sample_count=sample_count,
-                              seed=int(rng.integers(0, 2**31)))
-        if ra.margin <= 5 * ra.margin_se:
-            continue
-        checked += 1
-        g_before, _ = asymptotic_gm(pts, labels, model, sample_count=sample_count,
-                                    seed=int(rng.integers(0, 2**31)))
-        kept = np.delete(np.arange(len(labels)), i)
-        g_after, _ = asymptotic_gm(pts[kept], labels[kept], model,
-                                   sample_count=sample_count,
-                                   seed=int(rng.integers(0, 2**31)))
-        confirmed += int(g_after > g_before)
+        return (pts, labels, i), partial(removal_analysis, pts, labels, i, model,
+                                         sample_count, int(rng.integers(0, 2**31)))
+
+    checked = confirmed = 0
+    with _two_processes() as both:
+        while checked < cases:
+            case, here = draw()
+            resume = rng.bit_generator.state  # where the draws go on if it passes
+            guess, there = draw()
+            for (pts, labels, i), ra in zip((case, guess), both(here, there)):
+                if ra.margin <= 5 * ra.margin_se:
+                    resume = rng.bit_generator.state
+                    continue
+                rng.bit_generator.state = resume
+                checked += 1
+                kept = np.delete(np.arange(len(labels)), i)
+                (g_before, _), (g_after, _) = both(*(  # seeds drawn in order, before then after
+                    partial(asymptotic_gm, p, y, model, sample_count, int(rng.integers(0, 2**31)))
+                    for p, y in ((pts, labels), (pts[kept], labels[kept]))))
+                confirmed += int(g_after > g_before)
+                break
     return confirmed, checked
 
 
@@ -581,11 +641,7 @@ def bayes_classify(model: DensityModel, X, balanced=False) -> np.ndarray:
 
 def _sample_joint(model, n, rng):
     n_pos = rng.binomial(n, model.prior_positive)
-    X = np.vstack([
-        model.positive.sample(n_pos, rng),
-        model.negative.sample(n - n_pos, rng),
-    ])
-    y = np.array([1] * n_pos + [0] * (n - n_pos))
+    X, y = _labelled_sample(model, n_pos, n - n_pos, rng)
     perm = rng.permutation(n)
     return X[perm], y[perm]
 

@@ -7,7 +7,8 @@ halves share one neighbour index per fold, and its nominal attributes take the
 nominal branch of the distances; seed 11 keeps the digest it gave when each
 prediction computed its own distances.  Theory runs the four commands at their
 defaults, and prop1 on other draws.  ``--trace 1`` runs also compare records at
-jobs=2, jobs=1 and traced jobs=1.  Last line: one JSON verdict; exit 1 on fail."""
+jobs=2, jobs=1 and traced jobs=1.  A run that outlasts its timeout fails.  Last
+line: one JSON verdict; exit 1 on fail."""
 
 import json
 import os
@@ -18,6 +19,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PINS = json.loads((ROOT / "tests" / "pins.json").read_text())
+# a benchmark run stops itself at 170 s; a stuck run fails its case, not CI's job
+BENCH_TIMEOUT_S, CLI_TIMEOUT_S = 600, 300
 
 
 def problems(out, pin, bench=True):
@@ -48,8 +51,14 @@ def main():
     failed = {}
     for args, pin, bench in runs:
         print("$ python3", *args, flush=True)
-        out = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
-                             stdout=subprocess.PIPE, text=True).stdout
+        timeout = BENCH_TIMEOUT_S if bench else CLI_TIMEOUT_S
+        try:
+            out = subprocess.run([sys.executable, *args], cwd=ROOT, env=env, timeout=timeout,
+                                 stdout=subprocess.PIPE, text=True).stdout
+        except subprocess.TimeoutExpired:
+            failed[" ".join(args)] = [f"timed out after {timeout} s"]
+            print(f"timed out after {timeout} s", flush=True)
+            continue
         print(out.rstrip("\n"), flush=True)
         if found := problems(out, pin, bench):
             failed[" ".join(args)] = found

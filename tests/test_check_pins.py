@@ -73,16 +73,29 @@ def test_output_cut_off_before_the_verdict():
     assert problems("", ROSTER) == ["no verdict line"]
 
 
+def case_of(argv):
+    """The pins.json case that ``argv`` runs."""
+    return " ".join(argv[5 if "perfbench/run.py" in argv else 3:])
+
+
+def pinned_run(argv, **kwargs):
+    """``subprocess.run`` of one case, printing what its pin asks for."""
+    case = case_of(argv)
+    pin = PINS["bench"].get(case) or PINS["cli"][case]
+    digests = (pin["records"],) if "records" in pin else ()
+    lines = pin.get("lines", ())
+    out = bench_stdout(digests, lines=lines) if "perfbench/run.py" in argv else lines[0]
+    return subprocess.CompletedProcess(argv, 0, stdout=out)
+
+
 def test_gate_names_every_failed_case(capsys):
     """Every case runs once; one altered digest and one altered theory line
     fail the gate, and its last line names both cases."""
     def run(argv, **kwargs):
-        case = " ".join(argv[5 if "perfbench/run.py" in argv else 3:])
-        pin = PINS["bench"].get(case) or PINS["cli"][case]
-        digests = (pin["records"][::-1],) if case == "fitness-large --seed 3 --trace 0" \
-            else (pin["records"],) if "records" in pin else ()
-        lines = [line.replace("198/200", "197/200") for line in pin.get("lines", ())]
-        out = bench_stdout(digests, lines=lines) if "perfbench/run.py" in argv else lines[0]
+        out = pinned_run(argv).stdout.replace("198/200", "197/200")
+        if case_of(argv) == "fitness-large --seed 3 --trace 0":
+            digest = PINS["bench"][case_of(argv)]["records"]
+            out = out.replace(digest, digest[::-1])
         return subprocess.CompletedProcess(argv, 0, stdout=out)
 
     with mock.patch.object(check_pins.subprocess, "run", side_effect=run) as spy:
@@ -93,6 +106,24 @@ def test_gate_names_every_failed_case(capsys):
     assert sorted(verdict["failed"]) == [
         "perfbench/run.py --seconds 1 --workload fitness-large --seed 3 --trace 0",
         "perfbench/run.py --seconds 1 --workload theory --seed 0 --trace 0"]
+
+
+def test_run_that_times_out_fails_its_case(capsys):
+    """Every run has a timeout; one that expires fails its case, and the
+    other cases still run and hold."""
+    slow = "theory prop1 --cases 50 --seed 3"
+
+    def run(argv, timeout, **kwargs):
+        if case_of(argv) == slow:
+            raise subprocess.TimeoutExpired(argv, timeout)
+        assert timeout == (600 if "perfbench/run.py" in argv else 300)
+        return pinned_run(argv)
+
+    with mock.patch.object(check_pins.subprocess, "run", side_effect=run) as spy:
+        assert check_pins.main() == 1
+    assert spy.call_count == len(PINS["bench"]) + len(PINS["cli"])
+    verdict = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert verdict["failed"] == {f"-m gmsel.cli {slow}": ["timed out after 300 s"]}
 
 
 def test_pin_file_names_benchmark_workloads_and_full_digests():

@@ -2,8 +2,12 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
+import os
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from gmsel.knn import NeighbourIndex
 from gmsel.theory import (
     DensityModel,
     GaussianMixture2D,
+    LemmaReport,
     PiecewiseUniform1D,
     asymptotic_gm,
     bayes_classify,
@@ -25,8 +30,10 @@ from gmsel.theory import (
     exhaustive_search,
     gm_boundary_1d,
     lemma_check,
+    lemma_sweep,
     model_from_config,
     nonmonotone_example,
+    prop1_check,
     removal_analysis,
     voronoi_neighbors,
 )
@@ -95,6 +102,13 @@ class TestGaussianMixture:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             GaussianMixture2D([(0.5, [0, 0], [1, 1])])
+
+    @pytest.mark.parametrize("mean, var", [([0.0], [1.0, 1.0]), ([0.0, 0.0, 0.0], [1.0, 1.0]),
+                                           ([0.0, 0.0], [1.0]), ([[0.0, 0.0]], [1.0, 1.0])])
+    def test_mean_and_variance_must_be_2_vectors(self, mean, var):
+        # a 1-vector mean was broadcast to both coordinates by pdf
+        with pytest.raises(ValueError, match="^component 1: mean and variance must be 2-vectors$"):
+            GaussianMixture2D([(0.5, [0.0, 0.0], [1.0, 1.0]), (0.5, mean, var)])
 
     def test_sample_shape(self):
         g = example_mixture_model().positive
@@ -195,6 +209,30 @@ class TestAsymptoticGm:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             asymptotic_gm([[0.0], [1.0]], [1, 0], gap_model(), sample_count=10)
+
+
+@pytest.mark.parametrize("call, name", [
+    # a one-class set returned GM 0 before its sample count was looked at
+    (lambda: asymptotic_gm([[0.0], [1.0]], [1, 1], gap_model(), sample_count=5),
+     "sample_count must be at least 1000, got 5"),
+    # a NaN margin and numpy's "Mean of empty slice" warning
+    (lambda: removal_analysis([[0.5], [0.6], [9.5]], [1, 1, 0], 0, gap_model(),
+                              sample_count=0), "sample_count must be at least 1000, got 0"),
+    # removal analyses on 500 probes, until a case passed and reached asymptotic_gm
+    (lambda: prop1_check(1, 500, 0), "sample_count must be at least 1000, got 500"),
+    # vacuous successes
+    (lambda: prop1_check(0, 1000, 0), "cases must be at least 1, got 0"),
+    (lambda: lemma_sweep(0, 1000, 0), "configs must be at least 1, got 0"),
+    (lambda: lemma_check([[0.0], [1.0]], 0, probe_count=0), "probe_count must be at least 1, got 0"),
+    (lambda: voronoi_neighbors([[0.0], [1.0]], 0, probe_count=-3),
+     "probe_count must be at least 1, got -3"),
+])
+def test_count_below_its_floor_rejected_by_name(monkeypatch, call, name):
+    def no_fork():
+        raise AssertionError("a helper was forked for a call that fails its checks")
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(ValueError, match=f"^{name}$"):
+        call()
 
 
 class TestVoronoiNeighbors:
@@ -520,6 +558,9 @@ class TestModelFromConfig:
         (lambda c: c.update(negative={"type": "gaussian_mixture",
                                       "components": [[1.0, [0, 0], [1, 0]]]}),
          "negative.components: variances must be positive"),
+        (lambda c: c.update(positive={"type": "gaussian_mixture",
+                                      "components": [[1.0, [0], [1, 1]]]}),
+         "positive.components: component 0: mean and variance must be 2-vectors"),
     ])
     def test_bad_key_rejected_by_name(self, edit, message):
         cfg = {"prior_positive": 0.5,
@@ -536,6 +577,158 @@ class TestModelFromConfig:
                 "positive": {"type": "cauchy"},
                 "negative": {"type": "cauchy"},
             })
+
+
+# ---------------------------------------------------------------------------
+# The helper process of prop1_check and lemma_sweep.  Stubs are module-level
+# functions, patched in before the call, so that the forked helper has them.
+
+def prop1_serial(cases, sample_count, seed):
+    """prop1_check as one loop in one process: the oracle of its draws."""
+    model = example_mixture_model()
+    rng = np.random.default_rng(seed)
+    checked = confirmed = 0
+    while checked < cases:
+        n_pos = int(rng.integers(2, 6))
+        n_neg = int(rng.integers(3, 10))
+        pts, labels = theory._labelled_sample(model, n_pos, n_neg,
+                                              int(rng.integers(0, 2**31)))
+        i = int(rng.integers(0, len(labels)))
+        ra = theory.removal_analysis(pts, labels, i, model, sample_count=sample_count,
+                                     seed=int(rng.integers(0, 2**31)))
+        if ra.margin <= 5 * ra.margin_se:
+            continue
+        checked += 1
+        g_before, _ = theory.asymptotic_gm(pts, labels, model, sample_count=sample_count,
+                                           seed=int(rng.integers(0, 2**31)))
+        kept = np.delete(np.arange(len(labels)), i)
+        g_after, _ = theory.asymptotic_gm(pts[kept], labels[kept], model,
+                                          sample_count=sample_count,
+                                          seed=int(rng.integers(0, 2**31)))
+        confirmed += int(g_after > g_before)
+    return confirmed, checked
+
+
+def lemma_configs(configs, seed):
+    """lemma_sweep's configurations ``(points, i, seed)``, drawn one at a time."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(configs):
+        n = int(rng.integers(5, 31))
+        d = int(rng.integers(1, 5))
+        points = rng.standard_normal((n, d))
+        i = int(rng.integers(0, n))
+        out.append((points, i, int(rng.integers(0, 2**31))))
+    return out
+
+
+def lemma_serial(configs, probe_count, seed):
+    """lemma_sweep as one loop in one process."""
+    return sum(theory.lemma_check(points, i, probe_count=probe_count, seed=s).inclusion_violations
+               for points, i, s in lemma_configs(configs, seed))
+
+
+def prop1_analysis_seeds(seed, count):
+    """The removal-analysis seeds of prop1's first ``count`` cases, each
+    drawn after the one before it failed."""
+    rng = np.random.default_rng(seed)
+    seeds = []
+    for _ in range(count):
+        n = int(rng.integers(2, 6)) + int(rng.integers(3, 10))
+        rng.integers(0, 2**31)
+        rng.integers(0, n)
+        seeds.append(int(rng.integers(0, 2**31)))
+    return seeds
+
+
+def removal_by_seed(modulus, points, labels, i, model, sample_count, seed):
+    """A removal analysis stub that passes prop1's filter when ``modulus``
+    divides its seed."""
+    return SimpleNamespace(margin=1.0 if seed % modulus == 0 else -1.0, margin_se=0.1)
+
+
+def gm_by_seed(points, labels, model, sample_count, seed):
+    return (seed % 1000) / 1000 + len(labels), 0.0
+
+
+def lemma_by_seed(points, i, probe_count, seed):
+    return LemmaReport(inclusion_violations=seed % 7, probes_in_cell=0)
+
+
+def raise_on_seed(bad, call, *args):
+    """``call`` with ``args``, but a ValueError when the last is ``bad``."""
+    if args[-1] == bad:
+        raise ValueError(f"stub raised on seed {bad}")
+    return call(*args)
+
+
+@pytest.fixture
+def no_child_left():
+    yield
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture(params=[2, 1], ids=["two-cpus", "one-cpu"])
+def cpus(request, monkeypatch, no_child_left):
+    """Both ways ``_two_processes`` can run: with the box's CPUs, and with one,
+    where no child may start."""
+    if request.param == 1:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+        def no_fork():
+            raise AssertionError("a child was started with one usable CPU")
+        monkeypatch.setattr(os, "fork", no_fork)
+    return request.param
+
+
+def test_both_runs_the_second_call_in_another_process(cpus):
+    with theory._two_processes() as both:
+        here, there = both(os.getpid, os.getpid)
+    assert here == os.getpid()
+    assert (there != here) == (cpus == 2 and len(os.sched_getaffinity(0)) > 1)
+
+
+# modulus 1 passes every case, so every guess is wasted and passes follow
+# back to back; with 2 and 3 some guessed cases pass, some of them last
+@pytest.mark.parametrize("modulus", [1, 2, 3])
+@pytest.mark.parametrize("cases", [1, 2, 9, 40])
+def test_prop1_equals_the_serial_loop(monkeypatch, cpus, modulus, cases):
+    monkeypatch.setattr(theory, "removal_analysis", partial(removal_by_seed, modulus))
+    monkeypatch.setattr(theory, "asymptotic_gm", gm_by_seed)
+    for seed in (0, 5):
+        assert prop1_check(cases, 1000, seed) == prop1_serial(cases, 1000, seed)
+
+
+@pytest.mark.parametrize("cases, seed", [(1, 0), (7, 1), (30, 2)])
+def test_prop1_equals_the_serial_loop_unstubbed(no_child_left, cases, seed):
+    assert prop1_check(cases, 1000, seed) == prop1_serial(cases, 1000, seed)
+
+
+@pytest.mark.parametrize("configs", [1, 2, 7, 10])
+def test_lemma_sweep_equals_the_serial_sum(monkeypatch, cpus, configs):
+    monkeypatch.setattr(theory, "lemma_check", lemma_by_seed)
+    total = lemma_sweep(configs, 100, 3)
+    assert total == lemma_serial(configs, 100, 3) > 0
+
+
+def test_lemma_sweep_unstubbed(no_child_left):
+    assert lemma_sweep(9, 300, 4) == lemma_serial(9, 300, 4) == 0
+
+
+# config or case 0 is checked in this process, 1 in the helper
+@pytest.mark.parametrize("which", [0, 1])
+def test_a_raise_in_either_process_reaches_the_caller(monkeypatch, cpus, which):
+    bad = lemma_configs(4, 0)[which][2]
+    monkeypatch.setattr(theory, "lemma_check", partial(raise_on_seed, bad, lemma_by_seed))
+    with pytest.raises(ValueError, match=f"stub raised on seed {bad}"):
+        lemma_sweep(4, 100, 0)
+    assert multiprocessing.active_children() == []
+    bad = prop1_analysis_seeds(0, 2)[which]
+    monkeypatch.setattr(theory, "removal_analysis",
+                        partial(raise_on_seed, bad, partial(removal_by_seed, 10**10)))
+    with pytest.raises(ValueError, match=f"stub raised on seed {bad}"):
+        prop1_check(3, 1000, 0)
+    assert multiprocessing.active_children() == []
 
 
 def _theory_outputs():
