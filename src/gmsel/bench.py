@@ -21,8 +21,8 @@ import numpy as np
 
 from . import ensemble as ens
 from . import selection as sel
-from .data import Dataset, apply_scaler, fit_scaler, parse_csv, parse_keel, \
-    stratified_two_fold
+from .data import Attribute, Dataset, _build_dataset, _check_count, _known_keys, _read_yaml, \
+    apply_scaler, fit_scaler, parse_csv, parse_keel, stratified_two_fold
 from .knn import NeighbourIndex, ReferenceSet
 from .metrics import bonferroni, confusion, gm, sign_test, tnr, tpr, win_counts
 
@@ -123,23 +123,23 @@ class ExperimentConfig:
         for path in self.datasets:
             if not isinstance(path, (str, os.PathLike)):
                 raise ValueError(f"datasets entries must be file paths, got {path!r}")
-        if self.out_dir is not None and not isinstance(self.out_dir, (str, os.PathLike)):
+        if self.out_dir == "" or not isinstance(self.out_dir, (str, os.PathLike, type(None))):
             raise ValueError(f"out_dir must be a file path, got {self.out_dir!r}")
-        sel._check_minimums(self, {"repetitions": 1, "master_seed": 0, "jobs": 1,
-                                   "ensemble_size_bag": 1, "ensemble_size_boost": 1,
-                                   "re_cardinality": 2, "re_trials": 1})
+        for name, low in {"repetitions": 1, "master_seed": 0, "jobs": 1, "ensemble_size_bag": 1,
+                          "ensemble_size_boost": 1, "re_cardinality": 2, "re_trials": 1}.items():
+            _check_count(f"ExperimentConfig.{name}", getattr(self, name), low)
 
     @staticmethod
     def from_yaml(path) -> "ExperimentConfig":
         """Read a config file.  An unknown key, at the top level or inside
         ``eus:`` or ``pso:``, is a ValueError naming the key."""
-        raw = sel._read_yaml(path) or {}
+        raw = _read_yaml(path) or {}
         kwargs = {}
-        for key, value in sel._known_keys(raw, "", _TOP_LEVEL_KEYS).items():
+        for key, value in _known_keys(raw, "", _TOP_LEVEL_KEYS).items():
             if key in _PARAM_KEYS:
                 name, params_cls = _PARAM_KEYS[key]
                 known = {f.name for f in fields(params_cls)}
-                kwargs[name] = params_cls(**sel._known_keys(value, f"{key}.", known))
+                kwargs[name] = params_cls(**_known_keys(value, f"{key}.", known))
             elif key in ("datasets", "methods"):
                 if not isinstance(value, list):
                     raise ValueError(f"config key {key!r} must be a list, got {value!r}")
@@ -158,8 +158,6 @@ _TOP_LEVEL_KEYS = (({f.name for f in fields(ExperimentConfig)}
 
 def make_synthetic_dataset(name, n_pos, imbalance_ratio, seed, d=2) -> Dataset:
     """Two unit-variance Gaussian classes, the positive one shifted by 1.5 per axis."""
-    from .data import Attribute, _build_dataset
-
     rng = np.random.default_rng(seed)
     n_neg = int(round(n_pos * imbalance_ratio))
     Xp = rng.standard_normal((n_pos, d)) + 1.5

@@ -1,10 +1,13 @@
-"""Dataset representation, KEEL/CSV ingestion, min-max scaling and 5x2 fold planning.
+"""Dataset representation, KEEL/CSV ingestion and the checks on other outside
+values, min-max scaling and 5x2 fold planning.
 
 Numeric attribute values are stored as float64; nominal values are stored as
 integer codes into the attribute's category list, so the whole data matrix is
 a single 2-D float array.  The minority class is always designated positive.
 A KEEL ``[lo, hi]`` range is checked but not kept: scaling reads each training
-half's own min and max.  A fold plan is a plain tuple of index-array pairs.
+half's own min and max.  KEEL and CSV rows are split by one reader and their
+cells read by another; :func:`_check_count` checks every library count, and
+:func:`_read_yaml` reads every config file.  A fold plan is a tuple of index-array pairs.
 """
 
 from __future__ import annotations
@@ -231,46 +234,78 @@ def parse_keel(text) -> Dataset:
     if class_attr.kind != "nominal" or len(class_attr.categories) != 2:
         raise KeelValidationError("output attribute must be nominal with exactly two classes")
 
-    class_col = attributes.index(class_attr)
-
-    rows = []
-    labels = []
-    for idx in range(data_start, len(lines)):
-        line = lines[idx].strip()
-        if not line or line.startswith("%"):
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != len(attributes):
-            raise KeelParseError(
-                f"expected {len(attributes)} values, got {len(fields)}", idx + 1
-            )
-        if "?" in fields:
-            raise KeelParseError("missing values are not supported", idx + 1)
-        labels.append(fields.pop(class_col))
-        row = np.empty(len(feature_attrs))
-        for j, (attr, value) in enumerate(zip(feature_attrs, fields)):
-            if attr.kind == "numeric":
-                try:
-                    row[j] = number = float(value)
-                    if not abs(number) < np.inf:  # nan or +-inf
-                        raise ValueError(value)
-                except ValueError as exc:
-                    raise KeelParseError(
-                        f"bad numeric value {value!r} for {attr.name}", idx + 1
-                    ) from exc
-            else:
-                try:
-                    row[j] = attr.categories.index(value)
-                except ValueError as exc:
-                    raise KeelParseError(
-                        f"unknown nominal value {value!r} for {attr.name}", idx + 1
-                    ) from exc
-        rows.append(row)
-
-    if not rows:
+    numbered = [(i, ln) for i, ln in enumerate(lines[data_start:], data_start + 1)
+                if ln.strip() and not ln.strip().startswith("%")]
+    if not numbered:
         raise KeelValidationError("empty @data section")
+    columns = list(zip(*_rows(numbered, len(attributes))))
+    columns.append(columns.pop(attributes.index(class_attr)))
+    return _parsed(relation, feature_attrs, columns, numbered, class_attr)
 
-    return _build_dataset(relation, feature_attrs, np.vstack(rows), labels, class_attr)
+
+def parse_csv(text, name="csv") -> Dataset:
+    """CSV fallback: header row, last column is the class label.
+
+    Columns whose values all parse as floats are numeric; the rest nominal
+    (categories in order of first appearance).  Rows are read as KEEL's are:
+    a missing value (``?``) is rejected.
+    """
+    numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if len(numbered) < 2:
+        raise KeelValidationError("CSV needs a header and at least one row")
+    header = [h.strip() for h in numbered[0][1].split(",")]
+    columns = list(zip(*_rows(numbered[1:], len(header))))
+    class_cats = tuple(dict.fromkeys(columns[-1]))
+    if len(class_cats) != 2:
+        raise KeelValidationError("CSV class column must have exactly two labels")
+    schema = []
+    for col_name, cells in zip(header, columns[:-1]):
+        try:
+            list(map(float, cells))
+            schema.append(Attribute(col_name, "numeric"))
+        except ValueError:
+            schema.append(Attribute(col_name, "nominal", tuple(dict.fromkeys(cells))))
+    return _parsed(name, tuple(schema), columns, numbered[1:],
+                   Attribute(header[-1], "nominal", class_cats))
+
+
+def _rows(numbered_lines, width) -> list[list[str]]:
+    """The stripped comma-separated fields of each ``(line_no, line)``.  A row
+    of another width, or with a missing value, is a KeelParseError naming its line."""
+    rows = []
+    for line_no, line in numbered_lines:
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != width:
+            raise KeelParseError(f"expected {width} fields, got {len(fields)}", line_no)
+        if "?" in fields:
+            raise KeelParseError("missing values are not supported", line_no)
+        rows.append(fields)
+    return rows
+
+
+def _values(attribute, cells, line_numbers) -> list:
+    """The text ``cells`` of ``attribute`` as numbers: a finite float, or the
+    code of one of its categories.  A bad cell is a KeelParseError naming its line."""
+    numeric = attribute.kind == "numeric"
+    values = []
+    for cell, line_no in zip(cells, line_numbers):
+        try:
+            values.append(float(cell) if numeric else attribute.categories.index(cell))
+            if not abs(values[-1]) < np.inf:  # nan or +-inf
+                raise ValueError(cell)
+        except ValueError:
+            what = "bad numeric" if numeric else "unknown nominal"
+            raise KeelParseError(f"{what} value {cell!r} for {attribute.name}", line_no) from None
+    return values
+
+
+def _parsed(name, schema, columns, numbered_lines, class_attr) -> Dataset:
+    """The Dataset of the text ``columns`` of ``schema``'s attributes, then labels."""
+    line_numbers = [i for i, _ in numbered_lines]
+    X = np.empty((len(line_numbers), len(schema)))
+    for j, attribute in enumerate(schema):
+        X[:, j] = _values(attribute, columns[j], line_numbers)
+    return _build_dataset(name, schema, X, columns[-1], class_attr)
 
 
 def _build_dataset(name, schema, X, labels, class_attr) -> Dataset:
@@ -293,45 +328,41 @@ def _build_dataset(name, schema, X, labels, class_attr) -> Dataset:
     )
 
 
-def parse_csv(text, name="csv") -> Dataset:
-    """CSV fallback: header row, last column is the class label.
+# ---------------------------------------------------------------------------
+# Counts and config files
 
-    Columns whose values all parse as floats are numeric; the rest nominal
-    (categories in order of first appearance).
-    """
-    numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if len(numbered) < 2:
-        raise KeelValidationError("CSV needs a header and at least one row")
-    line_no, lines = zip(*numbered)  # errors name a row by its line in the text
-    header = [h.strip() for h in lines[0].split(",")]
-    raw = [[f.strip() for f in ln.split(",")] for ln in lines[1:]]
-    for i, row in enumerate(raw):
-        if len(row) != len(header):
-            raise KeelParseError(f"expected {len(header)} fields", line_no[i + 1])
-    columns = list(zip(*raw))
-    labels = list(columns[-1])
-    class_cats = tuple(dict.fromkeys(labels))
-    if len(class_cats) != 2:
-        raise KeelValidationError("CSV class column must have exactly two labels")
-    class_attr = Attribute(name=header[-1], kind="nominal", categories=class_cats)
+def _check_count(name, value, low):
+    """ValueError naming ``name`` unless ``value`` is an integer, not a bool, >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
 
-    schema = []
-    data_cols = []
-    for col_name, col in zip(header[:-1], columns[:-1]):
+
+def _read_yaml(path):
+    """The document in the YAML file ``path``; bad YAML is a ValueError naming the file."""
+    import yaml  # here, so that importing gmsel loads it only to read a config
+
+    with open(path) as fh:
         try:
-            vals = np.array([float(v) for v in col])
-            schema.append(Attribute(name=col_name, kind="numeric"))
-        except ValueError:
-            cats = tuple(dict.fromkeys(col))
-            schema.append(Attribute(name=col_name, kind="nominal", categories=cats))
-            vals = np.array([cats.index(v) for v in col], dtype=float)
-        bad = np.flatnonzero(~np.isfinite(vals)).tolist()  # nan, inf: codes are finite
-        if bad:
-            raise KeelParseError(f"bad numeric value {col[bad[0]]!r} for {col_name}",
-                                 line_no[bad[0] + 1])
-        data_cols.append(vals)
-    X = np.column_stack(data_cols) if data_cols else np.empty((len(raw), 0))
-    return _build_dataset(name, tuple(schema), X, labels, class_attr)
+            return yaml.safe_load(fh)
+        except yaml.YAMLError as exc:  # its own text spans several lines
+            raise ValueError(f"{path} is not valid YAML: {' '.join(str(exc).split())}")
+
+
+def _known_keys(section, prefix, known, required=()) -> dict:
+    """``section`` of a config file, checked: a ValueError names a key not in
+    ``known`` or one of ``required`` that is missing (after ``prefix``)."""
+    if not isinstance(section, dict):
+        raise ValueError(f"config section {prefix.rstrip('.') or 'top level'} "
+                         "must be a mapping")
+    for key in section:
+        if key not in known:
+            raise ValueError(f"unknown config key {prefix + str(key)!r}")
+    for key in required:
+        if key not in section:
+            raise ValueError(f"missing config key {prefix + key!r}")
+    return section
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_count
 from .knn import ReferenceSet, _index_over, _labels, _retained, classify_1nn
 from .selection import EusParams, _check_xy, eus, rus
 
@@ -56,6 +57,7 @@ class EnsembleModel:
 
 
 def _member_seeds(seed, size):
+    _check_count("size", size, 1)
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(size)]
 
 
@@ -124,6 +126,7 @@ def _boost(X, y, size, seed, build_member, index, method):
 def rusboost(X, y, size=10, seed=0, *, index=None) -> EnsembleModel:
     """Boosting of RUS: weighted undersampling of the majority class in each
     iteration, with AdaBoost-style reweighting of the full training set."""
+    _check_count("size", size, 1)
 
     def build(member_seed, weights):
         return rus(X, y, member_seed, weights=weights)
@@ -140,6 +143,7 @@ def eusboost(X, y, size=10, seed=0, params: EusParams | None = None, *,
     the beta/weight arithmetic is shared with rusboost.  One neighbour index
     serves every member search and the boosting error.
     """
+    _check_count("size", size, 1)
     index = _index_over(X, index)
 
     def build(member_seed, weights):

@@ -7,7 +7,8 @@ instances by construction; every returned set contains both classes.
 Stochastic methods are pure functions of (inputs, seed).  A method given
 ``index``, a :class:`~gmsel.knn.NeighbourIndex` over ``X``, takes its metric
 from it; without one it builds an all-numeric one, and one over other rows is
-a ValueError.  NCL reads its leave-one-out ranks.
+a ValueError.  NCL reads its leave-one-out ranks.  Counts are checked by
+:func:`gmsel.data._check_count`: a bool or a float is a ValueError.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_count
 from .knn import ReferenceSet, _index_over, _labels, _retained, loo_gm_best, loo_predict
 from .knn import pairwise_distances  # noqa: F401  (perfbench/test_perfbench.py traces it here)
 
@@ -43,42 +45,6 @@ def _check_xy(X, y):
     if not (np.any(y == 1) and np.any(y == 0)):
         raise ValueError("both classes must be present")
     return X, y
-
-
-def _check_minimums(params, minimums):
-    """ValueError naming the first field of ``params`` not an integer >= its minimum."""
-    for name, low in minimums.items():
-        value = getattr(params, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-            raise ValueError(f"{type(params).__name__}.{name} must be an integer "
-                             f">= {low}, got {value!r}")
-
-
-def _read_yaml(path):
-    """The document in the YAML file ``path``; a syntax error is a ValueError
-    naming the file."""
-    import yaml
-
-    with open(path) as fh:
-        try:
-            return yaml.safe_load(fh)
-        except yaml.YAMLError as exc:  # its own text spans several lines
-            raise ValueError(f"{path} is not valid YAML: {' '.join(str(exc).split())}")
-
-
-def _known_keys(section, prefix, known, required=()) -> dict:
-    """``section`` of a config file, checked: a ValueError names a key not in
-    ``known`` or one of ``required`` that is missing (after ``prefix``)."""
-    if not isinstance(section, dict):
-        raise ValueError(f"config section {prefix.rstrip('.') or 'top level'} "
-                         "must be a mapping")
-    for key in section:
-        if key not in known:
-            raise ValueError(f"unknown config key {prefix + str(key)!r}")
-    for key in required:
-        if key not in section:
-            raise ValueError(f"missing config key {prefix + key!r}")
-    return section
 
 
 def rus(X, y, seed, weights=None) -> ReferenceSet:
@@ -182,7 +148,8 @@ class EusParams:
     balance_penalty: float = 0.2  # lambda in fitness - lambda*|1 - n_sel/n_pos|
 
     def __post_init__(self):
-        _check_minimums(self, {"population": 1, "generations": 0})
+        _check_count("EusParams.population", self.population, 1)
+        _check_count("EusParams.generations", self.generations, 0)
         lam = self.balance_penalty
         if (isinstance(lam, bool) or not isinstance(lam, (int, float, np.integer, np.floating))
                 or not 0 <= lam < np.inf):
@@ -318,7 +285,8 @@ class PsoParams:
     iterations: int = 100
 
     def __post_init__(self):
-        _check_minimums(self, {"swarm": 1, "iterations": 0})
+        _check_count("PsoParams.swarm", self.swarm, 1)
+        _check_count("PsoParams.iterations", self.iterations, 0)
 
 
 def _pso_fitness(X, y, masks, index) -> np.ndarray:
@@ -392,8 +360,8 @@ def random_edit(X, y, M, T, seed, nominal_mask=None) -> ReferenceSet:
     """
     X, y = _check_xy(X, y)
     n = len(y)
-    if M < 2 or T < 1:
-        raise ValueError(f"need cardinality M >= 2 and trials T >= 1, got M={M}, T={T}")
+    _check_count("M", M, 2)
+    _check_count("T", T, 1)
     if M > n:
         raise ValueError("cardinality M exceeds the training set size")
     rng = np.random.default_rng(seed)

@@ -16,6 +16,7 @@ Gaussian-mixture 2D) provide asymptotic-GM oracles.  On top of them:
 :func:`prop1_check` and :func:`lemma_sweep` return what one process would, but
 use a forked helper (:func:`_two_processes`): it analyses prop1's next case and
 a passing case's GM after removal, and checks lemma-check's odd configurations.
+Counts are checked (:func:`gmsel.data._check_count`) before a helper is forked.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from numbers import Real
 
 import numpy as np
 
+from .data import _check_count, _known_keys, _read_yaml
 from .knn import _labels, _stable_top_k, classify_1nn, nearest_points, pairwise_distances
 from .metrics import confusion, gm
-from .selection import _known_keys, _read_yaml, random_edit
+from .selection import random_edit
 
 __all__ = [
     "PiecewiseUniform1D", "GaussianMixture2D", "DensityModel", "RemovalAnalysis",
@@ -249,6 +251,7 @@ def best_boundary_1d(model: DensityModel):
 def sweep_boundary_1d(model: DensityModel, steps):
     """``[b, TPR, TNR, GM]`` at ``steps`` evenly spaced split points from the
     lowest to the highest breakpoint of the two densities."""
+    _check_count("steps", steps, 1)
     bps = _breakpoints_1d(model)
     return [[float(b), *gm_boundary_1d(model, float(b))]
             for b in np.linspace(float(bps[0]), float(bps[-1]), steps)]
@@ -256,12 +259,6 @@ def sweep_boundary_1d(model: DensityModel, steps):
 
 # ---------------------------------------------------------------------------
 # Monte Carlo machinery
-
-def _check_count(name, value, low):
-    """ValueError naming ``name`` unless ``value`` is at least ``low``."""
-    if value < low:
-        raise ValueError(f"{name} must be at least {low}, got {value}")
-
 
 def _serve(conn, parent_end):
     """The helper process: answer each call ``(True, result)`` or ``(False, exception)``."""
@@ -409,6 +406,7 @@ def lemma_sweep(configs, probe_count, seed) -> int:
     with a random point removed.  All are drawn first; this process checks
     the even ones and the helper process the odd ones."""
     _check_count("configs", configs, 1)
+    _check_count("probe_count", probe_count, 1)
     rng = np.random.default_rng(seed)
     drawn = []
     for _ in range(configs):
@@ -582,6 +580,7 @@ def exhaustive_search(points, labels, model: DensityModel, sample_count=2000, se
     probe counts of all 2^n subsets come from one pass per point (see
     :func:`_hits_per_subset`) and are exact, as are the GMs.
     """
+    _check_count("sample_count", sample_count, 1)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     labels = _labels(points, labels)
     n = points.shape[0]

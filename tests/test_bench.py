@@ -253,6 +253,7 @@ class TestConfigYaml:
         ("methods: rus\n", "'methods' must be a list"),
         ("out_dir: 5\n", "out_dir must be a file path, got 5"),
         ("out_dir: [a, b]\n", "out_dir must be a file path"),
+        ("out_dir: ''\n", "out_dir must be a file path, got ''"),
     ])
     def test_bad_value_rejected_by_name(self, tmp_path, text, key):
         path = tmp_path / "cfg.yaml"

@@ -280,9 +280,12 @@ class TestInputErrors:
          "positive.segments: 'int' object is not iterable"),
         (["theory", "boundary1d", "--model"], MODEL.replace("[[0, 1, 1.0]]", "[[0, 9]]", 1),
          "positive.segments: not enough values to unpack (expected 3, got 2)"),
+        # ran every trial, printed "2 trials completed, 0 failed" and wrote no records
+        (["run", "--out", "", "--config"], "datasets: [toy.dat]\nmethods: [rus]\n",
+         "out_dir must be a file path, got ''"),
     ], ids=["run", "boundary1d", "report", "run-same-name", "report-trial-twice",
             "boundary1d-prior-null", "boundary1d-prior-text", "boundary1d-type-list",
-            "boundary1d-segments-number", "boundary1d-segment-pair"])
+            "boundary1d-segments-number", "boundary1d-segment-pair", "run-out-empty"])
     def test_one_line_and_exit_1(self, tmp_path, capsys, command, text, message):
         (tmp_path / "toy.dat").write_text(KEEL)
         path = tmp_path / "input"

@@ -167,6 +167,12 @@ def _keel_with(old, new):
                  id="three-classes"),
     pytest.param(_keel_with("1.5, green", "1.5x, green"), KeelParseError,
                  "bad numeric value '1.5x' for height", 9, id="bad-number"),
+    pytest.param(_keel_with("1.5, green, no", "1.5, green"), KeelParseError,
+                 "expected 3 fields, got 2", 9, id="field-count"),
+    pytest.param(_keel_with("1.5, green", "?, green"), KeelParseError,
+                 "missing values are not supported", 9, id="missing-value"),
+    pytest.param(_keel_with("1.5, green", "1.5, purple"), KeelParseError,
+                 "unknown nominal value 'purple' for colour", 9, id="unknown-category"),
     pytest.param(_keel_with("1.0, blue, no", "1.0, blue, maybe"), KeelValidationError,
                  "label 'maybe' is not a declared class", None, id="undeclared-label"),
     pytest.param(_keel_with("0.5, red, yes", "0.5, red, no"), KeelValidationError,
@@ -174,7 +180,10 @@ def _keel_with(old, new):
     pytest.param(lambda: parse_csv("x,label\n"), KeelValidationError,
                  "CSV needs a header and at least one row", None, id="csv-header-only"),
     pytest.param(lambda: parse_csv("x,label\n1,a\n2,b,c\n"), KeelParseError,
-                 "expected 2 fields", 3, id="csv-field-count"),
+                 "expected 2 fields, got 3", 3, id="csv-field-count"),
+    # read as a nominal column with the categories '1', '?' and '2'
+    pytest.param(lambda: parse_csv("x,label\n1,a\n?,b\n2,b\n"), KeelParseError,
+                 "missing values are not supported", 3, id="csv-missing-value"),
     pytest.param(lambda: fit_scaler(parse_keel(KEEL_SMALL), np.arange(0)), ValueError,
                  "cannot fit a scaler on an empty selection", None, id="scaler-empty"),
     # a non-finite value failed in Dataset, without its line
@@ -222,6 +231,16 @@ class TestParseCsv:
     def test_three_labels_rejected(self):
         with pytest.raises(KeelValidationError):
             parse_csv("x,label\n1,a\n2,b\n3,c\n")
+
+    def test_same_table_as_keel(self):
+        # one row reader and one cell reader serve both formats
+        rows = "0.5, red, yes\n1.5, green, no\n\n1e-3, blue, no\n-2, red, no\n"
+        keel = parse_keel("@relation t\n@attribute h real\n@attribute c {red, green, blue}\n"
+                          "@attribute class {yes, no}\n@data\n" + rows)
+        csv = parse_csv("h, c, class\n" + rows)
+        assert csv.schema == keel.schema
+        assert np.array_equal(csv.X, keel.X) and np.array_equal(csv.y, keel.y)
+        assert csv.X.tolist() == [[0.5, 0.0], [1.5, 1.0], [1e-3, 2.0], [-2.0, 0.0]]
 
 
 class TestStratifiedTwoFold:

@@ -183,7 +183,13 @@ class TestErus:
     # every member errs on the eight negatives
     (lambda: rusboost(np.zeros((10, 2)), [1, 1] + [0] * 8, 3, 0),
      "rusboost: no usable member could be built"),
-], ids=["no-member", "weight-count", "zero-weight", "infinite-weight", "no-usable-member"])
+    # one member, numpy TypeErrors, and messages that did not name the size
+    (lambda: rusboost(*clusters(), True, 0), "^size must be an integer, got True$"),
+    (lambda: bag_1nn(*clusters(), 2.5, 0), "^size must be an integer, got 2.5$"),
+    (lambda: erus(*clusters(), 0, 0), "^size must be at least 1, got 0$"),
+    (lambda: eusboost(*clusters(), 0, 0), "^size must be at least 1, got 0$"),
+], ids=["no-member", "weight-count", "zero-weight", "infinite-weight", "no-usable-member",
+        "rusboost-size-bool", "bag-size-float", "erus-size-zero", "eusboost-size-zero"])
 def test_bad_input_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -60,3 +60,13 @@ def test_only_knn_orders_distances():
     ordering = re.compile(r"\b(argmin|argsort|argpartition|partition|lexsort)\(")
     modules = Path(gmsel.__file__).parent.glob("*.py")
     assert {p.name for p in modules if ordering.search(p.read_text())} == {"knn.py"}
+
+
+def test_only_data_reads_values_from_outside():
+    # one rule per kind of outside value: only data.py reads a config file or a
+    # data row, and one _check_count checks every library count
+    texts = {p.name: p.read_text() for p in Path(gmsel.__file__).parent.glob("*.py")}
+    for call in ("safe_load(", "KeelParseError("):
+        assert {n for n, t in texts.items() if call in t} == {"data.py"}, call
+    assert {n: t.count("def _check_count") for n, t in texts.items()
+            if "def _check_count" in t} == {"data.py": 1}

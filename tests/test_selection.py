@@ -777,8 +777,18 @@ class TestRandomEdit:
         X, y = clusters()
         with pytest.raises(ValueError):
             random_edit(X, y, M=1, T=5, seed=0)
-        with pytest.raises(ValueError, match="T >= 1"):  # no set to keep
+        with pytest.raises(ValueError, match="^T must be at least 1, got 0$"):  # no set to keep
             random_edit(X, y, M=3, T=0, seed=0)
+
+    @pytest.mark.parametrize("M, T, message", [
+        (4, True, "T must be an integer, got True"),  # one trial
+        (2.5, 3, "M must be an integer, got 2.5"),  # numpy's TypeError from np.empty
+        (4, 3.0, "T must be an integer, got 3.0"),
+    ])
+    def test_count_not_an_integer(self, M, T, message):
+        X, y = clusters()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            random_edit(X, y, M, T, 0)
 
 
 def _oracle_random_edit(X, y, M, T, seed, nominal_mask=None):

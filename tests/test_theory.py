@@ -226,6 +226,18 @@ class TestAsymptoticGm:
     (lambda: lemma_check([[0.0], [1.0]], 0, probe_count=0), "probe_count must be at least 1, got 0"),
     (lambda: voronoi_neighbors([[0.0], [1.0]], 0, probe_count=-3),
      "probe_count must be at least 1, got -3"),
+    # a helper was forked, and each side's lemma_check then failed
+    (lambda: lemma_sweep(1, 0, 0), "probe_count must be at least 1, got 0"),
+    # a NaN GM for every subset, a RuntimeWarning and (None, -1.0)
+    (lambda: exhaustive_search([[0.5], [0.6], [9.5]], [1, 1, 0], gap_model(), sample_count=0),
+     "sample_count must be at least 1, got 0"),
+    (lambda: theory.sweep_boundary_1d(gap_model(), 0), "steps must be at least 1, got 0"),  # []
+    # a count that is not an integer: 2 cases checked, 1 configuration swept,
+    # numpy's AxisError
+    (lambda: prop1_check(1.5, 1000, 0), "cases must be an integer, got 1.5"),
+    (lambda: lemma_sweep(True, 100, 0), "configs must be an integer, got True"),
+    (lambda: asymptotic_gm([[0.0], [1.0]], [1, 0], gap_model(), sample_count=1000.5),
+     "sample_count must be an integer, got 1000.5"),
 ])
 def test_count_below_its_floor_rejected_by_name(monkeypatch, call, name):
     def no_fork():
