@@ -780,9 +780,10 @@ class TestRandomEdit:
         with pytest.raises(ValueError, match="^T must be at least 1, got 0$"):  # no set to keep
             random_edit(X, y, M=3, T=0, seed=0)
 
+    # each ended in a TypeError from numpy
     @pytest.mark.parametrize("M, T, message", [
-        (4, True, "T must be an integer, got True"),  # one trial
-        (2.5, 3, "M must be an integer, got 2.5"),  # numpy's TypeError from np.empty
+        (4, True, "T must be an integer, got True"),
+        (2.5, 3, "M must be an integer, got 2.5"),
         (4, 3.0, "T must be an integer, got 3.0"),
     ])
     def test_count_not_an_integer(self, M, T, message):

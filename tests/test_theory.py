@@ -226,7 +226,7 @@ class TestAsymptoticGm:
     (lambda: lemma_check([[0.0], [1.0]], 0, probe_count=0), "probe_count must be at least 1, got 0"),
     (lambda: voronoi_neighbors([[0.0], [1.0]], 0, probe_count=-3),
      "probe_count must be at least 1, got -3"),
-    # a helper was forked, and each side's lemma_check then failed
+    # a helper was forked before lemma_check rejected the count
     (lambda: lemma_sweep(1, 0, 0), "probe_count must be at least 1, got 0"),
     # a NaN GM for every subset, a RuntimeWarning and (None, -1.0)
     (lambda: exhaustive_search([[0.5], [0.6], [9.5]], [1, 1, 0], gap_model(), sample_count=0),
