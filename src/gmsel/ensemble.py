@@ -163,7 +163,7 @@ def predict_ensemble(model: EnsembleModel, X, y, queries, *, index=None) -> np.n
     y = _labels(X, y)
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     index = _index_over(X, index, queries)
-    member = np.zeros((model.size, index.distances.shape[1]), dtype=bool)
+    member = np.zeros((model.size, index.keys.shape[1]), dtype=bool)
     for row, ref in zip(member, model.members):
         row[_retained(ref, len(row))] = True
     votes = np.where(y[index.nearest_batch(member)] == 1, 1.0, -1.0)

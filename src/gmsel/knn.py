@@ -2,9 +2,9 @@
 
 Distances are Euclidean over numeric attributes with nominal attributes
 contributing overlap distance (0 if equal, 1 otherwise) in quadrature.
-Nearest-neighbour distance ties are broken toward the lowest retained index;
-k-NN vote ties are broken toward the positive class.  Retained rows are an
-integer index vector, checked by :class:`ReferenceSet` on every path.
+Every ordering of distances is over the int64 keys of :func:`_keys`, one tie
+rule; k-NN vote ties go to the positive class.  Retained rows are an integer
+index vector, checked by :class:`ReferenceSet` on every path.
 
 Callers that look up nearest retained neighbours many times over one training
 matrix (subset searches, condensing, Tomek links, boosting) build a
@@ -19,8 +19,8 @@ in one ``nearest_batch`` call (the searches then score the generation from its
 hit matrix, not by :func:`loo_gm`), NCL reads ``ranks``, a Tomek pass is one
 ``nearest`` lookup and condensing one ``condense`` call, random editing finds
 its best set in one ``loo_gm_best`` call over its own blocks of distances, and
-the theory lab's probes take :func:`nearest_points`.  Every ordering of
-distances is here.
+the theory lab's probes take :func:`nearest_points`, which keeps its own
+first-minimum rule.  Every other ordering of distances is here.
 """
 
 from __future__ import annotations
@@ -124,54 +124,61 @@ def nearest_points(points, queries) -> np.ndarray:
     return nearest
 
 
-def _stable_top_k(D, k) -> np.ndarray:
-    """The first ``k`` columns of ``np.argsort(D, axis=1, kind="stable")``.
-
-    Only the ``k`` smallest entries of each row are sorted: all entries below
-    the row's k-th smallest value, then the lowest-index entries equal to it.
-    """
-    n_rows, n_cols = D.shape
-    if k >= n_cols:
-        return np.argsort(D, axis=1, kind="stable")
-    top, step = np.empty((n_rows, k), dtype=np.intp), max(1, _BLOCK_CELLS // n_cols)
-    for r0 in range(0, n_rows, step):  # each row on its own, a block at a time
-        B = D[r0:r0 + step]
-        kth = np.partition(B, k - 1, axis=1)[:, k - 1:k].copy()
-        take = B < kth
-        room = k - take.sum(axis=1)
-        tie = B == kth
-        # rows with more ties at the k-th value than room keep the lowest-index ones
-        over = np.flatnonzero(tie.sum(axis=1) > room)
-        tie[over] &= np.cumsum(tie[over], axis=1) <= room[over, None]
-        take |= tie
-        cols = np.nonzero(take)[1].reshape(len(B), k)  # row-major: index order
-        order = np.argsort(np.take_along_axis(B, cols, axis=1), axis=1, kind="stable")
-        top[r0:r0 + step] = np.take_along_axis(cols, order, axis=1)
-    return top
+def _keys(D, cols) -> np.ndarray:
+    """``D``'s distances turned in place, a block of rows at a time, into int64
+    keys ``(q << b) | cols[j]``, ordered as nearer, then lower row: ``q`` is
+    the square in units of 2^-36, rounded, and ``b`` the bit count of the
+    largest row in ``cols``.  A row whose squares would not fit below 2^52, or
+    2^(63 - b), takes a coarser power-of-two grid, the finest that fits."""
+    b = int(cols.max(initial=0)).bit_length()
+    K, step = D.view(np.int64), max(1, _BLOCK_CELLS // max(1, D.shape[1]))
+    for r in (slice(r0, r0 + step) for r0 in range(0, D.shape[0], step)):
+        sq = np.square(D[r], out=D[r])
+        if not np.isfinite(top := sq.max(axis=1, initial=0.0)).all():  # inf, nan: the farthest
+            top = 2 * np.nan_to_num(sq, copy=False, nan=-1.0, posinf=-1.0).max(1, initial=0) + 1
+            np.copyto(sq, top[:, None], where=sq < 0)
+        sq *= np.ldexp(1.0, np.minimum(36, min(52, 62 - b) - np.frexp(top)[1]))[:, None]
+        sq += 2.0**52  # rounds q, and its int64 view is then 0x4330000000000000 + q
+        np.left_shift(np.subtract(K[r], 0x4330000000000000, out=K[r]), b, out=K[r])
+        K[r] |= cols
+    return K
 
 
-def _nearest_retained(D, retained, rows=None) -> np.ndarray:
-    """``retained[argmin]`` of each row of ``D``, whose columns are ``retained``
-    (sorted), so ties go to the lowest retained index.  With ``rows`` (the
-    training index of each row of ``D``) a row never picks itself."""
+def _mask(n) -> int:
+    """The low bits of a key over rows below ``n``: its row."""
+    return (1 << int(n - 1).bit_length()) - 1
+
+
+def _ranked(K, k, n) -> np.ndarray:
+    """The rows of the ``k`` smallest keys in each row of ``K``, keys over rows
+    below ``n``, nearest first; ``k`` is at most the row length."""
+    top, step = np.empty((len(K), k), np.int64), max(1, _BLOCK_CELLS // max(1, K.shape[1]))
+    for r0 in range(0, len(K), step):
+        B = K[r0:r0 + step]
+        top[r0:r0 + step] = np.partition(B, k - 1, axis=1)[:, :k] if k < B.shape[1] else B
+    top.sort(axis=1)
+    return np.bitwise_and(top, _mask(n), out=top)
+
+
+def _nearest_retained(K, n, rows=None) -> np.ndarray:
+    """The row of each row's smallest key in ``K``, keys over rows below ``n``;
+    with ``rows``, the training row of each, a row's own key is the largest."""
     if rows is not None:
-        col = np.minimum(np.searchsorted(retained, rows), retained.size - 1)
-        own = np.flatnonzero(retained[col] == rows)
-        D[own, col[own]] = np.inf
-    return retained[np.argmin(D, axis=1)]
+        K[(K & _mask(n)) == rows[:, None]] |= np.iinfo(np.int64).max ^ _mask(n)
+    return K.min(axis=1) & _mask(n)
 
 
 class NeighbourIndex:
     """Nearest-retained-neighbour lookups over one training matrix ``X``.
 
     The distances from every query row to every row of ``X`` are computed
-    once.  On the first lookup over all queries, each query's ``RANK_DEPTH``
-    nearest rows of ``X`` are ranked by a stable sort, so equal distances keep
-    index order; a lookup (:meth:`nearest`, or :meth:`nearest_batch` for many
-    reference sets at once) is then the first ranked row that is retained,
-    which is the argmin over the retained columns with ties to the lowest
-    retained index.  Queries with no retained row ranked take that argmin
-    over the stored distances, and :meth:`condense` reads only those.
+    once and kept as their :func:`_keys`, ``keys``.  On the first lookup over
+    all queries, each query's ``RANK_DEPTH`` nearest rows of ``X`` are ranked;
+    a lookup (:meth:`nearest`, or :meth:`nearest_batch` for many reference
+    sets at once) is then the first ranked row that is retained, which is the
+    smallest key over the retained columns.  Queries with no retained row
+    ranked take that minimum over the stored keys, and :meth:`condense`
+    reads only those.
 
     ``queries`` are rows to classify, or without them the rows of ``X``, where
     ``nearest(..., exclude_self=True)`` gives leave-one-out lookups.  Memory is
@@ -181,8 +188,8 @@ class NeighbourIndex:
 
     def __init__(self, X, nominal_mask=None, queries=None):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        self.distances = pairwise_distances(X if queries is None else queries, X,
-                                            nominal_mask)
+        self.keys = _keys(pairwise_distances(X if queries is None else queries, X,
+                                             nominal_mask), np.arange(len(X)))
         self._square = queries is None
         self._ranks = None
         self._depth = RANK_DEPTH  # fixed when the index is built
@@ -193,9 +200,9 @@ class NeighbourIndex:
         if exclude_self and not self._square:
             raise ValueError("exclude_self needs an index whose queries are X")
         if self._ranks is None:
-            n = self.distances.shape[1]
+            n = self.keys.shape[1]
             # one extra rank, so that dropping the query itself leaves the depth
-            ranks = _stable_top_k(self.distances, min(self._depth + 1, n))
+            ranks = _ranked(self.keys, min(self._depth + 1, n), n)
             self._ranks = {False: ranks[:, :self._depth]}
             if self._square:
                 own = ranks == np.arange(n)[:, None]
@@ -206,7 +213,7 @@ class NeighbourIndex:
     def nearest(self, retained, exclude_self=False) -> np.ndarray:
         """Index into ``X`` of the nearest retained row, for every query.  With
         ``exclude_self`` a row of ``X`` is never its own neighbour."""
-        n = self.distances.shape[1]
+        n = self.keys.shape[1]
         return self.nearest_batch(np.bincount(_retained(retained, n), minlength=n)[None] > 0,
                                   exclude_self)[0]
 
@@ -238,20 +245,19 @@ class NeighbourIndex:
 
     def condense(self, y, store, scan) -> np.ndarray:
         """``store`` plus, in scan order, each row of ``scan`` whose nearest row in
-        the store so far (ties to the lowest index) has another label in ``y``,
-        each scanned row's nearest stored row a running minimum of distances."""
-        near, t = self._argmin(scan, np.sort(store), False), 0
+        the store so far has another label in ``y``, each scanned row's nearest
+        stored row a running minimum of keys."""
+        near, t, K = self._argmin(scan, np.sort(store), False), 0, self.keys
         while (wrong := np.flatnonzero(y[near[t:]] != y[scan[t:]])).size:
             t += wrong[0]
-            d, best = self.distances[scan, scan[t]], self.distances[scan, near]
-            near[(d < best) | ((d == best) & (scan[t] < near))] = scan[t]
+            near[K[scan, scan[t]] < K[scan, near]] = scan[t]
             store, t = np.append(store, scan[t]), t + 1
         return store
 
     def _argmin(self, rows, retained, exclude_self):
-        """Argmin over the stored distances for the queries in ``rows``."""
-        D = self.distances[np.ix_(rows, retained)]
-        return _nearest_retained(D, retained, rows if exclude_self else None)
+        """The smallest stored key over ``retained`` for the queries in ``rows``."""
+        return _nearest_retained(self.keys[np.ix_(rows, retained)], self.keys.shape[1],
+                                 rows if exclude_self else None)
 
 
 def _index_over(X, index=None, queries=None) -> NeighbourIndex:
@@ -259,7 +265,7 @@ def _index_over(X, index=None, queries=None) -> NeighbourIndex:
     (or ``X``) to ``X``; one over other rows or queries is a ValueError."""
     if index is None:
         return NeighbourIndex(X, queries=queries)
-    shape, got = (len(X if queries is None else queries), len(X)), index.distances.shape
+    shape, got = (len(X if queries is None else queries), len(X)), index.keys.shape
     if got != shape:
         raise ValueError(f"index was built for other queries or rows: {got}, not {shape}")
     return index
@@ -292,8 +298,8 @@ def classify_1nn(X, y, ref, queries, nominal_mask=None, index=None) -> np.ndarra
     retained, y = _retained(ref, len(X)), _labels(X, y)
     if index is not None:
         return y[_index_over(X, index=index, queries=queries).nearest(retained)]
-    D = pairwise_distances(queries, X[retained], nominal_mask)
-    return y[_nearest_retained(D, retained)]
+    K = _keys(pairwise_distances(queries, X[retained], nominal_mask), retained)
+    return y[_nearest_retained(K, retained[-1] + 1)]
 
 
 def classify_knn(X, y, ref, queries, k, nominal_mask=None) -> np.ndarray:
@@ -301,9 +307,8 @@ def classify_knn(X, y, ref, queries, k, nominal_mask=None) -> np.ndarray:
     retained, y = _retained(ref, len(X)), _labels(X, y)
     if k < 1 or k > retained.size:
         raise ValueError(f"k={k} out of range for reference set of size {retained.size}")
-    D = pairwise_distances(queries, X[retained], nominal_mask)
-    nn = _stable_top_k(D, k)  # equidistant neighbours are taken in index order
-    votes = y[retained][nn].sum(axis=1)
+    K = _keys(pairwise_distances(queries, X[retained], nominal_mask), retained)
+    votes = y[_ranked(K, k, retained[-1] + 1)].sum(axis=1)
     return (2 * votes >= k).astype(y.dtype)
 
 
@@ -317,20 +322,19 @@ def loo_predict(X, y, retained, nominal_mask=None, index=None) -> np.ndarray:
     if index is not None:
         return y[index.nearest(retained, exclude_self=True)]
     retained = _retained(retained, len(X))
-    D = pairwise_distances(X, X[retained], nominal_mask)
-    return y[_nearest_retained(D, retained, np.arange(D.shape[0]))]
+    K = _keys(pairwise_distances(X, X[retained], nominal_mask), retained)
+    return y[_nearest_retained(K, retained[-1] + 1, np.arange(len(X)))]
 
 
 def _loo_hits(X, y, jobs, nominal_mask=None):
     """Add :func:`loo_gm`'s TP and TN counts to ``hits`` for each ``(members,
     rows, hits)`` of ``jobs``: the ``(S, M)`` sets ``members``, sorted by
     positive count, positives first, on the rows where the mask ``rows`` is
-    true.  Each block of rows gets its distances to all of ``X`` once, own
-    distances inf; a job reads the whole block if at least half its rows are
-    the job's, else gathers their columns.  Nearest positive and negative are
-    min reductions; where neither is strictly nearer (a tie, or NaN),
-    :func:`_nearest_retained` decides, so ties go to the lowest index."""
-    n, pos = len(y), y == 1
+    true.  Each block of rows gets its keys to all of ``X`` once, own keys the
+    largest; a job reads the whole block if at least half its rows are the
+    job's, else gathers their columns.  A row's prediction is positive where
+    its smallest positive key is below its smallest negative one."""
+    n, pos, cols = len(y), y == 1, np.arange(len(y))
     block = max(2, _BLOCK_CELLS // n)
     # per job: its sets (those with k positives in rows first[k]:first[k + 1]), rows, hits
     jobs = [(m, np.searchsorted(np.count_nonzero(pos[m], axis=1), np.arange(m.shape[1] + 1)),
@@ -338,8 +342,8 @@ def _loo_hits(X, y, jobs, nominal_mask=None):
     # no block of one row, which numpy would multiply by gemv, rounding otherwise
     bounds = [*range(0, n - 1, block), n] if jobs else []
     for r0, r1 in zip(bounds, bounds[1:]):
-        DT = np.ascontiguousarray(pairwise_distances(X[r0:r1], X, nominal_mask).T)
-        np.fill_diagonal(DT[r0:r1], np.inf)  # each row's own distance
+        DT = np.ascontiguousarray(_keys(pairwise_distances(X[r0:r1], X, nominal_mask), cols).T)
+        np.fill_diagonal(DT[r0:r1], np.iinfo(np.int64).max)  # each row's own key
         for members, first, rows, hits in jobs:
             own = rows[r0:r1]
             q = np.flatnonzero(own)
@@ -355,12 +359,7 @@ def _loo_hits(X, y, jobs, nominal_mask=None):
                 for c0 in range(first[k], first[k + 1], chunk):
                     sets = members[c0:min(c0 + chunk, first[k + 1])]
                     G = D.take(sets, axis=0)
-                    d_pos, d_neg = G[:, :k].min(axis=1), G[:, k:].min(axis=1)
-                    pred = d_pos < d_neg
-                    undecided = ~(pred | (d_neg < d_pos))
-                    for t in np.flatnonzero(undecided.any(axis=1)):
-                        c, u = np.sort(sets[t]), np.flatnonzero(undecided[t])
-                        pred[t, u] = pos[_nearest_retained(D[np.ix_(c, u)].T, c)]
+                    pred = G[:, :k].min(axis=1) < G[:, k:].min(axis=1)
                     hits[c0:c0 + len(sets), 0] += (pred & tp_q).sum(axis=1)
                     hits[c0:c0 + len(sets), 1] += (tn_q > pred).sum(axis=1)  # tn_q and not pred
         DT = D = G = None  # freed before the next block's distances are computed

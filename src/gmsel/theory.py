@@ -32,7 +32,7 @@ from numbers import Real
 import numpy as np
 
 from .data import _check_count, _known_keys, _read_yaml
-from .knn import _labels, _stable_top_k, classify_1nn, nearest_points, pairwise_distances
+from .knn import _keys, _labels, _ranked, classify_1nn, nearest_points, pairwise_distances
 from .metrics import confusion, gm
 from .selection import random_edit
 
@@ -550,13 +550,13 @@ def _hits_per_subset(probes, points, right):
     """For every subset S of ``points`` (a bitmask holding point j at bit
     n-1-j), how many ``probes`` have a nearest point in S that is ``right``.
 
-    Point j = r[t] of a probe's stable neighbour order r is its nearest in S
+    Point j = r[t] of a probe's order r (``knn._ranked``) is its nearest in S
     exactly when j is in S and S misses A = r[0..t-1].  So g_j counts the
     probes by their A, its subset sums h_j count those whose A lies within a
     set, and S has the sum of h_j[~S] over the right points j in S.
     """
     n = points.shape[0]
-    order = _stable_top_k(pairwise_distances(probes, points), n)
+    order = _ranked(_keys(pairwise_distances(probes, points), np.arange(n)), n, n)
     bits = (1 << np.arange(n - 1, -1, -1))[order]
     ahead = np.empty_like(bits)  # ahead[:, j]: the mask A of point j
     np.put_along_axis(ahead, order, np.cumsum(bits, axis=1) - bits, axis=1)
@@ -655,6 +655,7 @@ def cb_bb_demo(seed=0, re_trials=10_000, include_re=True):
     fresh test sample of 9,000 rows drawn from the joint distribution.
     Returns a dict with keys ``cb``, ``bb`` and, when requested, ``re``.
     """
+    _check_count("re_trials", re_trials, 1)
     model = example_mixture_model()
     rng = np.random.default_rng(seed)
     X_test, y_test = _sample_joint(model, 9000, rng)

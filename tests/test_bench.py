@@ -7,10 +7,16 @@ import sys
 import weakref
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import exact_twin
+from gmsel import bench, knn
 from gmsel import ensemble as ens
 from gmsel import selection as sel
 from gmsel.bench import (
@@ -315,6 +321,21 @@ def test_records_digest_pinned(tmp_path):
     assert digest == PINNED_RECORDS_SHA256
 
 
+def _keel_text(name, X, n_pos, top, codes=None):
+    """KEEL text of the rows ``X`` on the integer grid 0..``top``, the first
+    ``n_pos`` positive; ``codes`` (0 or 1 per row) adds a two-valued attribute."""
+    fields = [[str(v) for v in row] for row in X]
+    header = [f"@attribute x{j} real [0, {top}]" for j in range(X.shape[1])]
+    if codes is not None:
+        header.append("@attribute n0 {a, b}")
+        for row, code in zip(fields, codes):
+            row.append("ab"[code])
+    rows = [", ".join([*row, "positive" if i < n_pos else "negative"])
+            for i, row in enumerate(fields)]
+    return "\n".join([f"@relation {name}", *header,
+                      "@attribute class {positive, negative}", "@data", *rows]) + "\n"
+
+
 def _grid_keel(name, n_pos, imbalance_ratio, d, nominal, seed):
     """KEEL text on the integer grid 0..8, positives from 2..8 and negatives
     from 0..6, with a first row of 0s and a last row of 8s; ``nominal`` adds a
@@ -323,29 +344,27 @@ def _grid_keel(name, n_pos, imbalance_ratio, d, nominal, seed):
     X = np.vstack([rng.integers(2, 9, (n_pos, d)),
                    rng.integers(0, 7, (n_pos * imbalance_ratio, d))])
     X[0], X[-1] = 0, 8
-    fields = [[str(v) for v in row] for row in X]
-    header = [f"@attribute x{j} real [0, 8]" for j in range(d)]
-    if nominal:
-        header.append("@attribute n0 {a, b}")
-        for row, code in zip(fields, rng.integers(0, 2, len(X))):
-            row.append("ab"[code])
-    rows = [", ".join([*row, "positive" if i < n_pos else "negative"])
-            for i, row in enumerate(fields)]
-    return "\n".join([f"@relation {name}", *header,
-                      "@attribute class {positive, negative}", "@data", *rows]) + "\n"
+    return _keel_text(name, X, n_pos, 8, rng.integers(0, 2, len(X)) if nominal else None)
 
 
-@pytest.fixture(scope="module")
-def grid_config(tmp_path_factory):
-    """Config file of the full roster over three integer-grid files with 64, 99
-    and 24 duplicate rows, whose equal distances are exact ties that the
-    lowest-index rule alone breaks.  In the 8 of 12 training halves that span
-    0..8 in every column, scaling divides by 8 and every distance is exact."""
-    where = tmp_path_factory.mktemp("grid")
+def _sevenths_keel(name, n_pos, imbalance_ratio, d, nominal, seed):
+    """KEEL text on the integer grid 0..7, which scaling maps to steps of 1/7
+    or coarser: positives from a pool of 2..7 rows and negatives from a pool
+    of 0..5 rows, so rows repeat within each class."""
+    rng = np.random.default_rng(seed)
+    pos_pool, neg_pool = rng.integers(2, 8, (n_pos // 2, d)), rng.integers(0, 6, (2 * n_pos, d))
+    X = np.vstack([pos_pool[rng.integers(0, len(pos_pool), n_pos)], neg_pool[:n_pos // 2],
+                   neg_pool[rng.integers(0, len(neg_pool), n_pos * imbalance_ratio - n_pos // 2)]])
+    X[0], X[-1] = 0, 7
+    return _keel_text(name, X, n_pos, 7, rng.integers(0, 2, len(X)) if nominal else None)
+
+
+def _config(where, keel, shapes):
+    """Config file of the full roster over one KEEL file per shape."""
     paths = []
-    for i, shape in enumerate([(20, 5, 2, False), (15, 9, 2, False), (30, 4, 3, True)]):
+    for i, shape in enumerate(shapes):
         paths.append(where / f"grid{i}.dat")
-        paths[-1].write_text(_grid_keel(f"grid{i}", *shape, seed=[7, i]))
+        paths[-1].write_text(keel(f"grid{i}", *shape, seed=[7, i]))
     path = where / "config.json"  # JSON is valid YAML
     path.write_text(json.dumps({
         "datasets": [str(p) for p in paths], "methods": list(METHODS),
@@ -355,13 +374,54 @@ def grid_config(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def grid_config(tmp_path_factory):
+    """Config file of the full roster over three integer-grid files with 64, 99
+    and 24 duplicate rows, whose equal distances are exact ties that the
+    lowest-index rule alone breaks.  In the 8 of 12 training halves that span
+    0..8 in every column, scaling divides by 8 and every distance is exact."""
+    return _config(tmp_path_factory.mktemp("grid"), _grid_keel,
+                   [(20, 5, 2, False), (15, 9, 2, False), (30, 4, 3, True)])
+
+
+@pytest.fixture(scope="module")
+def sevenths_config(tmp_path_factory):
+    """The same roster over three files on the grid 0..7 at d = 6, 7 and 8,
+    with 74, 43 and 63 duplicate rows, whose scaled distances are not exact
+    in binary: a training half that spans 0..7 scales to steps of 1/7."""
+    return _config(tmp_path_factory.mktemp("sevenths"), _sevenths_keel,
+                   [(20, 5, 6, False), (16, 6, 7, True), (24, 4, 8, False)])
+
+
+# the pinned ties run's records: a moved digest names the records that moved
+TIES_RECORDS = Path(__file__).with_name("pins") / "ties_records.csv"
+
+
+def _moved(pinned, got, cap=20) -> str:
+    """The records of ``got`` unequal to those of ``pinned``, one line each by
+    (dataset, rep, fold, method), old -> new gm, tpr, tnr and retained, at most
+    ``cap`` lines, then their count."""
+    old, new = ({(r.dataset, r.rep, r.fold, r.method): r for r in rs} for rs in (pinned, got))
+    lines = [f"{key}: " + ", ".join(f"{f} {getattr(old.get(key), f, None)} -> "
+                                    f"{getattr(new.get(key), f, None)}"
+                                    for f in ("gm", "tpr", "tnr", "retained"))
+             for key in sorted(old.keys() | new.keys()) if old.get(key) != new.get(key)]
+    return "\n".join([*lines[:cap], f"{len(lines)} records moved"])
+
+
+def _assert_ties_pinned(out_dir):
+    path = out_dir / "records.csv"
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == PINS["PINNED_TIES_SHA256"], _moved(read_records(TIES_RECORDS),
+                                                        read_records(path))
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_records_with_exact_ties_pinned(grid_config, tmp_path, jobs):
     cfg = replace(ExperimentConfig.from_yaml(grid_config), jobs=jobs, out_dir=str(tmp_path))
     records = run_experiment(cfg)
     assert len(records) == 3 * 2 * 2 * 13 and not any(r.failed for r in records)
-    digest = hashlib.sha256((tmp_path / "records.csv").read_bytes()).hexdigest()
-    assert digest == PINS["PINNED_TIES_SHA256"]
+    _assert_ties_pinned(tmp_path)
 
 
 def test_records_with_exact_ties_pinned_at_two_blas_threads(grid_config, tmp_path):
@@ -372,8 +432,88 @@ def test_records_with_exact_ties_pinned_at_two_blas_threads(grid_config, tmp_pat
     subprocess.run([sys.executable, "-m", "gmsel.cli", "run", "--config", str(grid_config),
                     "--jobs", "2", "--out", str(tmp_path)], env=env, check=True,
                    capture_output=True)
-    digest = hashlib.sha256((tmp_path / "records.csv").read_bytes()).hexdigest()
-    assert digest == PINS["PINNED_TIES_SHA256"]
+    _assert_ties_pinned(tmp_path)
+
+
+def test_pinned_ties_records_are_the_pin():
+    assert hashlib.sha256(TIES_RECORDS.read_bytes()).hexdigest() == PINS["PINNED_TIES_SHA256"]
+
+
+def test_a_moved_record_is_named():
+    pinned = read_records(TIES_RECORDS)
+    got = [replace(r, tnr=0.5, retained=3) if i == 7 else r for i, r in enumerate(pinned)]
+    r = pinned[7]
+    assert _moved(pinned, got) == (f"{(r.dataset, r.rep, r.fold, r.method)}: gm {r.gm} -> "
+                                   f"{r.gm}, tpr {r.tpr} -> {r.tpr}, tnr {r.tnr} -> 0.5, "
+                                   f"retained {r.retained} -> 3\n1 records moved")
+    assert _moved(pinned, pinned) == "0 records moved"
+    many = _moved(pinned, [replace(r, retained=r.retained + 1) for r in pinned]).splitlines()
+    assert len(many) == 21 and many[-1] == f"{len(pinned)} records moved"
+
+
+def _under_the_twin(run):
+    """``run()`` with every distance from ``exact_twin.pairwise``; forked pool
+    workers inherit it."""
+    with mock.patch.object(knn, "pairwise_distances", exact_twin.pairwise):
+        return run()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("config", ["grid_config", "sevenths_config"])
+def test_exact_twin_equals_the_records(config, jobs, request):
+    # every ordering only compares distances, so exact ones give the records
+    # of the lowest-index rule, and the real kernel has to give the same
+    cfg = replace(ExperimentConfig.from_yaml(request.getfixturevalue(config)), jobs=jobs)
+    real = run_experiment(cfg)
+    twin = _under_the_twin(lambda: run_experiment(cfg))
+    assert not any(r.failed for r in real + twin)
+    assert twin == real, _moved(real, twin)
+
+
+@st.composite
+def small_grid_datasets(draw):
+    """A file of 8-48 rows on an integer grid 0..3 up to 0..7 (duplicate rows
+    are common), 4-12 positives drawn from its upper part and the negatives
+    from its lower part, with or without a nominal attribute."""
+    top, d = draw(st.sampled_from([3, 5, 6, 7])), draw(st.integers(1, 3))
+    n_pos = draw(st.integers(4, 12))
+    n_neg = draw(st.integers(n_pos, 3 * n_pos))
+    X = np.vstack([draw(arrays(np.int64, (n_pos, d), elements=st.integers(top // 3, top))),
+                   draw(arrays(np.int64, (n_neg, d), elements=st.integers(0, 2 * top // 3)))])
+    codes = draw(arrays(np.int64, len(X), elements=st.integers(0, 1))) \
+        if draw(st.booleans()) else None
+    return parse_keel(_keel_text("small", X, n_pos, top, codes))
+
+
+SMALL_CFG = ExperimentConfig(methods=tuple(METHODS), repetitions=1,
+                             ensemble_size_bag=3, ensemble_size_boost=3,
+                             eus_params=EusParams(population=4, generations=2),
+                             pso_params=PsoParams(swarm=4, iterations=2),
+                             re_cardinality=4, re_trials=10)
+
+
+@given(ds=small_grid_datasets(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_exact_twin_equals_the_records_on_small_grids(ds, seed):
+    cfg, trained = replace(SMALL_CFG, master_seed=seed), []
+
+    def run_method(method, fold, seed, cfg):
+        model, retained = real_run_method(method, fold, seed, cfg)
+        trained.append((fold.y, model))
+        return model, retained
+
+    real_run_method = bench._run_method
+    with mock.patch.object(bench, "_run_method", run_method):
+        real = run_experiment(cfg, datasets=[ds])
+    twin = _under_the_twin(lambda: run_experiment(cfg, datasets=[ds]))
+    # a trial may fail here (boosting on constant rows), alike in both runs
+    assert twin == real, _moved(real, twin)
+    # every reference set and ensemble member: training rows of both classes
+    assert len(trained) >= sum(not r.failed for r in real)
+    for y, model in trained:
+        for member in model.members:
+            assert member.retained[-1] < len(y)
+            assert set(y[member.retained].tolist()) == {0, 1}
 
 
 # the full roster at small budgets on one file of 140 rows with a nominal

@@ -7,12 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import exact_twin
 from gmsel import ensemble, knn, selection
 from gmsel.ensemble import EnsembleModel, predict_ensemble
 from gmsel.knn import (
     NeighbourIndex,
     ReferenceSet,
-    _stable_top_k,
+    _keys,
+    _ranked,
     classify_1nn,
     classify_knn,
     loo_gm,
@@ -88,6 +90,13 @@ class TestClassify1NN:
     def test_tie_breaks_to_lowest_index(self):
         ref = ReferenceSet(np.array([0, 1]))
         assert classify_1nn(self.X, self.y, ref, [[0.5]])[0] == 1
+
+    def test_a_non_finite_distance_is_the_farthest(self):
+        # row 1's distances are NaN: every query takes its nearest other row
+        X, Q = np.array([[0.0], [np.nan], [1.0]]), np.array([[0.9], [0.1], [np.nan]])
+        want = [2, 0, 0]  # a NaN query is equally far from all: the lowest row
+        assert classify_1nn(X, np.arange(3), [0, 1, 2], Q).tolist() == want
+        assert NeighbourIndex(X, queries=Q).nearest([0, 1, 2]).tolist() == want
 
     def test_single_negative_reference(self):
         ref = ReferenceSet(np.array([1]))
@@ -582,10 +591,11 @@ class TestNeighbourIndex:
            k=st.integers(1, 12), rows_per_block=st.integers(1, 21))
     # three values in six columns: ties at the k-th value, in 3 blocks of rows
     @example(D=(np.arange(54).reshape(9, 6) * 7 % 3).astype(float), k=2, rows_per_block=3)
-    def test_stable_top_k_is_a_stable_argsort_prefix(self, D, k, rows_per_block):
+    def test_ranked_keys_are_a_stable_argsort_prefix(self, D, k, rows_per_block):
         want = np.argsort(D, axis=1, kind="stable")[:, :k]
-        with mock.patch.object(knn, "_BLOCK_CELLS", rows_per_block * D.shape[1]):
-            assert np.array_equal(_stable_top_k(D, k), want)
+        n = D.shape[1]
+        with mock.patch.object(knn, "_BLOCK_CELLS", rows_per_block * n):
+            assert np.array_equal(_ranked(_keys(D.copy(), np.arange(n)), min(k, n), n), want)
 
     def test_lone_retained_self_is_its_own_leave_one_out_neighbour(self):
         # nothing else retained: the per-call argmin picks the only column
@@ -601,6 +611,53 @@ class TestNeighbourIndex:
             index.nearest([0, 1], exclude_self=True)
         with pytest.raises(ValueError):
             classify_1nn(X, np.array([1, 0]), [0, 1], X, index=index)
+
+
+@st.composite
+def lookup_problems(draw):
+    """Rows and queries on a grid of step 1/3, 1/5, 1/6 or 1/7, whose squares
+    are not exact in binary floating point, with duplicate rows and exact
+    ties; nominal columns hold the integers.  Training row 0 holds the
+    largest first coordinate, and the last query lies 1e6 beyond it, with row
+    0 its one nearest row.  A retained set holding row 0, and a k."""
+    step = draw(st.sampled_from([3, 5, 6, 7]))
+    n, d, m = draw(st.integers(2, 40)), draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    Z = draw(arrays(np.int64, (n, d), elements=st.integers(0, 7)))
+    Q = draw(arrays(np.int64, (m, d), elements=st.integers(-1, 8)))
+    nominal = draw(arrays(np.bool_, d)) if draw(st.booleans()) else np.zeros(d, bool)
+    nominal[0] = False
+    Z[0, 0] = 8
+    Q = np.vstack([Q, Z[0]])
+    X, Q = (np.where(nominal, A, A / step) for A in (Z, Q))
+    Q[-1, 0] = 1e6
+    y = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    keep = draw(arrays(np.bool_, n))
+    keep[0] = True
+    retained = np.flatnonzero(keep)
+    return X, Q, y, nominal if nominal.any() else None, retained, \
+        draw(st.integers(1, retained.size))
+
+
+class TestLookupPaths:
+    # every path to a nearest retained row answers as exact squares with ties
+    # to the lowest row do, a far query too
+    @given(problem=lookup_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_every_lookup_equals_the_exact_oracle(self, problem):
+        X, Q, y, nominal, retained, k = problem
+        rows = np.arange(len(X))  # as labels, classify_1nn answers rows
+        want = exact_twin.nearest(X, Q, retained, nominal)
+        assert want[-1] == 0
+        assert np.array_equal(classify_1nn(X, rows, retained, Q, nominal), want)
+        for i, q in enumerate(Q):
+            assert classify_1nn(X, rows, retained, q[None], nominal)[0] == want[i]
+            assert NeighbourIndex(X, nominal, queries=q[None]).nearest(retained)[0] == want[i]
+        assert np.array_equal(NeighbourIndex(X, nominal, queries=Q).nearest(retained), want)
+        assert np.array_equal(NeighbourIndex(X, nominal).nearest(retained, exclude_self=True),
+                              exact_twin.nearest(X, X, retained, nominal, exclude_self=True))
+        votes = y[exact_twin.ranked(X, Q[:-1], retained, k, nominal)].sum(axis=1)
+        assert np.array_equal(classify_knn(X, y, retained, Q[:-1], k, nominal), 2 * votes >= k)
+        assert classify_knn(X, rows == 0, retained, Q[-1:], 1, nominal)[0]
 
 
 def _peak_above_kept(build):

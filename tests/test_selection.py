@@ -6,11 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import exact_twin
 from gmsel import ensemble, knn, selection
 from gmsel.bench import make_synthetic_dataset
 from gmsel.data import apply_scaler, fit_scaler, parse_keel
-from gmsel.knn import (NeighbourIndex, ReferenceSet, _stable_top_k, loo_gm, loo_predict,
-                       pairwise_distances)
+from gmsel.knn import NeighbourIndex, ReferenceSet, loo_gm, loo_predict, pairwise_distances
 from gmsel.metrics import balanced_auc, confusion, f_measure, gm
 from gmsel.selection import (
     EusParams,
@@ -248,11 +248,11 @@ def ncl_problems(draw):
 
 
 def _oracle_ncl_neighbours(X, nominal):
-    """Each row's 3 nearest other rows, from a copy of the distances whose
-    diagonal is infinite."""
-    D = pairwise_distances(X, X, nominal)
-    np.fill_diagonal(D, np.inf)
-    return _stable_top_k(D, 3)
+    """Each row's 3 nearest other rows by exact squares, ties to the lower
+    row, its own square the largest."""
+    S = exact_twin.squares(X, X, nominal)
+    np.fill_diagonal(S, np.iinfo(np.int64).max)
+    return np.argsort(S, axis=1, kind="stable")[:, :3]
 
 
 def _oracle_ncl(X, y, nn3):
@@ -307,12 +307,12 @@ class TestSharedIndexTomekPass:
     @given(problem=ncl_problems())
     @settings(max_examples=100, deadline=None)
     def test_all_rows_read_from_the_ranks_equal_the_argmin(self, problem):
-        # the oracle is the argmin over the index's distances, own entry inf
+        # the oracle is the exact nearest other row, ties to the lower row
         X, y, nominal = problem
         index = NeighbourIndex(X, nominal)
-        D = index.distances.copy()
-        np.fill_diagonal(D, np.inf)
-        assert np.array_equal(index.ranks(exclude_self=True)[:, 0], np.argmin(D, axis=1))
+        every = np.arange(len(y))
+        assert np.array_equal(index.ranks(exclude_self=True)[:, 0],
+                              exact_twin.nearest(X, X, every, nominal, exclude_self=True))
         want = _oracle_tomek(X, y, nominal, np.arange(len(y)))
         with mock.patch.object(NeighbourIndex, "_argmin", side_effect=AssertionError):
             assert np.array_equal(tomek_links(X, y, index=index).retained, want)
@@ -320,15 +320,14 @@ class TestSharedIndexTomekPass:
                 assert np.array_equal(tomek_links(X, y).retained, want)
 
 
-def _oracle_cnn(y, seed, subset, index):
-    """cnn_mod's store, each scanned row's nearest stored row the first argmin
-    of its stored distances to the sorted store."""
+def _oracle_cnn(X, y, nominal, seed, subset):
+    """cnn_mod's store, each scanned row's nearest stored row the exact
+    nearest, ties to the lower row."""
     idx = np.arange(len(y)) if subset is None else np.sort(subset)
     order = np.random.default_rng(seed).permutation(idx[y[idx] == 0])
     store = [*idx[y[idx] == 1], order[0]]
     for i in order[1:]:
-        cols = np.sort(store)
-        if y[cols[np.argmin(index.distances[i, cols])]] != y[i]:
+        if y[exact_twin.nearest(X, X[[i]], store, nominal)[0]] != y[i]:
             store.append(i)
     return np.sort(store)
 
@@ -350,7 +349,7 @@ class TestCondensing:
     def test_matches_the_per_row_oracle(self, problem):
         X, y, nominal, subset, seed = problem
         index = NeighbourIndex(X, nominal)
-        want = _oracle_cnn(y, seed, subset, index)
+        want = _oracle_cnn(X, y, nominal, seed, subset)
         assert np.array_equal(cnn_mod(X, y, seed, subset=subset, index=index).retained, want)
         if nominal is None:
             assert np.array_equal(cnn_mod(X, y, seed, subset=subset).retained, want)

@@ -8,6 +8,7 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -518,6 +519,11 @@ class TestBayesDemo:
             98, 168, 239, 245, 314, 340, 570, 648, 693, 735, 739, 789, 972,
             1106, 1802, 2120, 2233, 2404, 2756, 2885, 3570, 3675, 3925, 4022, 4041]
         assert out["re"] == 0.7926445706958797
+
+    def test_re_trials_checked_before_any_draw(self):
+        with mock.patch.object(theory, "_sample_joint", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="re_trials must be at least 1, got 0"):
+                cb_bb_demo(re_trials=0)
 
     def test_deterministic(self):
         a = cb_bb_demo(seed=3, include_re=False)
