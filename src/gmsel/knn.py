@@ -9,8 +9,9 @@ index vector, checked by :class:`ReferenceSet` on every path.
 Callers that look up nearest retained neighbours many times over one training
 matrix (subset searches, condensing, Tomek links, boosting) build a
 :class:`NeighbourIndex` once and pass it as ``index``, the one carrier of the
-metric there: ``_index_over`` rejects one over other rows or queries, on every
-path but :func:`loo_predict`'s, and builds an all-numeric one when none is passed.
+metric there: ``_index_over`` rejects one over other rows or queries and builds
+an all-numeric one when none is passed; :func:`loo_predict` rejects one that
+answers for other rows.
 The benchmark builds two per fold in turn, over its training half for its
 methods, then from its test half for every prediction: an ensemble vote.
 One-shot calls without an index compute only the retained distance columns;
@@ -29,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_count
+
 __all__ = [
     "ReferenceSet",
     "NeighbourIndex",
@@ -45,8 +48,8 @@ __all__ = [
 # retained instance this deep fall back to an exact argmin.
 RANK_DEPTH = 32
 
-# float64 cells per block of distances or gathered ranks (2 MB) and per chunk of
-# loo_gm_best's gathered distances (512 kB); the sets it scores on every row first
+# 8-byte cells per block of distances or gathered ranks (2 MB) and per chunk of
+# loo_gm_best's gathered keys (512 kB); the sets it scores on every row first
 _BLOCK_CELLS = 2**18
 _CHUNK_CELLS = 2**16
 _PILOT = 128
@@ -305,7 +308,8 @@ def classify_1nn(X, y, ref, queries, nominal_mask=None, index=None) -> np.ndarra
 def classify_knn(X, y, ref, queries, k, nominal_mask=None) -> np.ndarray:
     """Majority label among the k nearest retained instances; vote ties -> positive."""
     retained, y = _retained(ref, len(X)), _labels(X, y)
-    if k < 1 or k > retained.size:
+    _check_count("k", k, 1)
+    if k > retained.size:
         raise ValueError(f"k={k} out of range for reference set of size {retained.size}")
     K = _keys(pairwise_distances(queries, X[retained], nominal_mask), retained)
     votes = y[_ranked(K, k, retained[-1] + 1)].sum(axis=1)
@@ -320,31 +324,31 @@ def loo_predict(X, y, retained, nominal_mask=None, index=None) -> np.ndarray:
     (which applies only then) are computed.
     """
     if index is not None:
-        return y[index.nearest(retained, exclude_self=True)]
+        if len(nn := index.nearest(retained, exclude_self=True)) != len(X):
+            raise ValueError(f"index answered {len(nn)} rows, not the {len(X)} of X")
+        return y[nn]
     retained = _retained(retained, len(X))
     K = _keys(pairwise_distances(X, X[retained], nominal_mask), retained)
     return y[_nearest_retained(K, retained[-1] + 1, np.arange(len(X)))]
 
 
 def _loo_hits(X, y, jobs, nominal_mask=None):
-    """Add :func:`loo_gm`'s TP and TN counts to ``hits`` for each ``(members,
-    rows, hits)`` of ``jobs``: the ``(S, M)`` sets ``members``, sorted by
-    positive count, positives first, on the rows where the mask ``rows`` is
+    """Add the leave-one-out TP and TN counts of 1-NN over each set to ``hits``
+    for each ``(members, rows, hits)`` of ``jobs``: the ``(S, M)`` sets
+    ``members``, each of distinct rows, on the rows where the mask ``rows`` is
     true.  Each block of rows gets its keys to all of ``X`` once, own keys the
     largest; a job reads the whole block if at least half its rows are the
-    job's, else gathers their columns.  A row's prediction is positive where
-    its smallest positive key is below its smallest negative one."""
+    job's, else gathers their columns.  A row's prediction is the label of its
+    set's member of the smallest key, as in :func:`loo_predict`."""
     n, pos, cols = len(y), y == 1, np.arange(len(y))
     block = max(2, _BLOCK_CELLS // n)
-    # per job: its sets (those with k positives in rows first[k]:first[k + 1]), rows, hits
-    jobs = [(m, np.searchsorted(np.count_nonzero(pos[m], axis=1), np.arange(m.shape[1] + 1)),
-             r, h) for m, r, h in jobs if len(m)]
+    jobs = [job for job in jobs if len(job[0])]
     # no block of one row, which numpy would multiply by gemv, rounding otherwise
     bounds = [*range(0, n - 1, block), n] if jobs else []
     for r0, r1 in zip(bounds, bounds[1:]):
         DT = np.ascontiguousarray(_keys(pairwise_distances(X[r0:r1], X, nominal_mask), cols).T)
         np.fill_diagonal(DT[r0:r1], np.iinfo(np.int64).max)  # each row's own key
-        for members, first, rows, hits in jobs:
+        for members, rows, hits in jobs:
             own = rows[r0:r1]
             q = np.flatnonzero(own)
             if not q.size:
@@ -353,16 +357,12 @@ def _loo_hits(X, y, jobs, nominal_mask=None):
             q, own, D = (np.arange(r0, r1), own, DT) if 2 * q.size >= r1 - r0 \
                 else (r0 + q, own[q], DT.take(q, axis=1))
             tp_q, tn_q = own & pos[q], own & ~pos[q]
-            M = members.shape[1]
-            chunk = max(1, _CHUNK_CELLS // (M * q.size))
-            for k in range(1, M):
-                for c0 in range(first[k], first[k + 1], chunk):
-                    sets = members[c0:min(c0 + chunk, first[k + 1])]
-                    G = D.take(sets, axis=0)
-                    pred = G[:, :k].min(axis=1) < G[:, k:].min(axis=1)
-                    hits[c0:c0 + len(sets), 0] += (pred & tp_q).sum(axis=1)
-                    hits[c0:c0 + len(sets), 1] += (tn_q > pred).sum(axis=1)  # tn_q and not pred
-        DT = D = G = None  # freed before the next block's distances are computed
+            chunk = max(1, _CHUNK_CELLS // (members.shape[1] * q.size))
+            for c0 in range(0, len(members), chunk):
+                pred = pos[_nearest_retained(D.take(members[c0:c0 + chunk], axis=0), n)]
+                hits[c0:c0 + chunk, 0] += (pred & tp_q).sum(axis=1)
+                hits[c0:c0 + chunk, 1] += (tn_q > pred).sum(axis=1)  # tn_q and not pred
+        DT = D = None  # freed before the next block's keys are computed
 
 
 def loo_gm_best(X, y, refsets, nominal_mask=None) -> tuple[int, float]:
@@ -377,20 +377,16 @@ def loo_gm_best(X, y, refsets, nominal_mask=None) -> tuple[int, float]:
     n_pos = np.count_nonzero(pos[refsets], axis=1)
     if not np.any((n_pos > 0) & (n_pos < M)):  # loo_gm gives 0.0 to a one-class set
         return 0, 0.0
-    # the pilot's sets, then the others, each part by positive count, positives first
-    order = np.lexsort((n_pos, np.arange(T) >= _PILOT))
-    members = np.take_along_axis(refsets, np.argsort(~pos[refsets], 1, kind="stable"), 1)[order]
     P, every, hits = min(T, _PILOT), np.ones(len(y), dtype=bool), np.zeros((T, 2), np.intp)
-    _loo_hits(X, y, [(members[:P], every, hits[:P]), (members[P:], pos, hits[P:])], nominal_mask)
+    _loo_hits(X, y, [(refsets[:P], every, hits[:P]), (refsets[P:], pos, hits[P:])], nominal_mask)
     wp, wn = np.count_nonzero(pos), np.count_nonzero(~pos)
     pilot_best = np.sqrt((hits[:P, 0] / wp) * (hits[:P, 1] / wn)).max()
     alive = P + np.flatnonzero(np.sqrt(hits[P:, 0] / wp) >= pilot_best)
     again = np.zeros((alive.size, 2), np.intp)
-    _loo_hits(X, y, [(members[alive], every, again)], nominal_mask)
+    _loo_hits(X, y, [(refsets[alive], every, again)], nominal_mask)
     hits[alive] = again
-    # a set left out scores 0.0 here (no TN counted), below the pilot's best
-    gms = np.empty(T)
-    gms[order] = np.sqrt((hits[:, 0] / wp) * (hits[:, 1] / wn))
+    # 0.0 for a set left out (no TN counted) and a one-class set (one class predicted)
+    gms = np.sqrt((hits[:, 0] / wp) * (hits[:, 1] / wn))
     best = int(np.argmax(gms))
     return best, float(gms[best])
 

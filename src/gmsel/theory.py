@@ -351,6 +351,7 @@ def _check_point(points, i):
     """ValueError unless ``i`` numbers a row of ``points`` (-1 would be the last)."""
     if not 0 <= i < len(points):
         raise ValueError(f"point i={i} is not one of the {len(points)} points")
+    _check_count("i", i, 0)  # True and 1.5 are in range but number no row
 
 
 def _nearest_without(points, i, queries):

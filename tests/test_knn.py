@@ -181,6 +181,12 @@ class TestIndexArrays:
             with pytest.raises(ValueError, match=f"^{n_labels} labels for 4 rows$"):
                 call()
 
+    def test_index_over_other_rows_rejected(self):
+        # 40 rows given an index over 60 returned 60 predictions
+        X = np.random.default_rng(3).random((60, 2))
+        with pytest.raises(ValueError, match="index answered 60 rows, not the 40 of X"):
+            loo_predict(X[:40], np.arange(40) % 2, [0, 1], index=NeighbourIndex(X))
+
     def test_repeated_index_rejected_by_the_index(self):
         with pytest.raises(ValueError, match="unique"):
             NeighbourIndex(self.X).nearest([0, 0, 1])
@@ -223,6 +229,12 @@ class TestClassifyKNN:
         y = np.array([1, 0])
         with pytest.raises(ValueError):
             classify_knn(X, y, np.arange(2), [[0.5]], k=3)
+
+    @pytest.mark.parametrize("k", [True, 2.0])
+    def test_k_must_be_an_integer(self, k):
+        # both were numpy's TypeErrors
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {k}$"):
+            classify_knn(np.array([[0.0], [1.0]]), np.array([1, 0]), np.arange(2), [[0.5]], k=k)
 
 
 class TestLooGm:
@@ -293,6 +305,10 @@ class TestLooGmBest:
     @settings(max_examples=300, deadline=None)
     @example(problem=(np.array([[0.0], [1.0], [2.0], [3.0], [0.0]]), np.array([1, 0, 1, 0, 0]),
                       None, np.array([[0, 1], [2, 3], [4, 2], [1, 2], [0, 3]]), 1, 1, 1))
+    # row 2 is 1 from positive row 0 and negative row 1: the lower row makes the
+    # first set's GM sqrt(2/3), the higher one sqrt(1/3), the second set's
+    @example(problem=(np.array([[0.0], [2.0], [1.0], [3.0], [-1.0]]), np.array([1, 0, 1, 0, 1]),
+                      None, np.array([[1, 0, 3], [3, 4, 1]]), 2, 1, 1))
     def test_first_best_of_loo_gm_per_set(self, problem):
         X, y, nominal, refsets, block, chunk, pilot = problem
         n, M = X.shape[0], refsets.shape[1]
@@ -311,22 +327,18 @@ class TestLooGmBest:
     @settings(max_examples=100, deadline=None)
     def test_hits_on_some_rows_only(self, problem):
         # one row in three: a block of two rows is read whole, a longer one
-        # has its counted rows' columns gathered
+        # has its counted rows' columns gathered; one-class sets count too
         X, y, nominal, refsets, block, chunk, _ = problem
         n, M = X.shape[0], refsets.shape[1]
         rows = np.arange(n) % 3 == 0
-        k = np.count_nonzero(y[refsets] == 1, axis=1)
-        members = np.take_along_axis(refsets, np.argsort(y[refsets] != 1, 1, kind="stable"),
-                                     1)[np.argsort(k, kind="stable")]
-        hits = np.zeros((len(members), 2), dtype=np.intp)
+        hits = np.zeros((len(refsets), 2), dtype=np.intp)
         with mock.patch.object(knn, "_BLOCK_CELLS", block * n), \
                 mock.patch.object(knn, "_CHUNK_CELLS", chunk * M * max(2, block)):
-            knn._loo_hits(X, y, [(members, rows, hits)], nominal)
-        for m, got in zip(members, hits):
+            knn._loo_hits(X, y, [(refsets, rows, hits)], nominal)
+        for m, got in zip(refsets, hits):
             pred = loo_predict(X, y, m, nominal)
-            want = [np.count_nonzero(rows & (pred == 1) & (y == 1)),
-                    np.count_nonzero(rows & (pred == 0) & (y == 0))]
-            assert got.tolist() == (want if 0 < np.count_nonzero(y[m]) < M else [0, 0])
+            assert got.tolist() == [np.count_nonzero(rows & (pred == 1) & (y == 1)),
+                                    np.count_nonzero(rows & (pred == 0) & (y == 0))]
 
     @pytest.mark.parametrize("nominal", [None, np.array([False] * 6 + [True] * 2)])
     def test_last_block_of_one_row(self, nominal):

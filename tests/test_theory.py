@@ -364,6 +364,18 @@ class TestRemovalAnalysis:
                              example_uniform_model())
 
 
+@pytest.mark.parametrize("i", [True, 1.5])
+@pytest.mark.parametrize("call", [
+    lambda i: voronoi_neighbors([[0.0], [1.0], [2.0]], i),
+    lambda i: lemma_check([[0.0], [1.0], [2.0]], i, probe_count=5000),
+    lambda i: removal_analysis([[2.5], [9.5], [7.5]], [1, 1, 0], i, example_uniform_model()),
+], ids=["voronoi_neighbors", "lemma_check", "removal_analysis"])
+def test_point_index_must_be_an_integer(call, i):
+    # True was numpy's "boolean array argument obj to delete" error, 1.5 an IndexError
+    with pytest.raises(ValueError, match=f"^i must be an integer, got {i}$"):
+        call(i)
+
+
 @pytest.mark.parametrize("n_labels", [2, 5])
 def test_labels_of_another_length_rejected(n_labels):
     # 5 labels for 3 points gave a GM and a removal analysis; 2 ended in an IndexError
