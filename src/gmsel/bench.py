@@ -54,7 +54,7 @@ METHODS = {
     "rus": ({"random", "balance"}, lambda f, seed, cfg: sel.rus(f.X, f.y, seed)),
     "re": ({"random", "explicit-gm"},
            lambda f, seed, cfg: sel.random_edit(f.X, f.y, cfg.re_cardinality,
-                                                cfg.re_trials, seed, f.nominal)),
+                                                cfg.re_trials, seed, index=f.index())),
     "tl": ({"balance"}, lambda f, seed, cfg: sel.tomek_links(f.X, f.y, index=f.index())),
     "oss": ({"balance"}, lambda f, seed, cfg: sel.oss(f.X, f.y, seed, index=f.index())),
     "tlcnn": ({"balance"}, lambda f, seed, cfg: sel.tl_cnn(f.X, f.y, seed, index=f.index())),
@@ -189,9 +189,9 @@ class _Fold:
 
     :meth:`index` builds the index over the training half, or from the test
     half to it, on first use, and keeps it for the fold's other methods.  The
-    training index answers every method's lookups but random editing's, and is
-    released before the test index answers every prediction: a fold computes
-    two matrices of distances (8 MB each at 1,000 x 1,000), one at a time.
+    training index answers every method's lookups, and is released before the
+    test index answers every prediction: a fold computes two matrices of
+    distances (8 MB each at 1,000 x 1,000), one at a time.
     """
 
     def __init__(self, ds, rep, fold, train_idx, test_idx):

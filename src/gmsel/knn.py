@@ -7,11 +7,11 @@ rule; k-NN vote ties go to the positive class.  Retained rows are an integer
 index vector, checked by :class:`ReferenceSet` on every path.
 
 Callers that look up nearest retained neighbours many times over one training
-matrix (subset searches, condensing, Tomek links, boosting) build a
-:class:`NeighbourIndex` once and pass it as ``index``, the one carrier of the
-metric there: ``_index_over`` rejects one over other rows or queries and builds
-an all-numeric one when none is passed; :func:`loo_predict` rejects one that
-answers for other rows.
+matrix (subset searches, condensing, Tomek links, random editing, boosting)
+build a :class:`NeighbourIndex` once and pass it as ``index``, the one carrier
+of the metric there: ``_index_over`` rejects one over other rows or queries and
+builds an all-numeric one when none is passed; :func:`loo_predict` rejects one
+that answers for other rows.
 The benchmark builds two per fold in turn, over its training half for its
 methods, then from its test half for every prediction: an ensemble vote.
 One-shot calls without an index compute only the retained distance columns;
@@ -19,8 +19,8 @@ EUS and PSO look up a whole generation, and ensemble voting all its members,
 in one ``nearest_batch`` call (the searches then score the generation from its
 hit matrix, not by :func:`loo_gm`), NCL reads ``ranks``, a Tomek pass is one
 ``nearest`` lookup and condensing one ``condense`` call, random editing finds
-its best set in one ``loo_gm_best`` call over its own blocks of distances, and
-the theory lab's probes take :func:`nearest_points`, which keeps its own
+its best set in one ``loo_gm_best`` call over its keys a block of rows at a time,
+and the theory lab's probes take :func:`nearest_points`, which keeps its own
 first-minimum rule.  Every other ordering of distances is here.
 """
 
@@ -64,16 +64,7 @@ class ReferenceSet:
     seed: int | None = None
 
     def __post_init__(self):
-        # the one check of a set of training rows: a mask or floats are not row numbers
-        retained = np.asarray(self.retained)
-        if retained.dtype.kind not in "iu" or retained.ndim != 1 or retained.size == 0:
-            raise ValueError("reference set must be a non-empty integer index vector")
-        retained = np.sort(retained.astype(np.intp, copy=False))
-        if retained[0] < 0:
-            raise ValueError("negative index in reference set")
-        if (retained[1:] == retained[:-1]).any():
-            raise ValueError("reference set indices must be unique")
-        object.__setattr__(self, "retained", retained)
+        object.__setattr__(self, "retained", _sorted_sets(self.retained))
 
     def __len__(self):
         return self.retained.size
@@ -282,9 +273,24 @@ def _labels(X, y) -> np.ndarray:
     return y
 
 
+def _sorted_sets(sets, ndim=1) -> np.ndarray:
+    """The one check of sets of training rows: ``sets``, a non-empty ``ndim``-D
+    integer array of distinct non-negative rows along its last axis, sorted."""
+    sets = np.asarray(sets)
+    if sets.dtype.kind not in "iu" or sets.ndim != ndim or sets.size == 0:
+        raise ValueError("reference set must be a non-empty integer index vector" if ndim == 1
+                         else "reference sets must be a non-empty (T, M) integer index array")
+    sets = np.sort(sets.astype(np.intp, copy=False), axis=-1)
+    if sets[..., 0].min() < 0:
+        raise ValueError("negative index in reference set")
+    if (sets[..., 1:] == sets[..., :-1]).any():
+        raise ValueError("reference set indices must be unique")
+    return sets
+
+
 def _retained(ref, n):
     """The sorted rows of ``ref``, a ReferenceSet or an index array checked as one, below n."""
-    retained = (ref if isinstance(ref, ReferenceSet) else ReferenceSet(ref)).retained
+    retained = ref.retained if isinstance(ref, ReferenceSet) else _sorted_sets(ref)
     if retained[-1] >= n:
         raise ValueError(f"row {retained[-1]} out of range for {n} training rows")
     return retained
@@ -332,12 +338,13 @@ def loo_predict(X, y, retained, nominal_mask=None, index=None) -> np.ndarray:
     return y[_nearest_retained(K, retained[-1] + 1, np.arange(len(X)))]
 
 
-def _loo_hits(X, y, jobs, nominal_mask=None):
+def _loo_hits(X, y, jobs, index=None):
     """Add the leave-one-out TP and TN counts of 1-NN over each set to ``hits``
     for each ``(members, rows, hits)`` of ``jobs``: the ``(S, M)`` sets
     ``members``, each of distinct rows, on the rows where the mask ``rows`` is
-    true.  Each block of rows gets its keys to all of ``X`` once, own keys the
-    largest; a job reads the whole block if at least half its rows are the
+    true.  Each block of rows takes its keys to all of ``X`` from ``index``,
+    checked by the caller, or computes them all-numeric; own keys are made the
+    largest.  A job reads the whole block if at least half its rows are the
     job's, else gathers their columns.  A row's prediction is the label of its
     set's member of the smallest key, as in :func:`loo_predict`."""
     n, pos, cols = len(y), y == 1, np.arange(len(y))
@@ -346,7 +353,8 @@ def _loo_hits(X, y, jobs, nominal_mask=None):
     # no block of one row, which numpy would multiply by gemv, rounding otherwise
     bounds = [*range(0, n - 1, block), n] if jobs else []
     for r0, r1 in zip(bounds, bounds[1:]):
-        DT = np.ascontiguousarray(_keys(pairwise_distances(X[r0:r1], X, nominal_mask), cols).T)
+        DT = (_keys(pairwise_distances(X[r0:r1], X), cols) if index is None
+              else index.keys[r0:r1]).T.copy()
         np.fill_diagonal(DT[r0:r1], np.iinfo(np.int64).max)  # each row's own key
         for members, rows, hits in jobs:
             own = rows[r0:r1]
@@ -365,25 +373,29 @@ def _loo_hits(X, y, jobs, nominal_mask=None):
         DT = D = None  # freed before the next block's keys are computed
 
 
-def loo_gm_best(X, y, refsets, nominal_mask=None) -> tuple[int, float]:
-    """The first of the highest ``[loo_gm(X, y, r, nominal_mask) for r in
-    refsets]``, as ``(index, gm)``, for the ``(T, M)`` array ``refsets`` of
-    distinct indices.  The first ``_PILOT`` sets are scored on every row and
-    the others on the positive rows.  As GM = sqrt(TPR * TNR) <= sqrt(TPR), in
-    floating point too, only a set whose sqrt(TPR) reaches the pilot's best GM
-    can equal the highest; only those are scored again, on every row."""
+def loo_gm_best(X, y, refsets, *, index=None) -> tuple[int, float]:
+    """The first of the highest ``[loo_gm(X, y, r) for r in refsets]``, as
+    ``(index, gm)``, for the checked ``(T, M)`` array ``refsets`` of distinct
+    rows, by the metric of ``index`` over ``X`` (all-numeric without one).  The
+    first ``_PILOT`` sets are scored on every row and the others on the positive
+    rows.  As GM = sqrt(TPR * TNR) <= sqrt(TPR), in floating point too, only a
+    set whose sqrt(TPR) reaches the pilot's best GM can equal the highest; only
+    those are scored again, on every row."""
+    if (top := _sorted_sets(refsets, 2)[:, -1].max()) >= len(y):  # as in _retained
+        raise ValueError(f"row {top} out of range for {len(y)} training rows")
     refsets = np.asarray(refsets, dtype=np.intp)
+    index = None if index is None else _index_over(X, index)
     (T, M), pos = refsets.shape, y == 1
     n_pos = np.count_nonzero(pos[refsets], axis=1)
     if not np.any((n_pos > 0) & (n_pos < M)):  # loo_gm gives 0.0 to a one-class set
         return 0, 0.0
     P, every, hits = min(T, _PILOT), np.ones(len(y), dtype=bool), np.zeros((T, 2), np.intp)
-    _loo_hits(X, y, [(refsets[:P], every, hits[:P]), (refsets[P:], pos, hits[P:])], nominal_mask)
+    _loo_hits(X, y, [(refsets[:P], every, hits[:P]), (refsets[P:], pos, hits[P:])], index)
     wp, wn = np.count_nonzero(pos), np.count_nonzero(~pos)
     pilot_best = np.sqrt((hits[:P, 0] / wp) * (hits[:P, 1] / wn)).max()
     alive = P + np.flatnonzero(np.sqrt(hits[P:, 0] / wp) >= pilot_best)
     again = np.zeros((alive.size, 2), np.intp)
-    _loo_hits(X, y, [(refsets[alive], every, again)], nominal_mask)
+    _loo_hits(X, y, [(refsets[alive], every, again)], index)
     hits[alive] = again
     # 0.0 for a set left out (no TN counted) and a one-class set (one class predicted)
     gms = np.sqrt((hits[:, 0] / wp) * (hits[:, 1] / wn))

@@ -1,13 +1,14 @@
 """Single (non-ensemble) instance-selection methods for imbalanced data.
 
 All functions take a scaled data matrix ``X`` and a 0/1 label vector ``y``
-(1 = positive/minority) and return a :class:`~gmsel.knn.ReferenceSet` of
-retained indices.  Every method except random editing retains all minority
-instances by construction; every returned set contains both classes.
-Stochastic methods are pure functions of (inputs, seed).  A method given
-``index``, a :class:`~gmsel.knn.NeighbourIndex` over ``X``, takes its metric
-from it; without one it builds an all-numeric one, and one over other rows is
-a ValueError.  NCL reads its leave-one-out ranks.  Counts are checked by
+(1 = positive/minority; another label is a ValueError) and return a
+:class:`~gmsel.knn.ReferenceSet` of retained indices.  Every method except
+random editing retains all minority instances by construction; every returned
+set contains both classes.  Stochastic methods are pure functions of (inputs,
+seed).  A method given ``index``, a :class:`~gmsel.knn.NeighbourIndex` over
+``X``, takes its metric from it; without one it builds an all-numeric one
+(random editing computes its keys a block at a time), and one over other rows
+is a ValueError.  NCL reads its leave-one-out ranks.  Counts are checked by
 :func:`gmsel.data._check_count`: a bool or a float is a ValueError.
 """
 
@@ -42,6 +43,8 @@ __all__ = [
 def _check_xy(X, y):
     X = np.asarray(X, dtype=float)
     y = _labels(X, y)
+    if (bad := y[(y != 0) & (y != 1)]).size:
+        raise ValueError(f"labels must be 0 or 1, got {bad[0]}")
     if not (np.any(y == 1) and np.any(y == 0)):
         raise ValueError("both classes must be present")
     return X, y
@@ -350,13 +353,14 @@ def pso_select(X, y, seed, params: PsoParams | None = None, *,
                         method="pso", seed=seed)
 
 
-def random_edit(X, y, M, T, seed, nominal_mask=None) -> ReferenceSet:
+def random_edit(X, y, M, T, seed, *, index=None) -> ReferenceSet:
     """Best of ``T`` random cardinality-``M`` reference sets by LOO GM.
 
     Every sampled set is forced to contain at least one instance of each class
     (degenerate draws are resampled from the same stream).  All ``T`` sets are
     drawn, then the first best is found by one :func:`~gmsel.knn.loo_gm_best`
-    call, so the best GM is non-decreasing in ``T`` for a fixed seed.
+    call, so the best GM is non-decreasing in ``T`` for a fixed seed.  It reads
+    the keys of ``index`` if given, else computes its own in blocks of rows.
     """
     X, y = _check_xy(X, y)
     n = len(y)
@@ -371,5 +375,5 @@ def random_edit(X, y, M, T, seed, nominal_mask=None) -> ReferenceSet:
             cand[:] = rng.choice(n, size=M, replace=False, shuffle=False)
             if np.any(y[cand] == 1) and np.any(y[cand] == 0):
                 break
-    best, _ = loo_gm_best(X, y, cands, nominal_mask)
+    best, _ = loo_gm_best(X, y, cands, index=index)
     return ReferenceSet(cands[best], method="re", seed=seed)

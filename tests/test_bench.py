@@ -548,7 +548,7 @@ def _trial_by_trial(cfg, ds):
         "tlcnn": lambda X, y, s, nom: sel.tl_cnn(X, y, s, index=NeighbourIndex(X, nom)),
         "ncl": lambda X, y, s, nom: sel.ncl(X, y, index=NeighbourIndex(X, nom)),
         "re": lambda X, y, s, nom: sel.random_edit(X, y, cfg.re_cardinality, cfg.re_trials,
-                                                   s, nom),
+                                                   s, index=NeighbourIndex(X, nom)),
     }
     plan = stratified_two_fold(ds, derive_seed(cfg.master_seed, ds.name, -1, -1, "folds"),
                                cfg.repetitions)
@@ -582,8 +582,8 @@ def test_fold_tasks_equal_trial_by_trial():
 
 
 def test_fold_computes_only_its_two_index_matrices(monkeypatch):
-    # every lookup of the fold's methods, random editing's blocks aside, reads
-    # the training index or the test index: one distance matrix each
+    # every lookup of the fold's 13 methods, random editing's too, reads the
+    # training index or the test index: one distance matrix each
     import gmsel.bench as bench
     from gmsel import knn
 
@@ -595,10 +595,9 @@ def test_fold_computes_only_its_two_index_matrices(monkeypatch):
 
     monkeypatch.setattr(knn, "pairwise_distances", spy)
     ds = parse_keel(_mixed_keel(n_pos=20, n_neg=120, seed=4))
-    cfg = replace(FOLD_CFG, methods=tuple(m for m in METHODS if m != "re"))
     train, test = stratified_two_fold(ds, 0, 1)[0]
-    records = bench._run_fold((ds, 0, 0, train, test, cfg))
-    assert len(records) == 12 and not any(r.failed for r in records)
+    records = bench._run_fold((ds, 0, 0, train, test, FOLD_CFG))
+    assert len(records) == 13 and not any(r.failed for r in records)
     assert sorted(calls) == [("test", len(test), len(train)),
                              ("train", len(train), len(train))]
 

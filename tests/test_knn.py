@@ -270,16 +270,18 @@ class TestLooGm:
 def refset_problems(draw):
     """Integer-grid data (duplicate rows, exact ties within and across
     classes) or Gaussian data (where a sum rounded in another order would
-    show), maybe with nominal columns; up to 40 sets of M distinct rows, some
-    with a lone member of one class or with one class only; and the rows per
-    block and sets per chunk of ``loo_gm_best``, which may leave a last block
-    of one row, and its pilot's size."""
+    show), with nominal columns or not, and a neighbour index over it (always
+    with nominal columns) or none; up to 40 sets of M distinct rows, some with
+    a lone member of one class or with one class only; and the rows per block
+    and sets per chunk of ``loo_gm_best``, which may leave a last block of one
+    row, and its pilot's size."""
     n = draw(st.integers(2, 40))
     d = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grid = draw(st.booleans())
     X = rng.integers(0, 3, (n, d)).astype(float) if grid else rng.standard_normal((n, d))
     nominal = rng.random(d) < 0.4 if draw(st.booleans()) else None
+    indexed = nominal is not None or draw(st.booleans())
     if nominal is not None:
         X[:, nominal] = rng.integers(0, 3, (n, np.count_nonzero(nominal)))
     y = (rng.random(n) < draw(st.sampled_from([0.2, 0.5]))).astype(np.int64)
@@ -291,7 +293,9 @@ def refset_problems(draw):
         if rest.size >= M - 1 and draw(st.booleans()):
             sets.append(np.r_[rng.choice(one, 1), rng.choice(rest, M - 1, replace=False)])
     block = draw(st.integers(1, n))
-    return X, y, nominal, np.array(sets), block, draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    index = NeighbourIndex(X, nominal) if indexed else None
+    return (X, y, nominal, index, np.array(sets), block, draw(st.integers(1, 3)),
+            draw(st.integers(1, 5)))
 
 
 def _first_best(X, y, refsets, nominal=None):
@@ -304,13 +308,13 @@ class TestLooGmBest:
     @given(problem=refset_problems())
     @settings(max_examples=300, deadline=None)
     @example(problem=(np.array([[0.0], [1.0], [2.0], [3.0], [0.0]]), np.array([1, 0, 1, 0, 0]),
-                      None, np.array([[0, 1], [2, 3], [4, 2], [1, 2], [0, 3]]), 1, 1, 1))
+                      None, None, np.array([[0, 1], [2, 3], [4, 2], [1, 2], [0, 3]]), 1, 1, 1))
     # row 2 is 1 from positive row 0 and negative row 1: the lower row makes the
     # first set's GM sqrt(2/3), the higher one sqrt(1/3), the second set's
     @example(problem=(np.array([[0.0], [2.0], [1.0], [3.0], [-1.0]]), np.array([1, 0, 1, 0, 1]),
-                      None, np.array([[1, 0, 3], [3, 4, 1]]), 2, 1, 1))
+                      None, None, np.array([[1, 0, 3], [3, 4, 1]]), 2, 1, 1))
     def test_first_best_of_loo_gm_per_set(self, problem):
-        X, y, nominal, refsets, block, chunk, pilot = problem
+        X, y, nominal, index, refsets, block, chunk, pilot = problem
         n, M = X.shape[0], refsets.shape[1]
         # chunks of 1-3 sets over a whole block's columns, more over fewer
         with mock.patch.object(knn, "_BLOCK_CELLS", block * n), \
@@ -318,23 +322,25 @@ class TestLooGmBest:
                 mock.patch.object(knn, "_PILOT", pilot), \
                 mock.patch.object(knn, "pairwise_distances",
                                   wraps=knn.pairwise_distances) as distances:
-            got = loo_gm_best(X, y, refsets, nominal)
+            got = loo_gm_best(X, y, refsets, index=index)
         assert got == _first_best(X, y, refsets, nominal)
-        # numpy multiplies a one-row block by gemv, whose sums round otherwise
+        # numpy multiplies a one-row block by gemv, whose sums round otherwise;
+        # with an index every block reads its keys
         assert all(len(c.args[0]) >= 2 for c in distances.call_args_list)
+        assert index is None or not distances.called
 
     @given(problem=refset_problems())
     @settings(max_examples=100, deadline=None)
     def test_hits_on_some_rows_only(self, problem):
         # one row in three: a block of two rows is read whole, a longer one
         # has its counted rows' columns gathered; one-class sets count too
-        X, y, nominal, refsets, block, chunk, _ = problem
+        X, y, nominal, index, refsets, block, chunk, _ = problem
         n, M = X.shape[0], refsets.shape[1]
         rows = np.arange(n) % 3 == 0
         hits = np.zeros((len(refsets), 2), dtype=np.intp)
         with mock.patch.object(knn, "_BLOCK_CELLS", block * n), \
                 mock.patch.object(knn, "_CHUNK_CELLS", chunk * M * max(2, block)):
-            knn._loo_hits(X, y, [(refsets, rows, hits)], nominal)
+            knn._loo_hits(X, y, [(refsets, rows, hits)], index)
         for m, got in zip(refsets, hits):
             pred = loo_predict(X, y, m, nominal)
             assert got.tolist() == [np.count_nonzero(rows & (pred == 1) & (y == 1)),
@@ -344,7 +350,8 @@ class TestLooGmBest:
     def test_last_block_of_one_row(self, nominal):
         # 886 rows are three blocks of 295 and one row, which the last block
         # takes on: a one-row block's distances would round otherwise.  With a
-        # pilot of 5 of the 20 sets, both passes read these blocks.
+        # pilot of 5 of the 20 sets, both passes read these blocks, computed
+        # without an index and read from one with nominal columns.
         n = 886
         assert n % (knn._BLOCK_CELLS // n) == 1
         rng = np.random.default_rng(5)
@@ -352,11 +359,13 @@ class TestLooGmBest:
         X[:, 6:] = rng.integers(0, 2, (n, 2))
         y = (rng.random(n) < 0.3).astype(np.int64)
         refsets = np.array([rng.choice(n, 12, replace=False) for _ in range(20)])
+        index = None if nominal is None else NeighbourIndex(X, nominal)
         with mock.patch.object(knn, "_PILOT", 5), \
                 mock.patch.object(knn, "pairwise_distances",
                                   wraps=knn.pairwise_distances) as distances:
-            got = loo_gm_best(X, y, refsets, nominal)
-        assert [len(c.args[0]) for c in distances.call_args_list] == [295, 295, 296] * 2
+            got = loo_gm_best(X, y, refsets, index=index)
+        assert [len(c.args[0]) for c in distances.call_args_list] == \
+            ([295, 295, 296] * 2 if index is None else [])
         assert got == _first_best(X, y, refsets, nominal)
 
     def test_one_class_sets_score_zero(self):
@@ -367,6 +376,26 @@ class TestLooGmBest:
         assert loo_gm_best(X, y, np.array([[0, 1], [2, 3]])) == (0, 0.0)
         with np.errstate(all="raise"):  # no class to divide by
             assert loo_gm_best(X, np.zeros(4, dtype=int), np.array([[0, 1], [2, 3]])) == (0, 0.0)
+
+    # each was scored as some other set, or raised another error
+    @pytest.mark.parametrize("refsets, match", [
+        ([[-1, 0, 3]], "^negative index in reference set$"),  # -1 read as the last row
+        ([[0, 20, 3]], "^row 20 out of range for 20 training rows$"),
+        ([[0, 0, 19]], "^reference set indices must be unique$"),
+        ([[0.5, 19]], "integer index array"),  # truncated to row 0
+        (np.empty((0, 3), dtype=int), "non-empty"),  # (0, 0.0)
+        (np.empty((2, 0), dtype=int), "non-empty"),
+        ([0, 1, 2], r"\(T, M\)"),  # "not enough values to unpack"
+    ], ids=["negative", "past the end", "repeat", "floats", "no sets", "empty sets", "1-D"])
+    def test_bad_sets_rejected(self, refsets, match):
+        X, y = np.arange(20.0)[:, None], np.arange(20) % 2
+        with pytest.raises(ValueError, match=match):
+            loo_gm_best(X, y, refsets)
+
+    def test_index_over_other_rows_rejected(self):
+        X, y = np.arange(20.0)[:, None], np.arange(20) % 2
+        with pytest.raises(ValueError, match=r"^index was built for other queries or rows"):
+            loo_gm_best(X, y, [[0, 1]], index=NeighbourIndex(X[:19]))
 
     def test_sets_that_cannot_win_are_not_scored_again(self):
         # 30 positives among 300 rows: most sets' sqrt(TPR) is below the best

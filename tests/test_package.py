@@ -52,6 +52,13 @@ def test_only_knn_and_bench_build_a_neighbour_index():
     assert {n for n, t in texts.items() if "if index is None" in t} == {"knn.py"}
 
 
+def test_selection_and_ensemble_take_no_nominal_mask():
+    # their metric comes from a neighbour index alone, or is all-numeric
+    folder = Path(gmsel.__file__).parent
+    assert [n for n in ("selection.py", "ensemble.py")
+            if "nominal_mask" in (folder / n).read_text()] == []
+
+
 def test_only_knn_orders_distances():
     # equal distances go to the lowest index only because every ordering of
     # distances is knn's, so no other module calls an argmin, a sort of

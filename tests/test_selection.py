@@ -63,6 +63,32 @@ class TestRus:
         assert "majority smaller than minority" in caplog.text
 
 
+class TestRandomEditReadsTheIndex:
+    """A training index's keys pick the set that random editing's own blocks
+    of keys pick, on integer grids with exact ties too, over blocks of rows
+    whose last one is short or would be one row, and with more sets than the
+    pilot, so that both passes read them."""
+
+    @given(n=st.integers(4, 60), d=st.integers(1, 4), grid=st.booleans(),
+           positives=st.sampled_from([0.2, 0.5]), cardinality=st.integers(2, 60),
+           T=st.integers(1, 300), rows_per_block=st.integers(2, 60),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    @example(n=31, d=2, grid=True, positives=0.2, cardinality=5, T=200, rows_per_block=3,
+             seed=0)  # ten blocks of three rows, the last with four
+    def test_the_index_does_not_change_the_choice(self, n, d, grid, positives, cardinality,
+                                                  T, rows_per_block, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 3, (n, d)).astype(float) if grid else rng.standard_normal((n, d))
+        y = (rng.random(n) < positives).astype(np.int64)
+        y[0], y[1] = 1, 0
+        M = min(cardinality, n)
+        with mock.patch.object(knn, "_BLOCK_CELLS", min(rows_per_block, n) * n):
+            want = random_edit(X, y, M, T, seed)
+            got = random_edit(X, y, M, T, seed, index=NeighbourIndex(X))
+        assert got.retained.tolist() == want.retained.tolist()
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda X, y: rus(X, np.ones_like(y), 0), "both classes must be present"),
     (lambda X, y: tomek_links(X, np.zeros_like(y)), "both classes must be present"),
@@ -72,6 +98,30 @@ class TestRus:
 def test_bad_input_rejected(call, match):
     X, y = clusters()
     with pytest.raises(ValueError, match=match):
+        call(X, y)
+
+
+# a label 2 was never selected by rus, and the other methods accepted it
+@pytest.mark.parametrize("call", [
+    lambda X, y: rus(X, y, 0),
+    lambda X, y: tomek_links(X, y),
+    lambda X, y: cnn_mod(X, y, 0),
+    lambda X, y: oss(X, y, 0),
+    lambda X, y: tl_cnn(X, y, 0),
+    lambda X, y: ncl(X, y),
+    lambda X, y: eus(X, y, 0, EusParams(2, 1)),
+    lambda X, y: pso_select(X, y, 0, PsoParams(2, 1)),
+    lambda X, y: random_edit(X, y, 3, 2, 0),
+    lambda X, y: ensemble.bag_1nn(X, y, 2),
+    lambda X, y: ensemble.erus(X, y, 2),
+    lambda X, y: ensemble.rusboost(X, y, 2),
+    lambda X, y: ensemble.eusboost(X, y, 2, params=EusParams(2, 1)),
+], ids=["rus", "tl", "cnn", "oss", "tlcnn", "ncl", "eus", "pso", "re", "bag1nn", "erus",
+        "rusboost", "eusboost"])
+def test_labels_other_than_0_and_1_rejected(call):
+    X, y = clusters()
+    y[[3, 9]] = 2
+    with pytest.raises(ValueError, match="^labels must be 0 or 1, got 2$"):
         call(X, y)
 
 
@@ -827,7 +877,8 @@ class TestRandomEditMatchesLoop:
     also when more sets are drawn than its pilot scores on every row."""
 
     def _check(self, X, y, M, T, seed, nominal_mask=None):
-        got = random_edit(X, y, M, T, seed, nominal_mask)
+        index = None if nominal_mask is None else NeighbourIndex(X, nominal_mask)
+        got = random_edit(X, y, M, T, seed, index=index)
         want, gms = _oracle_random_edit(X, y, M, T, seed, nominal_mask)
         assert np.array_equal(got.retained, want.retained)
         assert (got.method, got.seed) == (want.method, want.seed)
