@@ -304,6 +304,8 @@ def _mixed_keel(n_pos=10, n_neg=40, seed=2):
 # that moves any record has to update them in pins.json, openly
 PINS = json.loads(Path(__file__).with_name("pins.json").read_text())["tests"]
 PINNED_RECORDS_SHA256 = PINS["PINNED_RECORDS_SHA256"]
+# the pinned run's records: a moved digest names the records that moved
+PINNED_RECORDS = Path(__file__).with_name("pins") / "records.csv"
 
 
 def test_records_digest_pinned(tmp_path):
@@ -317,8 +319,14 @@ def test_records_digest_pinned(tmp_path):
                            re_cardinality=6, re_trials=20, out_dir=str(tmp_path))
     records = run_experiment(cfg, datasets=datasets)
     assert len(records) == 3 * 2 * 13 and not any(r.failed for r in records)
-    digest = hashlib.sha256((tmp_path / "records.csv").read_bytes()).hexdigest()
-    assert digest == PINNED_RECORDS_SHA256
+    path = tmp_path / "records.csv"
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == PINNED_RECORDS_SHA256, _moved(read_records(PINNED_RECORDS),
+                                                   read_records(path))
+
+
+def test_pinned_records_are_the_pin():
+    assert hashlib.sha256(PINNED_RECORDS.read_bytes()).hexdigest() == PINNED_RECORDS_SHA256
 
 
 def _keel_text(name, X, n_pos, top, codes=None):
