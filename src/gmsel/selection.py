@@ -210,47 +210,16 @@ def _with_both_classes(pos_idx, neg_idx, mask):
     return np.concatenate([pos_idx, neg_idx[mask] if mask.any() else neg_idx[:1]])
 
 
-def _child_draws(rng, size, n_neg):
-    """``(t1, t2, take, flip)``: per child, in stream order, two binary
-    tournaments (``rng.integers(0, size, 2)`` each) and the crossover and
-    mutation draws (``rng.random(n_neg)`` each), as ``(size, 2)`` and
-    ``(size, n_neg)`` arrays.
-
-    One ``random_raw`` call gives them all.  For PCG64, ``default_rng``'s
-    generator, numpy draws such an integer from a 32-bit half of a word (low
-    half first, the high half cached) by Lemire's multiply-shift, and a
-    double from a word's top 53 bits; over one value it draws no word.  A
-    Lemire rejection (odds about 1e-9 per integer) or a half already cached
-    before the call would move that layout, so the stream is rewound and the
-    per-child calls draw instead.
-    """
-    bitgen = rng.bit_generator
-    saved = bitgen.state
-    if not saved["has_uint32"]:
-        k = 2 if size > 1 else 0
-        words = bitgen.random_raw(size * (k + 2 * n_neg)).reshape(size, -1)
-        halves = np.stack([words[:, :k] & 0xFFFFFFFF, words[:, :k] >> 32], axis=2)
-        m = halves.reshape(size, 2 * k) * np.uint64(size)
-        if not np.any((m & 0xFFFFFFFF) < (2**32 - size) % size):
-            t = (m >> 32).astype(np.int64) if k else np.zeros((size, 4), dtype=np.int64)
-            u = (words[:, k:] >> 11) * 2.0**-53
-            return t[:, :2], t[:, 2:], u[:, :n_neg], u[:, n_neg:]
-        bitgen.state = saved
-    draws = [(rng.integers(0, size, size=2), rng.integers(0, size, size=2),
-              rng.random(n_neg), rng.random(n_neg)) for _ in range(size)]
-    return tuple(np.array(d) for d in zip(*draws))
-
-
 def eus(X, y, seed, params: EusParams | None = None, *, sample_weight=None,
         index=None) -> ReferenceSet:
     """Evolutionary undersampling: a generational GA over the majority mask.
 
     Binary tournaments, uniform crossover and bit-flip mutation at rate
     1/n_neg; the best-ever chromosome survives each generation and is
-    returned.  Each generation draws its random numbers in one
-    :func:`_child_draws` call (one raw-bits block, with the per-child draws
-    as fallback) and is scored in one :func:`eus_fitness` call, whose lookups
-    go to ``index``, a :class:`~gmsel.knn.NeighbourIndex` over ``X``.
+    returned.  Each generation draws its two tournaments per child in one
+    ``rng.integers`` call and its crossover and mutation draws in one
+    ``rng.random`` call, and is scored in one :func:`eus_fitness` call, whose
+    lookups go to ``index``, a :class:`~gmsel.knn.NeighbourIndex` over ``X``.
     """
     X, y = _check_xy(X, y)
     params = params or EusParams()
@@ -264,9 +233,11 @@ def eus(X, y, seed, params: EusParams | None = None, *, sample_weight=None,
     best_mask, best_fit = pop[np.argmax(fits)].copy(), float(np.max(fits))
 
     for _ in range(params.generations):
-        t1, t2, take, flip = _child_draws(rng, size, n_neg)
+        t = rng.integers(0, size, (size, 4))
+        u = rng.random((size, 2 * n_neg))
+        t1, t2, take, flip = t[:, :2], t[:, 2:], u[:, :n_neg], u[:, n_neg:]
         # a tournament goes to the fitter contender, the first one on a tie
-        p1, p2 = (pop[t[np.arange(size), np.argmax(fits[t], axis=1)]] for t in (t1, t2))
+        p1, p2 = (pop[c[np.arange(size), np.argmax(fits[c], axis=1)]] for c in (t1, t2))
         pop = np.where(take < 0.5, p1, p2)
         pop ^= flip < 1.0 / n_neg
         pop[0] = best_mask  # elitism

@@ -497,64 +497,6 @@ class TestEus:
         assert np.array_equal(eus(X, y, 4, p).retained, eus(X, y, 4, p).retained)
 
 
-class _CountingGenerator(np.random.Generator):
-    """A Generator that counts its ``integers`` calls, which only the
-    per-child draws make."""
-
-    def __init__(self, bit_generator):
-        super().__init__(bit_generator)
-        self.integer_calls = 0
-
-    def integers(self, *args, **kwargs):
-        self.integer_calls += 1
-        return super().integers(*args, **kwargs)
-
-
-def _per_child_draws(rng, size, n_neg):
-    """The GA's draws child by child: the stream order _child_draws reproduces."""
-    draws = [(rng.integers(0, size, size=2), rng.integers(0, size, size=2),
-              rng.random(n_neg), rng.random(n_neg)) for _ in range(size)]
-    return [np.array(d) for d in zip(*draws)]
-
-
-def _assert_same_draws(got, want):
-    for g, w in zip(got, want, strict=True):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
-
-
-class TestChildDraws:
-    @given(size=st.integers(1, 12), n_neg=st.integers(1, 60),
-           seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=150, deadline=None)
-    def test_raw_block_equals_per_child_draws(self, size, n_neg, seed):
-        fast = _CountingGenerator(np.random.PCG64(seed))
-        loop = np.random.default_rng(seed)
-        fast.random((size, n_neg))  # the initial population, as in eus
-        loop.random((size, n_neg))
-        for _ in range(3):
-            _assert_same_draws(selection._child_draws(fast, size, n_neg),
-                               _per_child_draws(loop, size, n_neg))
-        assert fast.integer_calls == 0  # no generation fell back
-        assert fast.random() == loop.random()
-
-    def test_lemire_rejection_falls_back_to_per_child_draws(self):
-        # the next word's high half h gives (h * 10) mod 2**32 = 2, below the
-        # rejection threshold (2**32 - 10) mod 10 = 6 of a size-10 draw.  The
-        # redraw takes a 41st half, so the next generation starts with a half
-        # cached and falls back too.
-        def rng(generator=np.random.Generator):
-            bit_generator = np.random.PCG64(0)
-            bit_generator.advance(168_499_528)
-            return generator(bit_generator)
-
-        fast, loop = rng(_CountingGenerator), rng()
-        for _ in range(2):
-            _assert_same_draws(selection._child_draws(fast, 10, 7),
-                               _per_child_draws(loop, 10, 7))
-        assert fast.integer_calls == 2 * (2 * 10)
-        assert fast.random() == loop.random()
-
-
 def _all_false_seed(n_neg):
     """A seed whose first draw of ``n_neg`` coin flips (the initial
     population of a one-chromosome EUS or a one-particle PSO) is all false."""
@@ -648,7 +590,8 @@ def _oracle_pso_fitness(X, y, mask, index):
 
 def _oracle_eus(X, y, seed, params=None, nominal_mask=None, sample_weight=None,
                 index=None):
-    """The GA with one draw sequence per child and one fitness call per mask."""
+    """The GA with one fitness call per mask, each child built in a loop from
+    its row of the generation's two draws."""
     params = params or EusParams()
     rng = np.random.default_rng(seed)
     pos_idx, neg_idx = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
@@ -664,14 +607,14 @@ def _oracle_eus(X, y, seed, params=None, nominal_mask=None, sample_weight=None,
     fits = np.array([fitness(m) for m in pop])
     best_mask, best_fit = pop[np.argmax(fits)].copy(), float(np.max(fits))
     for _ in range(params.generations):
+        t = rng.integers(0, params.population, (params.population, 4))
+        u = rng.random((params.population, 2 * n_neg))
         children = np.empty_like(pop)
         for c in range(params.population):
-            contenders = rng.integers(0, params.population, size=2)
-            p1 = pop[contenders[np.argmax(fits[contenders])]]
-            contenders = rng.integers(0, params.population, size=2)
-            p2 = pop[contenders[np.argmax(fits[contenders])]]
-            child = np.where(rng.random(n_neg) < 0.5, p1, p2)
-            child ^= rng.random(n_neg) < 1.0 / n_neg
+            p1 = pop[t[c, :2][np.argmax(fits[t[c, :2]])]]
+            p2 = pop[t[c, 2:][np.argmax(fits[t[c, 2:]])]]
+            child = np.where(u[c, :n_neg] < 0.5, p1, p2)
+            child ^= u[c, n_neg:] < 1.0 / n_neg
             children[c] = child
         pop = children
         pop[0] = best_mask
