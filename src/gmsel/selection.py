@@ -189,13 +189,14 @@ def eus_fitness(X, y, masks, index, lam=0.2, sample_weight=None) -> np.ndarray:
     lambda * |1 - n_selected/n_pos|.  ``index`` is a
     :class:`~gmsel.knn.NeighbourIndex` over ``X``, shared across generations.
     The GM is :func:`~gmsel.knn.loo_gm`'s, from one :func:`_hits` matrix: TP
-    and TN are one ``sample_weight`` sum per row, of 1.0s without weights, so
-    exact counts; a row without negatives, or a class of weight 0, scores 0.0."""
+    and TN are the row sums of ``sample_weight`` where a row hits each class,
+    by numpy's own reduction (no BLAS), of 1.0s without weights, so exact
+    counts; a row without negatives, or a class of weight 0, scores 0.0."""
     pos = y == 1
     w = np.ones(len(y)) if sample_weight is None else sample_weight
     hits = _hits(X, y, masks, index)
-    tp = np.array([w[r].sum() for r in hits & pos])
-    tn = np.array([w[r].sum() for r in hits & ~pos])
+    tp = np.where(hits & pos, w, 0.0).sum(axis=1)
+    tn = np.where(hits & ~pos, w, 0.0).sum(axis=1)
     wp, wn = w[pos].sum(), w[~pos].sum()
     g = np.zeros(len(masks))
     if wp != 0 and wn != 0:

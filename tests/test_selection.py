@@ -553,9 +553,9 @@ class TestPso:
 # chromosome, the reference that batched scoring must match bit for bit.
 
 def _oracle_loo_gm(X, y, retained, sample_weight, index):
-    """Leave-one-out GM of 1-NN over ``retained``, the confusion cells weight
-    sums (ones without ``sample_weight``); 0.0 when ``retained`` misses a
-    class or a class weighs 0."""
+    """Leave-one-out GM of 1-NN over ``retained``, TP and TN the sums of a
+    copy of ``sample_weight`` (ones without it) zeroed off each class's hits;
+    0.0 when ``retained`` misses a class or a class weighs 0."""
     yr = y[retained]
     if not (np.any(yr == 1) and np.any(yr == 0)):
         return 0.0
@@ -563,8 +563,8 @@ def _oracle_loo_gm(X, y, retained, sample_weight, index):
     if sample_weight is None:
         sample_weight = np.ones(len(y))
     pos = y == 1
-    tp = sample_weight[pos & (pred == 1)].sum()
-    tn = sample_weight[~pos & (pred == 0)].sum()
+    tp = np.where(pos & (pred == 1), sample_weight, 0.0).sum()
+    tn = np.where(~pos & (pred == 0), sample_weight, 0.0).sum()
     wp = sample_weight[pos].sum()
     wn = sample_weight[~pos].sum()
     if wp == 0 or wn == 0:
@@ -737,6 +737,27 @@ class TestRankPathSearches:
         assert np.array_equal(got.weights, want.weights)
         assert [m.retained.tolist() for m in got.members] == \
             [m.retained.tolist() for m in want.members]
+
+
+class TestWeightedFitnessPastSumBlocks:
+    """numpy sums a row in pairwise blocks of 128 values, so rows of up to
+    600 weights, some of them 0, check the row sums of every chromosome
+    against one sum per chromosome."""
+
+    @example(size=20, n_pos=60, n_neg=540, zeros=0.1, seed=0)
+    @given(size=st.integers(1, 20), n_pos=st.integers(1, 60), n_neg=st.integers(1, 540),
+           zeros=st.sampled_from([0.0, 0.1, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_eus_fitness_bit_equal_to_oracle(self, size, n_pos, n_neg, zeros, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.random((n_pos + n_neg, 2))
+        y = rng.permutation(np.repeat([1, 0], [n_pos, n_neg]))
+        w = rng.random(len(y)) / len(y)
+        w[rng.random(len(y)) < zeros] = 0.0
+        masks = rng.random((size, n_neg)) < rng.random((size, 1))
+        index = NeighbourIndex(X)
+        want = [_oracle_eus_fitness(X, y, m, 0.2, w, index) for m in masks]
+        assert np.array_equal(eus_fitness(X, y, masks, index, sample_weight=w), want)
 
 
 class TestRandomEdit:
