@@ -4,8 +4,7 @@ the log, to be re-pinned in pins.json openly.  Roster's 75-390-row training
 halves put the EUS and PSO fitness lookups on the rank path; traced seed 1
 counts one fitness evaluation per scored chromosome.  Fitness-large's 1,000-row
 halves share one neighbour index per fold, and its nominal attributes take the
-nominal branch of the distances; seed 11 keeps the digest it gave when each
-prediction computed its own distances.  Theory runs the four commands at their
+nominal branch of the distances.  Theory runs the four commands at their
 defaults, and prop1 on other draws.  ``--trace 1`` runs also compare records at
 jobs=2, jobs=1 and traced jobs=1.  A run that outlasts its timeout fails.  Last
 line: one JSON verdict; exit 1 on fail."""

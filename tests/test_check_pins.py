@@ -63,8 +63,9 @@ def test_missing_theory_line():
 
 
 def test_fitness_evals_off_by_one():
-    assert problems(bench_stdout(**{"selection.fitness_evals": 106701}), ROSTER) == \
-        ["selection.fitness_evals 106701, pinned 106700"]
+    pinned = ROSTER["metrics"]["selection.fitness_evals"]
+    assert problems(bench_stdout(**{"selection.fitness_evals": pinned + 1}), ROSTER) == \
+        [f"selection.fitness_evals {pinned + 1}, pinned {pinned}"]
 
 
 def test_output_cut_off_before_the_verdict():
